@@ -11,10 +11,7 @@ use crate::abft::{self, AbftBufs, AbftSession};
 use crate::blocktune::block_sizes;
 use crate::kernel::{kernel_spec, KernelSpec, MAX_TILE_ELEMS};
 use crate::matrix::{Mat, MatMut, MatRef};
-use crate::pack::{
-    pack_a, pack_a_combined, pack_b, pack_b_combined, pack_b_combined_with_sums, pack_b_with_sums,
-    MAX_PACK_TERMS,
-};
+use crate::pack::{pack_a_terms, pack_b_terms, terms_shape, MAX_PACK_TERMS};
 use crate::scalar::Scalar;
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -48,7 +45,8 @@ impl BlockSizes {
 
 /// Scratch buffers reused across packing rounds of a single GEMM call.
 ///
-/// Reusable across calls via [`gemm_st_with_scratch`] to keep the many
+/// Reusable across calls via [`gemm_combined_st_with_spec`]; the
+/// thread-local cache behind [`gemm_combined_st`] keeps the many
 /// medium-sized gemm invocations of the APA engine allocation-free.
 pub struct Scratch<T> {
     a_pack: Vec<T>,
@@ -94,9 +92,9 @@ thread_local! {
 /// optional pair carries the fused ABFT row sums `(b_sum, b_mag)` of the
 /// panel; it is `Some` exactly when the call runs under an ABFT session.
 ///
-/// The packed bytes must be bitwise identical to what the local
-/// `pack_b`/`pack_b_combined` sweep would produce for the same sub-block —
-/// the parallel ≡ single-threaded bitwise contract rests on it.
+/// The packed bytes must be bitwise identical to what the core's local
+/// `pack_b_terms` sweep would produce for the same sub-block — the
+/// parallel ≡ single-threaded bitwise contract rests on it.
 pub(crate) trait BPanelSource<T: Scalar>: Sync {
     fn panel(&self, slab: usize) -> PackedPanel<'_, T>;
 }
@@ -105,11 +103,10 @@ pub(crate) trait BPanelSource<T: Scalar>: Sync {
 /// fused `(row_sum, row_mag)` checksum pair.
 pub(crate) type PackedPanel<'a, T> = (&'a [T], Option<(&'a [f64], &'a [f64])>);
 
-/// `C ← α·A·B + β·C`, single-threaded. Pack buffers come from a
-/// thread-local cache, so steady-state calls do not touch the heap; use
-/// [`gemm_st_with_scratch`] to manage the buffers explicitly instead.
+/// `C ← α·A·B + β·C`, single-threaded: [`gemm_combined_st`] on the unit
+/// term lists `[(1, a)]`, `[(1, b)]`.
 pub fn gemm_st<T: Scalar>(alpha: T, a: MatRef<'_, T>, b: MatRef<'_, T>, beta: T, c: MatMut<'_, T>) {
-    with_cached_scratch(|scratch| gemm_st_with_scratch(alpha, a, b, beta, c, scratch));
+    gemm_combined_st(alpha, &[(T::ONE, a)], &[(T::ONE, b)], beta, c);
 }
 
 /// Run `f` with this thread's cached [`Scratch`] for `T`. The scratch is
@@ -141,22 +138,8 @@ pub(crate) fn with_cached_scratch<T: Scalar, R>(f: impl FnOnce(&mut Scratch<T>) 
     out
 }
 
-/// [`gemm_st`] with caller-provided scratch (no allocation in steady state).
-pub fn gemm_st_with_scratch<T: Scalar>(
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-    scratch: &mut Scratch<T>,
-) {
-    gemm_st_with_spec(&kernel_spec::<T>(), alpha, a, b, beta, c, scratch);
-}
-
-/// [`gemm_st_with_scratch`] on an explicit kernel (tier forced by the
-/// caller — the dispatch-matrix tests and tier benches). Block sizes stay
-/// the process-wide tuned ones, so different tiers split k identically
-/// and results are bitwise equal across tiers.
+/// [`gemm_st`] on an explicit kernel and caller-provided scratch: the unit
+/// term lists through [`gemm_combined_st_with_spec`].
 pub fn gemm_st_with_spec<T: Scalar>(
     spec: &KernelSpec<T>,
     alpha: T,
@@ -166,18 +149,14 @@ pub fn gemm_st_with_spec<T: Scalar>(
     c: MatMut<'_, T>,
     scratch: &mut Scratch<T>,
 ) {
-    let session = abft::current();
-    gemm_st_core(
+    gemm_combined_st_with_spec(
         spec,
-        block_sizes::<T>(),
         alpha,
-        a,
-        b,
+        &[(T::ONE, a)],
+        &[(T::ONE, b)],
         beta,
         c,
         scratch,
-        session.as_deref(),
-        None,
     );
 }
 
@@ -191,12 +170,12 @@ pub(crate) fn gemm_st_probe<T: Scalar>(
     c: MatMut<'_, T>,
 ) {
     with_cached_scratch(|scratch| {
-        gemm_st_core(
+        gemm_core(
             &kernel_spec::<T>(),
             bs,
             T::ONE,
-            a,
-            b,
+            &[(T::ONE, a)],
+            &[(T::ONE, b)],
             T::ZERO,
             c,
             scratch,
@@ -206,198 +185,9 @@ pub(crate) fn gemm_st_probe<T: Scalar>(
     });
 }
 
-/// The blocked driver. With an ABFT session the pack sweeps accumulate
-/// checksums, every `(jc, pc, ic)` block update is verified, and flagged
-/// regions are recomputed with the scalar-tier kernel before returning.
-/// Returns the number of regions that violated their checksums (0 on a
-/// clean run) — the recursive repair verification keys off it.
-///
-/// `panels`, when present, supplies pre-packed B panels for every KC slab
-/// (the caller guarantees the view of `b` spans exactly the jc block the
-/// source was built for, i.e. `n ≤ bs.nc`); the local `pack_b` sweep is
-/// skipped and the first rank-k loop reads the shared panel instead —
-/// this is how the 2D parallel driver packs each B panel once per call
-/// rather than once per worker.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_st_core<T: Scalar>(
-    spec: &KernelSpec<T>,
-    bs: BlockSizes,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    mut c: MatMut<'_, T>,
-    scratch: &mut Scratch<T>,
-    abft: Option<&AbftSession>,
-    panels: Option<&dyn BPanelSource<T>>,
-) -> usize {
-    debug_assert!(
-        panels.is_none() || b.cols() <= bs.nc,
-        "shared panels cover exactly one jc block"
-    );
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    assert_eq!(k, b.rows(), "inner dimensions must match");
-    assert_eq!(m, c.rows(), "C row count mismatch");
-    assert_eq!(n, c.cols(), "C column count mismatch");
-
-    if m == 0 || n == 0 {
-        return 0;
-    }
-    if k == 0 || alpha == T::ZERO {
-        scale_in_place(beta, &mut c);
-        return 0;
-    }
-
-    if abft.is_some() {
-        scratch.ab.begin_call(beta, &c);
-    }
-
-    for jc in (0..n).step_by(bs.nc) {
-        let nc = bs.nc.min(n - jc);
-        if abft.is_some() {
-            scratch.ab.begin_jc(m);
-        }
-        for pc in (0..k).step_by(bs.kc) {
-            let kc = bs.kc.min(k - pc);
-            let shared = panels.map(|p| p.panel(pc / bs.kc));
-            match shared {
-                Some((_, sums)) => {
-                    // The arena packed (and fault-injected) this panel
-                    // exactly once; adopt its fused row sums so the
-                    // per-cell ABFT checks see the same checksums a local
-                    // pack sweep would have produced.
-                    if abft.is_some() {
-                        let (b_sum, b_mag) =
-                            sums.expect("shared panels carry ABFT sums under a session");
-                        scratch.ab.b_sum.clear();
-                        scratch.ab.b_sum.extend_from_slice(b_sum);
-                        scratch.ab.b_mag.clear();
-                        scratch.ab.b_mag.extend_from_slice(b_mag);
-                    }
-                }
-                None => {
-                    if abft.is_some() {
-                        pack_b_with_sums(
-                            b.subview(pc, jc, kc, nc),
-                            &mut scratch.b_pack,
-                            spec.nr,
-                            &mut scratch.ab.b_sum,
-                            &mut scratch.ab.b_mag,
-                        );
-                    } else {
-                        pack_b(b.subview(pc, jc, kc, nc), &mut scratch.b_pack, spec.nr);
-                    }
-                    #[cfg(feature = "fault-inject")]
-                    flip_pack_b(&mut scratch.b_pack, nc, kc, spec.nr);
-                }
-            }
-            let b_panel: &[T] = match shared {
-                Some((buf, _)) => buf,
-                None => &scratch.b_pack,
-            };
-            // First rank-k update applies the caller's β, later ones add.
-            let beta_eff = if pc == 0 { beta } else { T::ONE };
-            let beta_zero = pc == 0 && beta == T::ZERO;
-            for ic in (0..m).step_by(bs.mc) {
-                let mc = bs.mc.min(m - ic);
-                pack_a(a.subview(ic, pc, mc, kc), &mut scratch.a_pack, spec.mr);
-                #[cfg(feature = "fault-inject")]
-                flip_pack_a(&mut scratch.a_pack, mc, kc, spec.mr);
-                run_tiles(
-                    spec,
-                    alpha,
-                    beta_eff,
-                    beta_zero,
-                    &scratch.a_pack,
-                    b_panel,
-                    kc,
-                    mc,
-                    nc,
-                    ic,
-                    jc,
-                    &mut c,
-                );
-                #[cfg(feature = "fault-inject")]
-                flip_output(&mut c, ic, jc, mc, nc);
-                if abft.is_some() {
-                    scratch.ab.accum_rows(&[(T::ONE, a)], ic, pc, mc, kc);
-                }
-            }
-        }
-        // Deferred full-k row check per ic block; column localization
-        // (from the source operands) runs only on detection.
-        if let Some(session) = abft {
-            for ic in (0..m).step_by(bs.mc) {
-                let mc = bs.mc.min(m - ic);
-                if scratch
-                    .ab
-                    .check_rows(session, alpha, beta, &c, ic, jc, mc, nc, k)
-                {
-                    scratch.ab.localize(
-                        session,
-                        &[(T::ONE, a)],
-                        &[(T::ONE, b)],
-                        alpha,
-                        beta,
-                        &c,
-                        ic,
-                        jc,
-                        mc,
-                        nc,
-                        spec.nr,
-                        k,
-                    );
-                }
-            }
-        }
-    }
-
-    let Some(session) = abft else { return 0 };
-    let violations = scratch.ab.flags.len();
-    if violations > 0 && session.cfg.repair {
-        let mut flags = std::mem::take(&mut scratch.ab.flags);
-        let scalar_spec = KernelSpec::<T>::scalar();
-        let nested = AbftSession::verify_only(session.cfg.slack);
-        let mut repair_scratch = Scratch::new();
-        for reg in &flags {
-            // Replay the caller's β against the pristine entry values.
-            if beta != T::ZERO {
-                scratch.ab.restore_region(&mut c, *reg);
-            }
-            // Restricted recompute over the full k: the region is a whole
-            // ic block × an NR-aligned stripe, so the same BlockSizes
-            // reproduce identical kc splits, sliver layouts and FMA chains
-            // — bitwise equal to an uncorrupted run by the cross-tier
-            // kernel contract.
-            let sub_c = c.subview_mut(reg.r0, reg.c0, reg.rows, reg.cols);
-            let bad = gemm_st_core(
-                &scalar_spec,
-                bs,
-                alpha,
-                a.subview(reg.r0, 0, reg.rows, k),
-                b.subview(0, reg.c0, k, reg.cols),
-                beta,
-                sub_c,
-                &mut repair_scratch,
-                Some(&nested),
-                None,
-            );
-            if bad == 0 {
-                session.stats.bump_repaired();
-            } else {
-                session.stats.bump_unrepaired();
-            }
-        }
-        flags.clear();
-        scratch.ab.flags = flags;
-    }
-    violations
-}
-
 /// Dispatch the MR×NR register tiles of one packed (mc × kc)·(kc × nc)
-/// block product into `C` — the shared inner loops of the plain and
-/// combined drivers. Tile shape comes from the dispatched kernel spec.
+/// block product into `C`. Tile shape comes from the dispatched kernel
+/// spec.
 #[allow(clippy::too_many_arguments)]
 fn run_tiles<T: Scalar>(
     spec: &KernelSpec<T>,
@@ -426,7 +216,7 @@ fn run_tiles<T: Scalar>(
                 let mut tile = c.subview_mut(ic + ir, jc + jr, mr, nr);
                 // SAFETY: tile is a writable MR×NR block with
                 // stride cs; slivers hold kc·MR / kc·NR packed
-                // elements by construction of pack_a/pack_b.
+                // elements by construction of the packers.
                 unsafe {
                     spec.run(
                         kc,
@@ -497,37 +287,38 @@ pub(crate) fn with_subviews<'a, T: Scalar, R>(
     }
 }
 
-/// Fused-operand GEMM: `C ← α·(Σ cᵃᵢ·Aᵢ)·(Σ cᵇⱼ·Bⱼ) + β·C` where the two
-/// linear combinations are formed *inside* the pack sweep
-/// ([`pack_a_combined`] / [`pack_b_combined`]) — the S/T operands of the
-/// APA framework are never materialized in memory.
-///
-/// Loop structure, α/β semantics and tile dispatch are identical to
-/// [`gemm_st_with_scratch`]; with single-term lists `[(T::ONE, a)]` /
-/// `[(T::ONE, b)]` the result is bitwise equal to the plain driver.
+/// The single-threaded GEMM, with pack buffers from the thread-local
+/// cache (allocation-free in steady state):
+/// `C ← α·(Σ cᵃᵢ·Aᵢ)·(Σ cᵇⱼ·Bⱼ) + β·C` where the two linear combinations
+/// are formed *inside* the pack sweep ([`crate::pack::pack_a_combined`] /
+/// [`crate::pack::pack_b_combined`]) — the S/T operands of the APA
+/// framework are never materialized in memory. A plain operand is the unit
+/// list `[(T::ONE, a)]`, which the packers copy instead of multiplying.
 /// Term lists must be non-empty and each list's sources share one shape.
-pub fn gemm_combined_st_with_scratch<T: Scalar>(
+pub fn gemm_combined_st<T: Scalar>(
     alpha: T,
     a_terms: &[(T, MatRef<'_, T>)],
     b_terms: &[(T, MatRef<'_, T>)],
     beta: T,
     c: MatMut<'_, T>,
-    scratch: &mut Scratch<T>,
 ) {
-    gemm_combined_st_with_spec(
-        &kernel_spec::<T>(),
-        alpha,
-        a_terms,
-        b_terms,
-        beta,
-        c,
-        scratch,
-    );
+    with_cached_scratch(|scratch| {
+        gemm_combined_st_with_spec(
+            &kernel_spec::<T>(),
+            alpha,
+            a_terms,
+            b_terms,
+            beta,
+            c,
+            scratch,
+        )
+    });
 }
 
-/// [`gemm_combined_st_with_scratch`] on an explicit kernel (tier forced
-/// by the caller). Block sizes stay the process-wide tuned ones so tiers
-/// agree bitwise.
+/// [`gemm_combined_st`] on an explicit kernel (tier forced by the caller —
+/// the dispatch-matrix tests and tier benches) and caller-provided
+/// scratch. Block sizes stay the process-wide tuned ones, so different
+/// tiers split k identically and results are bitwise equal across tiers.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_combined_st_with_spec<T: Scalar>(
     spec: &KernelSpec<T>,
@@ -539,7 +330,7 @@ pub fn gemm_combined_st_with_spec<T: Scalar>(
     scratch: &mut Scratch<T>,
 ) {
     let session = abft::current();
-    gemm_combined_core(
+    gemm_core(
         spec,
         block_sizes::<T>(),
         alpha,
@@ -553,13 +344,24 @@ pub fn gemm_combined_st_with_spec<T: Scalar>(
     );
 }
 
-/// The fused-operand driver body; same ABFT story as [`gemm_st_core`]
-/// (repairs re-run the *combined* product over the flagged region, so a
-/// fused leaf never needs its operands materialized even when repairing).
-/// `panels` has the same contract as in [`gemm_st_core`]: pre-packed
-/// *combined* B panels for every KC slab of the (single) jc block.
+/// The blocked driver — the one `jc → pc → ic` loop nest every gemm entry
+/// point of the crate runs. With an ABFT session the B pack sweep
+/// accumulates checksums, every `(jc, ic)` block is verified over the full
+/// `k`, and flagged regions are recomputed with the scalar-tier kernel
+/// before returning (repairs re-run the *combined* product over the
+/// flagged region, so a fused leaf never needs its operands materialized
+/// even when repairing). Returns the number of regions that violated
+/// their checksums (0 on a clean run) — the recursive repair verification
+/// keys off it.
+///
+/// `panels`, when present, supplies pre-packed B panels for every KC slab
+/// (the caller guarantees the `b_terms` views span exactly the jc block
+/// the source was built for, i.e. `n ≤ bs.nc`); the local B pack is
+/// skipped and the first rank-k loop reads the shared panel instead —
+/// this is how the 2D parallel driver packs each B panel once per call
+/// rather than once per worker.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_combined_core<T: Scalar>(
+pub(crate) fn gemm_core<T: Scalar>(
     spec: &KernelSpec<T>,
     bs: BlockSizes,
     alpha: T,
@@ -571,22 +373,8 @@ pub(crate) fn gemm_combined_core<T: Scalar>(
     abft: Option<&AbftSession>,
     panels: Option<&dyn BPanelSource<T>>,
 ) -> usize {
-    assert!(
-        !a_terms.is_empty() && !b_terms.is_empty(),
-        "gemm_combined needs at least one term per operand"
-    );
-    let (m, k) = (a_terms[0].1.rows(), a_terms[0].1.cols());
-    let n = b_terms[0].1.cols();
-    for (_, src) in a_terms {
-        assert_eq!((src.rows(), src.cols()), (m, k), "A-term shape mismatch");
-    }
-    for (_, src) in b_terms {
-        assert_eq!(
-            (src.rows(), src.cols()),
-            (k, n),
-            "B-term shape / inner dimension mismatch"
-        );
-    }
+    let ((m, k), (kb, n)) = (terms_shape(a_terms), terms_shape(b_terms));
+    assert_eq!(k, kb, "inner dimensions must match");
     assert_eq!(m, c.rows(), "C row count mismatch");
     assert_eq!(n, c.cols(), "C column count mismatch");
 
@@ -617,6 +405,10 @@ pub(crate) fn gemm_combined_core<T: Scalar>(
             let shared = panels.map(|p| p.panel(pc / bs.kc));
             match shared {
                 Some((_, sums)) => {
+                    // The arena packed (and fault-injected) this panel
+                    // exactly once; adopt its fused row sums so the
+                    // per-cell ABFT checks see the same checksums a local
+                    // pack sweep would have produced.
                     if abft.is_some() {
                         let (b_sum, b_mag) =
                             sums.expect("shared panels carry ABFT sums under a session");
@@ -627,21 +419,12 @@ pub(crate) fn gemm_combined_core<T: Scalar>(
                     }
                 }
                 None => {
-                    // ABFT row sums ride the pack sweep itself (from the
-                    // packed combined values), so checksums cost no extra
-                    // pass over B.
+                    // ABFT row sums ride the pack sweep itself, so
+                    // checksums cost no extra pass over B.
+                    let ab = &mut scratch.ab;
+                    let sums = abft.map(|_| (&mut ab.b_sum, &mut ab.b_mag));
                     with_subviews(b_terms, pc, jc, kc, nc, |sub| {
-                        if abft.is_some() {
-                            pack_b_combined_with_sums(
-                                sub,
-                                &mut scratch.b_pack,
-                                spec.nr,
-                                &mut scratch.ab.b_sum,
-                                &mut scratch.ab.b_mag,
-                            )
-                        } else {
-                            pack_b_combined(sub, &mut scratch.b_pack, spec.nr)
-                        }
+                        pack_b_terms(sub, &mut scratch.b_pack, spec.nr, sums)
                     });
                     #[cfg(feature = "fault-inject")]
                     flip_pack_b(&mut scratch.b_pack, nc, kc, spec.nr);
@@ -657,7 +440,7 @@ pub(crate) fn gemm_combined_core<T: Scalar>(
             for ic in (0..m).step_by(bs.mc) {
                 let mc = bs.mc.min(m - ic);
                 with_subviews(a_terms, ic, pc, mc, kc, |sub| {
-                    pack_a_combined(sub, &mut scratch.a_pack, spec.mr)
+                    pack_a_terms(sub, &mut scratch.a_pack, spec.mr)
                 });
                 #[cfg(feature = "fault-inject")]
                 flip_pack_a(&mut scratch.a_pack, mc, kc, spec.mr);
@@ -707,13 +490,19 @@ pub(crate) fn gemm_combined_core<T: Scalar>(
         let nested = AbftSession::verify_only(session.cfg.slack);
         let mut repair_scratch = Scratch::new();
         for reg in &flags {
+            // Replay the caller's β against the pristine entry values.
             if beta != T::ZERO {
                 scratch.ab.restore_region(&mut c, *reg);
             }
+            // Restricted recompute over the full k: the region is a whole
+            // ic block × an NR-aligned stripe, so the same BlockSizes
+            // reproduce identical kc splits, sliver layouts and FMA chains
+            // — bitwise equal to an uncorrupted run by the cross-tier
+            // kernel contract.
             let sub_c = c.subview_mut(reg.r0, reg.c0, reg.rows, reg.cols);
             let bad = with_subviews(a_terms, reg.r0, 0, reg.rows, k, |asub| {
                 with_subviews(b_terms, 0, reg.c0, k, reg.cols, |bsub| {
-                    gemm_combined_core(
+                    gemm_core(
                         &scalar_spec,
                         bs,
                         alpha,
@@ -737,20 +526,6 @@ pub(crate) fn gemm_combined_core<T: Scalar>(
         scratch.ab.flags = flags;
     }
     violations
-}
-
-/// [`gemm_combined_st_with_scratch`] with pack buffers from the
-/// thread-local cache (allocation-free in steady state).
-pub fn gemm_combined_st<T: Scalar>(
-    alpha: T,
-    a_terms: &[(T, MatRef<'_, T>)],
-    b_terms: &[(T, MatRef<'_, T>)],
-    beta: T,
-    c: MatMut<'_, T>,
-) {
-    with_cached_scratch(|scratch| {
-        gemm_combined_st_with_scratch(alpha, a_terms, b_terms, beta, c, scratch)
-    });
 }
 
 /// Apply the microkernel's α/β epilogue to one ragged row: `vals` holds
@@ -921,24 +696,93 @@ mod tests {
         }
     }
 
+    /// Overwrite a few rows (of A) or columns (of B) with ±0 and
+    /// ±subnormals, and a few more with ±∞ and NaN, leaving the rest of the
+    /// product finite.
+    fn with_specials<T: Scalar>(mut mat: Mat<T>, by_row: bool) -> Mat<T> {
+        let specials = crate::scalar::special_values::<T>();
+        let (soft, hard) = specials.split_at(4);
+        for i in 0..mat.rows() {
+            for j in 0..mat.cols() {
+                let (line, at) = if by_row { (i, j) } else { (j, i) };
+                match line % 9 {
+                    4 => mat.set(i, j, soft[at % 4]),
+                    7 if at.is_multiple_of(5) => mat.set(i, j, hard[(at / 5) % 3]),
+                    _ => {}
+                }
+            }
+        }
+        mat
+    }
+
+    /// The unit list `[(1, x)]` is the plain operand `x`: the packers copy
+    /// it, while the reference multiplies `1·x` out first (`combine`'s
+    /// one-term arm). Bitwise equal — NaN-ness, not payload, for NaNs —
+    /// with and without the ABFT checksum sweep.
+    fn check_unit_list_is_plain_gemm<T: Scalar>(special: bool) {
+        use crate::add::combine;
+        let (m, k, n) = (70, 45, 33);
+        let (mut a, mut b) = (rand_mat::<T>(m, k, 20), rand_mat::<T>(k, n, 21));
+        if special {
+            (a, b) = (with_specials(a, true), with_specials(b, false));
+        }
+        let (mut a1, mut b1) = (Mat::<T>::zeros(m, k), Mat::<T>::zeros(k, n));
+        combine(a1.as_mut(), false, &[(T::ONE, a.as_ref())]);
+        combine(b1.as_mut(), false, &[(T::ONE, b.as_ref())]);
+        let c0 = rand_mat::<T>(m, n, 22);
+        let (alpha, beta) = (T::from_f64(1.5), T::from_f64(0.5));
+        let mut want = c0.clone();
+        gemm_st(alpha, a1.as_ref(), b1.as_ref(), beta, want.as_mut());
+        // The pack buffers only ever grow: run an all-NaN product with larger
+        // panels through the scratch first, so a sweep that reads past the
+        // panel it was handed (geometry taken from the buffer's length, a
+        // sliver the packers skipped) poisons `got`.
+        let mut scratch = Scratch::new();
+        let nan = |rows, cols| Mat::from_fn(rows, cols, |_, _| T::from_f64(f64::NAN));
+        gemm_core(
+            &kernel_spec::<T>(),
+            block_sizes::<T>(),
+            T::ONE,
+            &[(T::ONE, nan(m + 19, k + 23).as_ref())],
+            &[(T::ONE, nan(k + 23, n + 40).as_ref())],
+            T::ZERO,
+            Mat::zeros(m + 19, n + 40).as_mut(),
+            &mut scratch,
+            None,
+            None,
+        );
+        for checked in [false, true] {
+            let session = checked.then(AbftSession::default);
+            let mut got = c0.clone();
+            gemm_core(
+                &kernel_spec::<T>(),
+                block_sizes::<T>(),
+                alpha,
+                &[(T::ONE, a.as_ref())],
+                &[(T::ONE, b.as_ref())],
+                beta,
+                got.as_mut(),
+                &mut scratch,
+                session.as_ref(),
+                None,
+            );
+            for i in 0..m {
+                for j in 0..n {
+                    let (g, w) = (got.at(i, j).to_f64(), want.at(i, j).to_f64());
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "special={special} checked={checked} ({i},{j}): {g:e} vs {w:e}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn combined_single_term_is_bitwise_plain_gemm() {
-        let a = rand_mat::<f32>(70, 45, 20);
-        let b = rand_mat::<f32>(45, 33, 21);
-        let mut want = rand_mat::<f32>(70, 33, 22);
-        let mut got = want.clone();
-        gemm_st(1.5, a.as_ref(), b.as_ref(), 0.5, want.as_mut());
-        gemm_combined_st(
-            1.5,
-            &[(1.0, a.as_ref())],
-            &[(1.0, b.as_ref())],
-            0.5,
-            got.as_mut(),
-        );
-        for i in 0..70 {
-            for j in 0..33 {
-                assert_eq!(got.at(i, j).to_bits(), want.at(i, j).to_bits());
-            }
+        for special in [false, true] {
+            check_unit_list_is_plain_gemm::<f32>(special);
+            check_unit_list_is_plain_gemm::<f64>(special);
         }
     }
 

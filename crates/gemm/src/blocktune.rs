@@ -9,7 +9,7 @@
 //!    detected cache sizes) matches this machine;
 //! 3. with `APA_AUTOTUNE=1`: a measured race over candidates around the
 //!    analytic point, persisted for every later process (the workspace
-//!    cache's on-disk sibling; `APA_TUNE_DIR` overrides the location);
+//!    cache's on-disk sibling, under `$APA_PLAN_DIR/blocks`);
 //! 4. the analytic BLIS sizing from the detected hierarchy: KC keeps one
 //!    B sliver in half of L1d, MC keeps the packed A block in half of L2,
 //!    NC keeps the packed B block in half of L3.
@@ -138,16 +138,10 @@ fn fingerprint(es: usize) -> String {
 
 fn tune_dir() -> Option<PathBuf> {
     // APA_PLAN_DIR is the unified persistence root (block tunes live under
-    // `blocks/`, compiled plans under `plans/` — see `apa-planner`). The
-    // legacy APA_TUNE_DIR env var is honoured as a back-compat fallback.
+    // `blocks/`, compiled plans under `plans/` — see `apa-planner`).
     if let Ok(dir) = std::env::var("APA_PLAN_DIR") {
         if !dir.is_empty() {
             return Some(PathBuf::from(dir).join("blocks"));
-        }
-    }
-    if let Ok(dir) = std::env::var("APA_TUNE_DIR") {
-        if !dir.is_empty() {
-            return Some(PathBuf::from(dir));
         }
     }
     if let Ok(xdg) = std::env::var("XDG_CACHE_HOME") {

@@ -1,10 +1,16 @@
 //! # apa-gemm
 //!
 //! A from-scratch, pure-Rust classical GEMM substrate: packed, cache-blocked,
-//! register-tiled and row-parallel. In the reproduction of the ICPP'21 APA
+//! register-tiled and 2D-parallel. In the reproduction of the ICPP'21 APA
 //! paper it plays the role Intel MKL plays in the original: the highly
 //! efficient `gemm` leaf that both the classical baseline *and* the APA
 //! algorithms' sub-multiplications call into.
+//!
+//! There is one driver: the term-list product
+//! `C ← α·(Σ aᵢAᵢ)·(Σ bⱼBⱼ) + β·C` ([`gemm_combined`]). A plain operand
+//! is the unit list `[(1, A)]`, which [`pack`] copies instead of
+//! multiplying; [`gemm`], [`gemm_st`], [`pack_a`] and [`pack_b`] are thin
+//! wrappers that build unit lists.
 //!
 //! Components:
 //!
@@ -13,7 +19,8 @@
 //! * [`scalar`] — the `f32`/`f64` abstraction (single precision for all
 //!   experiments, double for references, matching the paper);
 //! * [`pack`] / [`microkernel`] / [`blocked`] — the BLIS-style kernel
-//!   stack, single-threaded;
+//!   stack, single-threaded: one A packer, one B packer, one blocked
+//!   loop nest;
 //! * [`kernel`] — explicit AVX2/AVX-512 register-tile kernels behind
 //!   one-time runtime CPU dispatch ([`microkernel`] is the scalar tier),
 //!   bitwise-identical across tiers;
@@ -53,8 +60,8 @@ pub mod transpose;
 pub use abft::{AbftConfig, AbftCounts, AbftSession, AbftStats, DEFAULT_SLACK};
 pub use add::{combine, combine_axpy, combine_par, MAX_INLINE_COMBINE};
 pub use blocked::{
-    gemm_combined_st, gemm_combined_st_with_scratch, gemm_combined_st_with_spec, gemm_st,
-    gemm_st_with_scratch, gemm_st_with_spec, matmul, BlockSizes, Scratch,
+    gemm_combined_st, gemm_combined_st_with_spec, gemm_st, gemm_st_with_spec, matmul, BlockSizes,
+    Scratch,
 };
 pub use blocktune::{
     block_report, block_sizes, probe_bandwidth_bytes, probe_parallel_gflops, CacheHierarchy,
@@ -71,14 +78,14 @@ pub use matrix::{Mat, MatMut, MatRef};
 pub use naive::{matmul_naive, matmul_naive_f64};
 pub use pack::{pack_a, pack_a_combined, pack_b, pack_b_combined, MAX_PACK_TERMS};
 pub use parallel::{
-    gemm, gemm_combined, live_arenas, matmul_par, par_stats, try_gemm, try_gemm_combined, ParStats,
+    gemm, gemm_combined, live_arenas, par_stats, try_gemm, try_gemm_combined, ParStats,
 };
 pub use pool::{
     default_threads, pool, rebuild, topology, topology_report, CpuSlot, Par, PoolError, Topology,
     WorkerPool,
 };
 pub use scalar::Scalar;
-pub use transpose::{gemm_op, transpose, transpose_into, Op};
+pub use transpose::{transpose, transpose_into};
 
 #[cfg(test)]
 mod tests {

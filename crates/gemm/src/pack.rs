@@ -14,36 +14,55 @@
 use crate::matrix::MatRef;
 use crate::scalar::Scalar;
 
-/// Maximum operand-term arity the combined packers handle without falling
-/// back to a heap-allocated staging list. Matches the executor's inline
-/// term budget with headroom.
+/// Maximum operand-term arity staged inline (on the stack): by the blocked
+/// driver when it cuts sub-blocks out of a term list, and by the AVX2
+/// checksum stage of the B packer. Wider lists heap-stage / take the
+/// portable sweep. Matches the executor's inline term budget with
+/// headroom.
 pub const MAX_PACK_TERMS: usize = 32;
 
-/// Size `buf` to `len` elements without a full zero sweep: a grow
-/// zero-fills only because `resize` must, a same-size reuse leaves stale
-/// interior values that the caller overwrites element-by-element. Callers
-/// must explicitly zero any pad region they do not write.
+/// The panel `buf[..len]`, growing `buf` when it is shorter. Grow-only: a
+/// pack buffer that alternates between panel shapes (KC slabs of unequal
+/// depth, a wide layer after a narrow one) is zero-filled once, when it
+/// first reaches its largest panel, and never again — a shorter panel is a
+/// prefix. The panel holds stale values, so a sweep must write every
+/// element of it, pad regions included.
 #[inline]
-fn size_panel<T: Scalar>(buf: &mut Vec<T>, len: usize) {
-    if buf.len() != len {
-        buf.clear();
+fn size_panel<T: Scalar>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
         buf.resize(len, T::ZERO);
     }
+    &mut buf[..len]
 }
 
 /// ABFT checksum accumulators fused into a pack sweep: per-`p` sums and
-/// abs-sums (in f64) of the block being packed, taken from the source
-/// reads so later corruption of the packed panel stays detectable.
-pub(crate) type PackSums<'s> = (&'s mut [f64], &'s mut [f64]);
+/// abs-sums (in f64) of the block being packed, so later corruption of the
+/// packed panel stays detectable.
+type PackSums<'s> = (&'s mut [f64], &'s mut [f64]);
 
-/// Clear-and-zero `sum`/`mag` to length `kc`, reborrowed as [`PackSums`].
+/// The shared shape of a non-empty term list's sources.
+pub(crate) fn terms_shape<T: Scalar>(terms: &[(T, MatRef<'_, T>)]) -> (usize, usize) {
+    assert!(
+        !terms.is_empty(),
+        "a packed operand needs at least one term"
+    );
+    let shape = (terms[0].1.rows(), terms[0].1.cols());
+    for (_, src) in terms {
+        assert_eq!((src.rows(), src.cols()), shape, "source shape mismatch");
+    }
+    shape
+}
+
+/// The one place a plain operand is told apart from a combination: a list
+/// that is exactly `[(1, src)]` packs with the copy sweeps, which write the
+/// same panel `1·x` would (multiplying by one is exact; only a NaN's
+/// payload could differ) without the multiply.
 #[inline]
-fn prep_sums<'s>(sum: &'s mut Vec<f64>, mag: &'s mut Vec<f64>, kc: usize) -> PackSums<'s> {
-    sum.clear();
-    sum.resize(kc, 0.0);
-    mag.clear();
-    mag.resize(kc, 0.0);
-    (&mut sum[..], &mut mag[..])
+fn unit_source<'a, T: Scalar>(terms: &[(T, MatRef<'a, T>)]) -> Option<MatRef<'a, T>> {
+    match terms {
+        [(coeff, src)] if *coeff == T::ONE => Some(*src),
+        _ => None,
+    }
 }
 
 /// Pack an `mc × kc` block of `A` into `mr`-row slivers.
@@ -52,19 +71,82 @@ fn prep_sums<'s>(sum: &'s mut Vec<f64>, mag: &'s mut Vec<f64>, kc: usize) -> Pac
 /// `mc`) occupies `kc·mr` consecutive elements; within a sliver the layout
 /// is k-major: element `(i, p)` is at `p·mr + i`.
 pub fn pack_a<T: Scalar>(a: MatRef<'_, T>, buf: &mut Vec<T>, mr: usize) {
-    let (mc, kc) = (a.rows(), a.cols());
-    let slivers = mc.div_ceil(mr);
-    size_panel(buf, slivers * kc * mr);
-    for s in 0..slivers {
-        let base = s * kc * mr;
+    pack_a_combined(&[(T::ONE, a)], buf, mr);
+}
+
+/// Pack the `mc × kc` block `Σ coeff_t · A_t` into MR-row slivers, forming
+/// the linear combination *during* the pack sweep (write-once into the
+/// panel; no intermediate S buffer is ever materialized). Layout and
+/// padding are [`pack_a`]'s, and the panel is bitwise equal to
+/// [`crate::add::combine`]-then-`pack_a`.
+///
+/// Like every public packer it leaves `buf` exactly one panel long; the
+/// drivers call the packers underneath, which only ever grow a buffer.
+pub fn pack_a_combined<T: Scalar>(terms: &[(T, MatRef<'_, T>)], buf: &mut Vec<T>, mr: usize) {
+    let len = pack_a_terms(terms, buf, mr);
+    buf.truncate(len);
+}
+
+/// Pack a `kc × nc` block of `B` into `nr`-column slivers.
+///
+/// Output layout: sliver `s` (columns `s·nr .. s·nr+nr`, zero-padded past
+/// `nc`) occupies `kc·nr` consecutive elements; within a sliver element
+/// `(p, j)` is at `p·nr + j`.
+pub fn pack_b<T: Scalar>(b: MatRef<'_, T>, buf: &mut Vec<T>, nr: usize) {
+    pack_b_combined(&[(T::ONE, b)], buf, nr);
+}
+
+/// Pack the `kc × nc` block `Σ coeff_t · B_t` into NR-column slivers,
+/// forming the combination during the pack sweep. Layout and padding are
+/// [`pack_b`]'s; the bitwise-vs-`combine` guarantee mirrors
+/// [`pack_a_combined`].
+pub fn pack_b_combined<T: Scalar>(terms: &[(T, MatRef<'_, T>)], buf: &mut Vec<T>, nr: usize) {
+    let len = pack_b_terms(terms, buf, nr, None);
+    buf.truncate(len);
+}
+
+/// The A packer behind [`pack_a`] / [`pack_a_combined`]. Per element the
+/// combination is evaluated with exactly the mul_add chain
+/// [`crate::add::combine`] uses, so packing `terms` is bitwise equal to
+/// `combine`-then-`pack_a`.
+///
+/// All sources must share one shape; `terms` must be non-empty. The panel
+/// is `buf[..len]` for the returned `len` (see [`size_panel`]).
+pub(crate) fn pack_a_terms<T: Scalar>(
+    terms: &[(T, MatRef<'_, T>)],
+    buf: &mut Vec<T>,
+    mr: usize,
+) -> usize {
+    let (mc, kc) = terms_shape(terms);
+    let panel = size_panel(buf, mc.div_ceil(mr) * kc * mr);
+    if let Some(a) = unit_source(terms) {
+        pack_a_sweep(a, panel, mr, mc, kc);
+        return panel.len();
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::kernel::hardware_fma_enabled() {
+        // SAFETY: avx2+fma presence was verified at runtime.
+        unsafe { pack_a_combined_sweep_fma(terms, panel, mr, mc, kc) };
+        return panel.len();
+    }
+    pack_a_combined_sweep(terms, panel, mr, mc, kc);
+    panel.len()
+}
+
+/// The copy sweep of the A packer (unit lists).
+fn pack_a_sweep<T: Scalar>(a: MatRef<'_, T>, buf: &mut [T], mr: usize, mc: usize, kc: usize) {
+    if kc == 0 {
+        return;
+    }
+    for (s, sliver) in buf.chunks_exact_mut(kc * mr).enumerate() {
         let i0 = s * mr;
         let rows = mr.min(mc - i0);
         for i in 0..rows {
-            for (p, &v) in a.row(i0 + i).iter().enumerate() {
-                buf[base + p * mr + i] = v;
+            for (col, &v) in sliver.chunks_exact_mut(mr).zip(&a.row(i0 + i)[..kc]) {
+                col[i] = v;
             }
         }
-        zero_a_pad(buf, base, kc, mr, rows);
+        zero_a_pad(sliver, 0, kc, mr, rows);
     }
 }
 
@@ -79,50 +161,93 @@ fn zero_a_pad<T: Scalar>(buf: &mut [T], base: usize, kc: usize, mr: usize, rows:
     }
 }
 
-/// Pack a `kc × nc` block of `B` into `nr`-column slivers.
+/// The sliver sweep of [`pack_a_combined`]. Kept monomorphic over the
+/// dispatch decision: the `_fma` twin runs the identical code inside an
+/// `avx2,fma` target-feature scope so the `mul_add` chains compile to FMA
+/// vector code instead of per-element libm calls. Same IEEE-754 results.
+#[inline(always)]
+fn pack_a_combined_sweep<T: Scalar>(
+    terms: &[(T, MatRef<'_, T>)],
+    buf: &mut [T],
+    mr: usize,
+    mc: usize,
+    kc: usize,
+) {
+    let slivers = mc.div_ceil(mr);
+    for s in 0..slivers {
+        let base = s * kc * mr;
+        let i0 = s * mr;
+        let rows = mr.min(mc - i0);
+        for i in 0..rows {
+            combined_row_strided(terms, i0 + i, &mut buf[base + i..], mr, kc);
+        }
+        zero_a_pad(buf, base, kc, mr, rows);
+    }
+}
+
+/// # Safety
+/// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn pack_a_combined_sweep_fma<T: Scalar>(
+    terms: &[(T, MatRef<'_, T>)],
+    buf: &mut [T],
+    mr: usize,
+    mc: usize,
+    kc: usize,
+) {
+    pack_a_combined_sweep(terms, buf, mr, mc, kc)
+}
+
+/// The B packer behind [`pack_b`] / [`pack_b_combined`]. With `sums` it
+/// also records the fused ABFT row checksums `sum[p] = Σ_j P[p, j]` and
+/// `mag[p] = Σ_j |P[p, j]|` (f64) of the block `P` being packed, during
+/// the same sweep that writes the panel — the only per-element ABFT cost
+/// on the hot path, so it must stay a few vector ops per cache line and
+/// never take a second pass over B. A combination's checksums are taken
+/// from the **packed combined values** (the kernel's actual input), so
+/// operand-combination rounding never enters the row residual.
+/// Corruption of the packed panel *after* this sweep (the ABFT fault
+/// model) still diverges from the recorded sums and stays detectable.
 ///
-/// Output layout: sliver `s` (columns `s·nr .. s·nr+nr`, zero-padded past
-/// `nc`) occupies `kc·nr` consecutive elements; within a sliver element
-/// `(p, j)` is at `p·nr + j`.
-pub fn pack_b<T: Scalar>(b: MatRef<'_, T>, buf: &mut Vec<T>, nr: usize) {
-    pack_b_sums(b, buf, nr, None);
-}
-
-/// [`pack_b`] plus fused ABFT row sums: `sum[p] = Σ_j B[p, j]` and
-/// `mag[p] = Σ_j |B[p, j]|`, accumulated in 8-wide vector lanes from the
-/// source values during the same sweep that writes the panel — this is
-/// the only per-element ABFT cost on the hot path, so it must stay a few
-/// vector ops per cache line.
-pub(crate) fn pack_b_with_sums<T: Scalar>(
-    b: MatRef<'_, T>,
+/// The packed panel never depends on `sums`: the vector bodies replicate
+/// `combine`'s mul_add chains lane-wise. The panel is `buf[..len]` for the
+/// returned `len` (see [`size_panel`]).
+pub(crate) fn pack_b_terms<T: Scalar>(
+    terms: &[(T, MatRef<'_, T>)],
     buf: &mut Vec<T>,
     nr: usize,
-    sum: &mut Vec<f64>,
-    mag: &mut Vec<f64>,
-) {
-    let kc = b.rows();
-    pack_b_sums(b, buf, nr, Some(prep_sums(sum, mag, kc)));
-}
-
-fn pack_b_sums<T: Scalar>(
-    b: MatRef<'_, T>,
-    buf: &mut Vec<T>,
-    nr: usize,
-    sums: Option<PackSums<'_>>,
-) {
-    let (kc, nc) = (b.rows(), b.cols());
-    let slivers = nc.div_ceil(nr);
-    size_panel(buf, slivers * kc * nr);
+    sums: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
+) -> usize {
+    let (kc, nc) = terms_shape(terms);
+    let panel = size_panel(buf, nc.div_ceil(nr) * kc * nr);
+    let sums: Option<PackSums<'_>> = sums.map(|(sum, mag)| {
+        sum.clear();
+        sum.resize(kc, 0.0);
+        mag.clear();
+        mag.resize(kc, 0.0);
+        (&mut sum[..], &mut mag[..])
+    });
+    let unit = unit_source(terms);
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::hardware_fma_enabled() {
         // SAFETY: avx2+fma presence was verified at runtime.
-        unsafe { pack_b_sweep_fma(b, buf, nr, nc, kc, sums) };
-        return;
+        unsafe {
+            match unit {
+                Some(b) => pack_b_sweep_fma(b, panel, nr, nc, kc, sums),
+                None => pack_b_combined_sweep_fma(terms, panel, nr, nc, kc, sums),
+            }
+        }
+        return panel.len();
     }
-    pack_b_sweep(b, buf, nr, nc, kc, sums);
+    match unit {
+        Some(b) => pack_b_sweep(b, panel, nr, nc, kc, sums),
+        None => pack_b_combined_sweep(terms, panel, nr, nc, kc, sums),
+    }
+    panel.len()
 }
 
-/// The row sweep of [`pack_b`]; same dispatch story as
+/// The copy sweep of the B packer (unit lists); same dispatch story as
 /// [`pack_a_combined_sweep`] — the `_fma` twin only changes codegen
 /// (vectorizing the checksum lanes), never the IEEE-754 results.
 #[inline(always)]
@@ -167,160 +292,18 @@ unsafe fn pack_b_sweep_fma<T: Scalar>(
     pack_b_sweep(b, buf, nr, nc, kc, sums)
 }
 
-/// Pack the `mc × kc` block `Σ coeff_t · A_t` into MR-row slivers, forming
-/// the linear combination *during* the pack sweep (write-once into the
-/// panel; no intermediate S buffer is ever materialized).
-///
-/// Panel layout and zero padding are identical to [`pack_a`]. Per element
-/// the combination is evaluated with exactly the mul_add chain
-/// [`crate::add::combine`] uses, so `pack_a_combined(terms)` is bitwise
-/// equal to `combine`-then-`pack_a`.
-///
-/// All sources must share one shape; `terms` must be non-empty.
-pub fn pack_a_combined<T: Scalar>(terms: &[(T, MatRef<'_, T>)], buf: &mut Vec<T>, mr: usize) {
-    assert!(!terms.is_empty(), "pack_a_combined needs at least one term");
-    let (mc, kc) = (terms[0].1.rows(), terms[0].1.cols());
-    for (_, src) in terms {
-        assert_eq!((src.rows(), src.cols()), (mc, kc), "source shape mismatch");
-    }
-    let slivers = mc.div_ceil(mr);
-    size_panel(buf, slivers * kc * mr);
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernel::hardware_fma_enabled() {
-        // SAFETY: avx2+fma presence was verified at runtime.
-        unsafe { pack_a_combined_sweep_fma(terms, buf, mr, mc, kc) };
-        return;
-    }
-    pack_a_combined_sweep(terms, buf, mr, mc, kc);
-}
-
-/// The sliver sweep of [`pack_a_combined`]. Kept monomorphic over the
-/// dispatch decision: the `_fma` twin runs the identical code inside an
-/// `avx2,fma` target-feature scope so the `mul_add` chains compile to FMA
-/// vector code instead of per-element libm calls. Same IEEE-754 results.
+/// The combining row sweep of the B packer. Checksums, when asked for,
+/// come from a per-row read-back of the just-written (L1-hot) segments;
+/// the hand-vectorized [`csimd`] bodies replace that on AVX2 hardware.
 #[inline(always)]
-fn pack_a_combined_sweep<T: Scalar>(
-    terms: &[(T, MatRef<'_, T>)],
-    buf: &mut [T],
-    mr: usize,
-    mc: usize,
-    kc: usize,
-) {
-    let slivers = mc.div_ceil(mr);
-    for s in 0..slivers {
-        let base = s * kc * mr;
-        let i0 = s * mr;
-        let rows = mr.min(mc - i0);
-        for i in 0..rows {
-            combined_row_strided(terms, i0 + i, &mut buf[base + i..], mr, kc);
-        }
-        zero_a_pad(buf, base, kc, mr, rows);
-    }
-}
-
-/// # Safety
-/// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn pack_a_combined_sweep_fma<T: Scalar>(
-    terms: &[(T, MatRef<'_, T>)],
-    buf: &mut [T],
-    mr: usize,
-    mc: usize,
-    kc: usize,
-) {
-    pack_a_combined_sweep(terms, buf, mr, mc, kc)
-}
-
-/// Pack the `kc × nc` block `Σ coeff_t · B_t` into NR-column slivers,
-/// forming the combination during the pack sweep. Layout, padding and
-/// bitwise-vs-`combine` guarantees mirror [`pack_a_combined`] /
-/// [`pack_b`].
-pub fn pack_b_combined<T: Scalar>(terms: &[(T, MatRef<'_, T>)], buf: &mut Vec<T>, nr: usize) {
-    assert!(!terms.is_empty(), "pack_b_combined needs at least one term");
-    let (kc, nc) = (terms[0].1.rows(), terms[0].1.cols());
-    for (_, src) in terms {
-        assert_eq!((src.rows(), src.cols()), (kc, nc), "source shape mismatch");
-    }
-    let slivers = nc.div_ceil(nr);
-    size_panel(buf, slivers * kc * nr);
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernel::hardware_fma_enabled() {
-        // SAFETY: avx2+fma presence was verified at runtime.
-        unsafe { pack_b_combined_sweep_fma(terms, buf, nr, nc, kc) };
-        return;
-    }
-    pack_b_combined_sweep(terms, buf, nr, nc, kc);
-}
-
-/// [`pack_b_combined`] plus fused ABFT row sums of the **packed combined
-/// values**: `sum[p] = Σ_j packed[p, j]` (f64 accumulation of the exact
-/// f32/f64 values the kernel will consume) and `mag[p] = Σ_j |packed[p,
-/// j]|`. Taking the checksums from the combined values rather than the
-/// term sources keeps them exact with respect to the kernel's actual
-/// input, so operand-combination rounding never enters the row residual,
-/// and it rides the pack's own source reads — no second pass over B.
-/// Corruption of the packed panel *after* this sweep (the ABFT fault
-/// model) still diverges from the recorded sums and stays detectable.
-///
-/// The packed panel is bitwise identical to [`pack_b_combined`]'s: the
-/// vector bodies replicate `combine`'s mul_add chains lane-wise.
-pub(crate) fn pack_b_combined_with_sums<T: Scalar>(
-    terms: &[(T, MatRef<'_, T>)],
-    buf: &mut Vec<T>,
-    nr: usize,
-    sum: &mut Vec<f64>,
-    mag: &mut Vec<f64>,
-) {
-    assert!(!terms.is_empty(), "pack_b_combined needs at least one term");
-    assert!(terms.len() <= MAX_PACK_TERMS, "term arity over pack budget");
-    let (kc, nc) = (terms[0].1.rows(), terms[0].1.cols());
-    for (_, src) in terms {
-        assert_eq!((src.rows(), src.cols()), (kc, nc), "source shape mismatch");
-    }
-    let slivers = nc.div_ceil(nr);
-    size_panel(buf, slivers * kc * nr);
-    let sums = prep_sums(sum, mag, kc);
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernel::hardware_fma_enabled() {
-        use core::any::TypeId;
-        if TypeId::of::<T>() == TypeId::of::<f32>() {
-            // SAFETY: avx2+fma verified at runtime; T is f32 (same layout).
-            unsafe {
-                let terms =
-                    &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f32, MatRef<'_, f32>)]);
-                let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f32, buf.len());
-                csimd::pack_b_combined_sums_f32(terms, fbuf, nr, nc, kc, sums);
-            }
-            return;
-        }
-        if TypeId::of::<T>() == TypeId::of::<f64>() {
-            // SAFETY: avx2+fma verified at runtime; T is f64 (same layout).
-            unsafe {
-                let terms =
-                    &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f64, MatRef<'_, f64>)]);
-                let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f64, buf.len());
-                csimd::pack_b_combined_sums_f64(terms, fbuf, nr, nc, kc, sums);
-            }
-            return;
-        }
-    }
-    pack_b_combined_sweep_sums(terms, buf, nr, nc, kc, sums);
-}
-
-/// Portable fallback for [`pack_b_combined_with_sums`] (scalar kernel
-/// tier / non-x86): the plain combined sweep plus a per-row read-back of
-/// the just-written (L1-hot) segments. Packed values are identical to
-/// [`pack_b_combined_sweep`]'s; only checksum speed differs.
-fn pack_b_combined_sweep_sums<T: Scalar>(
+fn pack_b_combined_sweep<T: Scalar>(
     terms: &[(T, MatRef<'_, T>)],
     buf: &mut [T],
     nr: usize,
     nc: usize,
     kc: usize,
-    sums: PackSums<'_>,
+    mut sums: Option<PackSums<'_>>,
 ) {
-    let (sum, mag) = sums;
     let slivers = nc.div_ceil(nr);
     for p in 0..kc {
         for s in 0..slivers {
@@ -330,22 +313,61 @@ fn pack_b_combined_sweep_sums<T: Scalar>(
             combined_segment(terms, p, j0, &mut buf[base..base + cols]);
             buf[base + cols..base + nr].fill(T::ZERO);
         }
-        let (mut rs, mut ra) = (0.0f64, 0.0f64);
-        for s in 0..slivers {
-            let base = s * kc * nr + p * nr;
-            let cols = nr.min(nc - s * nr);
-            for &v in &buf[base..base + cols] {
-                let v = v.to_f64();
-                rs += v;
-                ra += v.abs();
+        if let Some((sum, mag)) = &mut sums {
+            let (mut rs, mut ra) = (0.0f64, 0.0f64);
+            for s in 0..slivers {
+                let base = s * kc * nr + p * nr;
+                let cols = nr.min(nc - s * nr);
+                for &v in &buf[base..base + cols] {
+                    let v = v.to_f64();
+                    rs += v;
+                    ra += v.abs();
+                }
             }
+            sum[p] = rs;
+            mag[p] = ra;
         }
-        sum[p] = rs;
-        mag[p] = ra;
     }
 }
 
-/// Hand-written AVX2+FMA bodies of [`pack_b_combined_with_sums`]. The
+/// [`pack_b_combined_sweep`] under `avx2,fma` codegen; checksummed lists
+/// that fit the inline stage take the [`csimd`] bodies, whose f64 checksum
+/// lanes ride for free under the sweep's memory traffic.
+///
+/// # Safety
+/// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn pack_b_combined_sweep_fma<T: Scalar>(
+    terms: &[(T, MatRef<'_, T>)],
+    buf: &mut [T],
+    nr: usize,
+    nc: usize,
+    kc: usize,
+    sums: Option<PackSums<'_>>,
+) {
+    use core::any::TypeId;
+    let staged = terms.len() <= MAX_PACK_TERMS;
+    match sums {
+        Some(sums) if staged && TypeId::of::<T>() == TypeId::of::<f32>() => {
+            // SAFETY: T is f32 (same layout).
+            let terms =
+                &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f32, MatRef<'_, f32>)]);
+            let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f32, buf.len());
+            csimd::pack_b_combined_sums_f32(terms, fbuf, nr, nc, kc, sums);
+        }
+        Some(sums) if staged && TypeId::of::<T>() == TypeId::of::<f64>() => {
+            // SAFETY: T is f64 (same layout).
+            let terms =
+                &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f64, MatRef<'_, f64>)]);
+            let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f64, buf.len());
+            csimd::pack_b_combined_sums_f64(terms, fbuf, nr, nc, kc, sums);
+        }
+        sums => pack_b_combined_sweep(terms, buf, nr, nc, kc, sums),
+    }
+}
+
+/// Hand-written AVX2+FMA checksummed bodies of [`pack_b_terms`]. The
 /// combine chains mirror [`combined_segment`] lane-wise (vector FMA has
 /// the same single-rounding semantics as scalar `mul_add`), so the packed
 /// panel stays bitwise equal across dispatch paths; the f64 checksum
@@ -684,42 +706,6 @@ mod csimd {
     }
 }
 
-/// The row sweep of [`pack_b_combined`]; same dispatch story as
-/// [`pack_a_combined_sweep`].
-#[inline(always)]
-fn pack_b_combined_sweep<T: Scalar>(
-    terms: &[(T, MatRef<'_, T>)],
-    buf: &mut [T],
-    nr: usize,
-    nc: usize,
-    kc: usize,
-) {
-    let slivers = nc.div_ceil(nr);
-    for p in 0..kc {
-        for s in 0..slivers {
-            let base = s * kc * nr + p * nr;
-            let j0 = s * nr;
-            let cols = nr.min(nc - j0);
-            combined_segment(terms, p, j0, &mut buf[base..base + cols]);
-            buf[base + cols..base + nr].fill(T::ZERO);
-        }
-    }
-}
-
-/// # Safety
-/// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn pack_b_combined_sweep_fma<T: Scalar>(
-    terms: &[(T, MatRef<'_, T>)],
-    buf: &mut [T],
-    nr: usize,
-    nc: usize,
-    kc: usize,
-) {
-    pack_b_combined_sweep(terms, buf, nr, nc, kc)
-}
-
 /// Write `out[q] ← Σ_t coeff_t · src_t[i, j0 + q]` for a contiguous column
 /// segment of row `i`, using `combine`'s arity-specialized mul_add chains.
 ///
@@ -1031,43 +1017,81 @@ mod tests {
         }
     }
 
-    fn combo_mats(rows: usize, cols: usize, count: usize) -> Vec<Mat<f32>> {
-        (0..count)
-            .map(|s| {
-                Mat::from_fn(rows, cols, |i, j| {
-                    ((i * 31 + j * 7 + s * 13) as f32).sin() * 2.0
-                })
-            })
-            .collect()
+    /// Source `s` of a term list; with `special`, ±0, ±subnormal, ±∞ and
+    /// NaN are sprinkled through it (on a stride coprime to the sliver
+    /// widths, so they land in interiors, edges and ragged tails alike).
+    fn combo_mat<T: Scalar>(rows: usize, cols: usize, s: usize, special: bool) -> Mat<T> {
+        let specials = crate::scalar::special_values::<T>();
+        Mat::from_fn(rows, cols, |i, j| {
+            let at = i * cols + j + s;
+            if special && at.is_multiple_of(3) {
+                specials[(at / 3) % specials.len()]
+            } else {
+                T::from_f64(((i * 31 + j * 7 + s * 13) as f64).sin() * 2.0)
+            }
+        })
     }
 
-    fn check_combined_bitwise(rows: usize, cols: usize, arity: usize) {
+    /// Bit-for-bit equal, except that any NaN matches any NaN (a copy keeps
+    /// a payload that `1·x` may quiet).
+    fn assert_same_bits<T: Scalar>(got: &[T], want: &[T], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: panel length");
+        for (q, (g, w)) in got.iter().zip(want).enumerate() {
+            let (g, w) = (g.to_f64(), w.to_f64());
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{ctx}: panel[{q}] {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    /// Pack `Σ coeffs[t]·src_t` through the term-list packers (B with and
+    /// without checksums) and compare with materialize-then-pack. For the
+    /// unit list `[1.0]` the reference forms `1·x` with `combine`'s
+    /// multiply arm while the packers take their copy sweeps, which pins
+    /// the `[(1, src)]` selection.
+    fn check_combined_bitwise<T: Scalar>(rows: usize, cols: usize, coeffs: &[f64], special: bool) {
         use crate::add::combine;
-        let srcs = combo_mats(rows, cols, arity);
-        let coeffs: Vec<f32> = (0..arity).map(|t| 0.5 * (t as f32) - 0.7).collect();
-        let terms: Vec<(f32, _)> = coeffs
+        let srcs: Vec<Mat<T>> = (0..coeffs.len())
+            .map(|s| combo_mat(rows, cols, s, special))
+            .collect();
+        let terms: Vec<(T, _)> = coeffs
             .iter()
             .zip(&srcs)
-            .map(|(&c, m)| (c, m.as_ref()))
+            .map(|(&c, m)| (T::from_f64(c), m.as_ref()))
             .collect();
+        let ctx = format!("coeffs {coeffs:?} ({rows}x{cols}) special={special}");
         // Reference: materialize Σ coeff·src then pack.
-        let mut s = Mat::<f32>::zeros(rows, cols);
+        let mut s = Mat::<T>::zeros(rows, cols);
         combine(s.as_mut(), false, &terms);
-        let (mut want_a, mut got_a) = (Vec::new(), Vec::new());
-        pack_a(s.as_ref(), &mut want_a, f32::MR);
-        pack_a_combined(&terms, &mut got_a, f32::MR);
-        assert_eq!(want_a, got_a, "pack_a arity {arity} ({rows}x{cols})");
-        let (mut want_b, mut got_b) = (Vec::new(), Vec::new());
-        pack_b(s.as_ref(), &mut want_b, f32::NR);
-        pack_b_combined(&terms, &mut got_b, f32::NR);
-        assert_eq!(want_b, got_b, "pack_b arity {arity} ({rows}x{cols})");
+        // The packers only ever grow a buffer, so `got` goes in longer than
+        // any panel and all NaN: an element a sweep skipped (a pad it should
+        // have zeroed) shows against the freshly zero-filled `want`.
+        let stale = || vec![T::from_f64(f64::NAN); 4 * (rows + T::MR) * (cols + T::NR)];
+        let (mut want, mut got) = (Vec::new(), stale());
+        pack_a(s.as_ref(), &mut want, T::MR);
+        pack_a_combined(&terms, &mut got, T::MR);
+        assert_same_bits(&got, &want, &format!("pack_a {ctx}"));
+        let (mut want, mut got) = (Vec::new(), stale());
+        pack_b(s.as_ref(), &mut want, T::NR);
+        pack_b_combined(&terms, &mut got, T::NR);
+        assert_same_bits(&got, &want, &format!("pack_b {ctx}"));
+        let (mut got, mut sum, mut mag) = (stale(), Vec::new(), Vec::new());
+        let len = pack_b_terms(&terms, &mut got, T::NR, Some((&mut sum, &mut mag)));
+        assert_same_bits(&got[..len], &want, &format!("pack_b+sums {ctx}"));
     }
 
     #[test]
     fn combined_pack_bitwise_matches_materialized() {
-        for arity in 1..=7 {
-            for &(rows, cols) in &[(8, 8), (9, 5), (17, 19), (3, 33)] {
-                check_combined_bitwise(rows, cols, arity);
+        for &(rows, cols) in &[(8, 8), (9, 5), (17, 19), (3, 33)] {
+            for special in [false, true] {
+                for arity in 1..=7 {
+                    let coeffs: Vec<f64> = (0..arity).map(|t| 0.5 * t as f64 - 0.7).collect();
+                    check_combined_bitwise::<f32>(rows, cols, &coeffs, special);
+                    check_combined_bitwise::<f64>(rows, cols, &coeffs, special);
+                }
+                check_combined_bitwise::<f32>(rows, cols, &[1.0], special);
+                check_combined_bitwise::<f64>(rows, cols, &[1.0], special);
             }
         }
     }
@@ -1088,7 +1112,7 @@ mod tests {
         let mut plain = Vec::new();
         pack_b_combined(&terms, &mut plain, nr);
         let (mut fused, mut sum, mut mag) = (Vec::new(), Vec::new(), Vec::new());
-        pack_b_combined_with_sums(&terms, &mut fused, nr, &mut sum, &mut mag);
+        pack_b_terms(&terms, &mut fused, nr, Some((&mut sum, &mut mag)));
         assert_eq!(plain, fused, "packed panel must be bitwise identical");
         // Sums must match an f64 reference over the packed values (lane
         // order differs, so compare to a tight relative tolerance).

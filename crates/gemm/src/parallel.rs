@@ -14,10 +14,11 @@
 //!
 //! **Bitwise contract.** Each cell is exactly one (ic, jc) block pair of
 //! the single-threaded driver's loop nest and runs the same
-//! `gemm_st_core` over the full depth `k` in the same pc order, with the
-//! same `β` handling (caller's β on the first rank-k update, 1 after) and
-//! the same packed layouts (a shared panel is packed by the same
-//! `pack_b` sweep from the same addresses a local pack would read).
+//! `blocked::gemm_core` over the full depth `k` in the same pc order, with
+//! the same `β` handling (caller's β on the first rank-k update, 1 after)
+//! and the same packed layouts (a shared panel is packed by the same
+//! `pack_b_terms` sweep from the same addresses a local pack would read).
+//! Operands are term lists throughout; a plain matrix is `[(1, a)]`.
 //! Cells write disjoint output blocks, so the result is bitwise equal to
 //! the single-threaded run regardless of which worker computes which cell
 //! and in which order — the property the `parallel2d` proptests pin down.
@@ -29,13 +30,13 @@
 
 use crate::abft;
 use crate::blocked::{
-    gemm_combined_core, gemm_combined_st, gemm_st, gemm_st_core, with_cached_scratch,
-    with_subviews, BPanelSource, BlockSizes, PackedPanel,
+    gemm_combined_st, gemm_core, with_cached_scratch, with_subviews, BPanelSource, BlockSizes,
+    PackedPanel,
 };
 use crate::blocktune::block_sizes;
 use crate::kernel::kernel_spec;
-use crate::matrix::{Mat, MatMut, MatRef};
-use crate::pack::{pack_b, pack_b_combined, pack_b_combined_with_sums, pack_b_with_sums};
+use crate::matrix::{MatMut, MatRef};
+use crate::pack::{pack_b_terms, terms_shape};
 use crate::pool::{pool, Par, PoolError};
 use crate::scalar::Scalar;
 use std::cell::UnsafeCell;
@@ -97,22 +98,6 @@ pub fn live_arenas() -> usize {
 /// (see `THREAD_PAR_OPS`).
 pub fn thread_par_ops() -> u64 {
     THREAD_PAR_OPS.with(|c| c.get())
-}
-
-/// Either operand side of a gemm: a plain view or a fused term list.
-#[derive(Clone, Copy)]
-enum Side<'a, T: Scalar> {
-    Plain(MatRef<'a, T>),
-    Terms(&'a [(T, MatRef<'a, T>)]),
-}
-
-impl<'a, T: Scalar> Side<'a, T> {
-    fn dims(&self) -> (usize, usize) {
-        match self {
-            Side::Plain(m) => (m.rows(), m.cols()),
-            Side::Terms(t) => (t[0].1.rows(), t[0].1.cols()),
-        }
-    }
 }
 
 const SLOT_EMPTY: u8 = 0;
@@ -197,12 +182,13 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// The [`BPanelSource`] a worker hands to `gemm_st_core` for one cell:
+/// The [`BPanelSource`] a worker hands to `gemm_core` for one cell:
 /// resolves KC-slab indices to shared arena slots of the cell's jc block,
 /// claiming + packing on first demand.
 struct SharedPanels<'a, T: Scalar> {
     arena: &'a PanelArena<T>,
-    b: Side<'a, T>,
+    /// The full B operand (the cell's column window is cut per slab).
+    b_terms: &'a [(T, MatRef<'a, T>)],
     /// jc block index and its column window in the full operand.
     jc_idx: usize,
     jc0: usize,
@@ -225,26 +211,12 @@ impl<T: Scalar> SharedPanels<'_, T> {
         // cells until the READY store below.
         unsafe {
             let buf = &mut *slot.buf.get();
-            let (sum, mag) = (&mut *slot.sum.get(), &mut *slot.mag.get());
-            match self.b {
-                Side::Plain(b) => {
-                    let sub = b.subview(pc, self.jc0, kc, self.cols);
-                    if self.checked {
-                        pack_b_with_sums(sub, buf, self.nr, sum, mag);
-                    } else {
-                        pack_b(sub, buf, self.nr);
-                    }
-                }
-                Side::Terms(terms) => {
-                    with_subviews(terms, pc, self.jc0, kc, self.cols, |sub| {
-                        if self.checked {
-                            pack_b_combined_with_sums(sub, buf, self.nr, sum, mag);
-                        } else {
-                            pack_b_combined(sub, buf, self.nr);
-                        }
-                    });
-                }
-            }
+            let sums = self
+                .checked
+                .then(|| (&mut *slot.sum.get(), &mut *slot.mag.get()));
+            with_subviews(self.b_terms, pc, self.jc0, kc, self.cols, |sub| {
+                pack_b_terms(sub, buf, self.nr, sums)
+            });
             // The single pack site of the call: injected pack-B flips
             // land here (and are then seen by every consumer, exactly as
             // a single-threaded run would propagate them).
@@ -409,62 +381,44 @@ impl<T: Scalar> CellGrid<T> {
 /// tests compare against. Touches none of the arena/queue machinery.
 fn run_st_with_blocks<T: Scalar>(
     alpha: T,
-    a: Side<'_, T>,
-    b: Side<'_, T>,
+    a_terms: &[(T, MatRef<'_, T>)],
+    b_terms: &[(T, MatRef<'_, T>)],
     beta: T,
     c: MatMut<'_, T>,
     bs: BlockSizes,
 ) {
     let spec = kernel_spec::<T>();
     let session = abft::current();
-    with_cached_scratch(|scratch| match (a, b) {
-        (Side::Plain(a), Side::Plain(b)) => {
-            gemm_st_core(
-                &spec,
-                bs,
-                alpha,
-                a,
-                b,
-                beta,
-                c,
-                scratch,
-                session.as_deref(),
-                None,
-            );
-        }
-        (Side::Terms(at), Side::Terms(bt)) => {
-            gemm_combined_core(
-                &spec,
-                bs,
-                alpha,
-                at,
-                bt,
-                beta,
-                c,
-                scratch,
-                session.as_deref(),
-                None,
-            );
-        }
-        _ => unreachable!("operand sides always match"),
+    with_cached_scratch(|scratch| {
+        gemm_core(
+            &spec,
+            bs,
+            alpha,
+            a_terms,
+            b_terms,
+            beta,
+            c,
+            scratch,
+            session.as_deref(),
+            None,
+        );
     });
 }
 
-/// The 2D parallel driver shared by the plain and fused entry points.
-/// Returns this call's cooperative-packing stats (also folded into the
-/// process totals) so tests can assert pack-once behaviour race-free.
+/// The 2D parallel driver. Returns this call's cooperative-packing stats
+/// (also folded into the process totals) so tests can assert pack-once
+/// behaviour race-free.
 fn gemm_2d<T: Scalar>(
     alpha: T,
-    a: Side<'_, T>,
-    b: Side<'_, T>,
+    a_terms: &[(T, MatRef<'_, T>)],
+    b_terms: &[(T, MatRef<'_, T>)],
     beta: T,
     mut c: MatMut<'_, T>,
     threads: usize,
     bs: BlockSizes,
 ) -> Result<ParStats, PoolError> {
-    let (m, k) = a.dims();
-    let (bk, n) = b.dims();
-    assert_eq!(k, bk, "inner dimensions must match");
+    let ((m, k), (kb, n)) = (terms_shape(a_terms), terms_shape(b_terms));
+    assert_eq!(k, kb, "inner dimensions must match");
     assert_eq!(m, c.rows(), "C row count mismatch");
     assert_eq!(n, c.cols(), "C column count mismatch");
 
@@ -476,7 +430,7 @@ fn gemm_2d<T: Scalar>(
         // A degenerate thread budget gains nothing from claim machinery;
         // run the sequential core directly (no arena, no atomics —
         // asserted by the Seq-path regression test).
-        run_st_with_blocks(alpha, a, b, beta, c, bs);
+        run_st_with_blocks(alpha, a_terms, b_terms, beta, c, bs);
         return Ok(ParStats::default());
     }
 
@@ -523,7 +477,7 @@ fn gemm_2d<T: Scalar>(
                         let cols = bs.nc.min(n - jc0);
                         let panels = SharedPanels {
                             arena: arena_ref,
-                            b,
+                            b_terms,
                             jc_idx,
                             jc0,
                             cols,
@@ -534,41 +488,22 @@ fn gemm_2d<T: Scalar>(
                         };
                         // SAFETY: the queue yields each cell exactly once.
                         let c_cell = unsafe { grid_ref.cell(ic0, jc0, rows, cols) };
-                        match (a, b) {
-                            (Side::Plain(a), Side::Plain(b)) => {
-                                gemm_st_core(
+                        with_subviews(a_terms, ic0, 0, rows, k, |a_sub| {
+                            with_subviews(b_terms, 0, jc0, k, cols, |b_sub| {
+                                gemm_core(
                                     &spec,
                                     bs,
                                     alpha,
-                                    a.subview(ic0, 0, rows, k),
-                                    b.subview(0, jc0, k, cols),
+                                    a_sub,
+                                    b_sub,
                                     beta,
                                     c_cell,
                                     scratch,
                                     session_ref,
                                     Some(&panels),
                                 );
-                            }
-                            (Side::Terms(at), Side::Terms(bt)) => {
-                                with_subviews(at, ic0, 0, rows, k, |a_sub| {
-                                    with_subviews(bt, 0, jc0, k, cols, |b_sub| {
-                                        gemm_combined_core(
-                                            &spec,
-                                            bs,
-                                            alpha,
-                                            a_sub,
-                                            b_sub,
-                                            beta,
-                                            c_cell,
-                                            scratch,
-                                            session_ref,
-                                            Some(&panels),
-                                        );
-                                    })
-                                });
-                            }
-                            _ => unreachable!("operand sides always match"),
-                        }
+                            })
+                        });
                     }
                 });
             });
@@ -588,8 +523,9 @@ fn gemm_2d<T: Scalar>(
     result.map(|_| stats)
 }
 
-/// `C ← α·A·B + β·C` with the requested parallelism. Panics if a worker
-/// lane panics; [`try_gemm`] is the non-panicking variant.
+/// `C ← α·A·B + β·C` with the requested parallelism: [`gemm_combined`] on
+/// the unit term lists. Panics if a worker lane panics; [`try_gemm`] is
+/// the non-panicking variant.
 pub fn gemm<T: Scalar>(
     alpha: T,
     a: MatRef<'_, T>,
@@ -613,28 +549,12 @@ pub fn try_gemm<T: Scalar>(
     c: MatMut<'_, T>,
     par: Par,
 ) -> Result<(), PoolError> {
-    match par.normalize() {
-        Par::Seq => {
-            gemm_st(alpha, a, b, beta, c);
-            Ok(())
-        }
-        Par::Threads(t) => gemm_2d(
-            alpha,
-            Side::Plain(a),
-            Side::Plain(b),
-            beta,
-            c,
-            t,
-            block_sizes::<T>(),
-        )
-        .map(|_| ()),
-    }
+    try_gemm_combined(alpha, &[(T::ONE, a)], &[(T::ONE, b)], beta, c, par)
 }
 
-/// Fused-operand GEMM with the requested parallelism:
+/// GEMM with the requested parallelism:
 /// `C ← α·(Σ cᵃᵢ·Aᵢ)·(Σ cᵇⱼ·Bⱼ) + β·C`, operand combinations formed inside
-/// the pack sweep (see [`gemm_combined_st`]). Same 2D decomposition and
-/// shared-panel protocol as [`gemm`] — the combined B panels are packed
+/// the pack sweep (see [`gemm_combined_st`]). The B panels are packed
 /// once per `(jc, pc)` block per call, not once per worker. Panics if a
 /// worker lane panics; [`try_gemm_combined`] is the non-panicking variant.
 pub fn gemm_combined<T: Scalar>(
@@ -660,33 +580,15 @@ pub fn try_gemm_combined<T: Scalar>(
     c: MatMut<'_, T>,
     par: Par,
 ) -> Result<(), PoolError> {
-    assert!(
-        !a_terms.is_empty() && !b_terms.is_empty(),
-        "gemm_combined needs at least one term per operand"
-    );
     match par.normalize() {
         Par::Seq => {
             gemm_combined_st(alpha, a_terms, b_terms, beta, c);
             Ok(())
         }
-        Par::Threads(t) => gemm_2d(
-            alpha,
-            Side::Terms(a_terms),
-            Side::Terms(b_terms),
-            beta,
-            c,
-            t,
-            block_sizes::<T>(),
-        )
-        .map(|_| ()),
+        Par::Threads(t) => {
+            gemm_2d(alpha, a_terms, b_terms, beta, c, t, block_sizes::<T>()).map(|_| ())
+        }
     }
-}
-
-/// Convenience: allocate and return `C = A · B` with given parallelism.
-pub fn matmul_par<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>, par: Par) -> Mat<T> {
-    let mut c = Mat::zeros(a.rows(), b.cols());
-    gemm(T::ONE, a, b, T::ZERO, c.as_mut(), par);
-    c
 }
 
 /// Test seams: the 2D driver and its single-threaded reference with
@@ -698,24 +600,10 @@ pub fn matmul_par<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>, par: Par) -> Ma
 pub mod hooks {
     use super::*;
 
-    /// 2D-parallel plain gemm with explicit blocking. Returns the call's
-    /// cooperative-packing stats.
-    pub fn gemm_2d_with_blocks<T: Scalar>(
-        alpha: T,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        beta: T,
-        c: MatMut<'_, T>,
-        threads: usize,
-        bs: BlockSizes,
-    ) -> Result<ParStats, PoolError> {
-        gemm_2d(alpha, Side::Plain(a), Side::Plain(b), beta, c, threads, bs)
-    }
-
-    /// 2D-parallel fused gemm with explicit blocking. Returns the call's
+    /// 2D-parallel gemm with explicit blocking. Returns the call's
     /// cooperative-packing stats.
     #[allow(clippy::too_many_arguments)]
-    pub fn gemm_combined_2d_with_blocks<T: Scalar>(
+    pub fn gemm_2d_with_blocks<T: Scalar>(
         alpha: T,
         a_terms: &[(T, MatRef<'_, T>)],
         b_terms: &[(T, MatRef<'_, T>)],
@@ -724,54 +612,33 @@ pub mod hooks {
         threads: usize,
         bs: BlockSizes,
     ) -> Result<ParStats, PoolError> {
-        assert!(!a_terms.is_empty() && !b_terms.is_empty());
-        gemm_2d(
-            alpha,
-            Side::Terms(a_terms),
-            Side::Terms(b_terms),
-            beta,
-            c,
-            threads,
-            bs,
-        )
+        gemm_2d(alpha, a_terms, b_terms, beta, c, threads, bs)
     }
 
     /// Single-threaded reference with the same explicit blocking.
     pub fn gemm_st_with_blocks<T: Scalar>(
         alpha: T,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        beta: T,
-        c: MatMut<'_, T>,
-        bs: BlockSizes,
-    ) {
-        run_st_with_blocks(alpha, Side::Plain(a), Side::Plain(b), beta, c, bs);
-    }
-
-    /// Single-threaded fused reference with the same explicit blocking.
-    pub fn gemm_combined_st_with_blocks<T: Scalar>(
-        alpha: T,
         a_terms: &[(T, MatRef<'_, T>)],
         b_terms: &[(T, MatRef<'_, T>)],
         beta: T,
         c: MatMut<'_, T>,
         bs: BlockSizes,
     ) {
-        run_st_with_blocks(
-            alpha,
-            Side::Terms(a_terms),
-            Side::Terms(b_terms),
-            beta,
-            c,
-            bs,
-        );
+        run_st_with_blocks(alpha, a_terms, b_terms, beta, c, bs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Mat;
     use crate::naive::matmul_naive;
+
+    fn matmul_par<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>, par: Par) -> Mat<T> {
+        let mut c = Mat::zeros(a.rows(), b.cols());
+        gemm(T::ONE, a, b, T::ZERO, c.as_mut(), par);
+        c
+    }
 
     fn rand_mat<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Mat<T> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -910,7 +777,8 @@ mod tests {
             kc: 16,
             nc: 16,
         };
-        hooks::gemm_2d_with_blocks(1.0, a.as_ref(), b.as_ref(), 0.5, c.as_mut(), 4, bs).unwrap();
+        let (at, bt) = ([(1.0, a.as_ref())], [(1.0, b.as_ref())]);
+        hooks::gemm_2d_with_blocks(1.0, &at, &bt, 0.5, c.as_mut(), 4, bs).unwrap();
         for i in 0..40 {
             for j in 0..40 {
                 assert_eq!(c.at(i, j), 0.5 * orig.at(i, j));
@@ -931,9 +799,9 @@ mod tests {
         let b = rand_mat::<f32>(50, 60, 41);
         let mut want = rand_mat::<f32>(70, 60, 42);
         let mut got = want.clone();
-        hooks::gemm_st_with_blocks(1.25, a.as_ref(), b.as_ref(), -0.5, want.as_mut(), bs);
-        hooks::gemm_2d_with_blocks(1.25, a.as_ref(), b.as_ref(), -0.5, got.as_mut(), 4, bs)
-            .unwrap();
+        let (at, bt) = ([(1.0, a.as_ref())], [(1.0, b.as_ref())]);
+        hooks::gemm_st_with_blocks(1.25, &at, &bt, -0.5, want.as_mut(), bs);
+        hooks::gemm_2d_with_blocks(1.25, &at, &bt, -0.5, got.as_mut(), 4, bs).unwrap();
         for i in 0..70 {
             for j in 0..60 {
                 assert_eq!(got.at(i, j).to_bits(), want.at(i, j).to_bits(), "({i},{j})");
@@ -951,8 +819,8 @@ mod tests {
         let a = rand_mat::<f64>(64, 64, 50);
         let b = rand_mat::<f64>(64, 64, 51);
         let mut c = Mat::<f64>::zeros(64, 64);
-        let stats = hooks::gemm_2d_with_blocks(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), 4, bs)
-            .unwrap();
+        let (at, bt) = ([(1.0, a.as_ref())], [(1.0, b.as_ref())]);
+        let stats = hooks::gemm_2d_with_blocks(1.0, &at, &bt, 0.0, c.as_mut(), 4, bs).unwrap();
         // Grid: icb=4, jcb=2, slabs=1 → exactly jcb·slabs = 2 panels
         // packed once each; every one of the 8 cells fetches its panel
         // exactly once.

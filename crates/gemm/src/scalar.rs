@@ -107,6 +107,27 @@ impl Scalar for f64 {
     }
 }
 
+/// ±0, ± the smallest subnormal, ±∞ and NaN of `T`: the inputs on which a
+/// copy and a multiply by one could be told apart.
+#[cfg(test)]
+pub(crate) fn special_values<T: Scalar>() -> [T; 7] {
+    let tiny = if T::EPS64 == f64::EPSILON {
+        5e-324
+    } else {
+        1e-45
+    };
+    [
+        0.0,
+        -0.0,
+        tiny,
+        -tiny,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ]
+    .map(T::from_f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

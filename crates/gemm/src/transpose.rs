@@ -1,14 +1,11 @@
-//! Transposition and the `op(A)·op(B)` GEMM front end.
+//! Transposition.
 //!
-//! The blocked GEMM consumes row-major, non-transposed operands. BLAS-style
-//! `trans` flags are provided here by materializing the transpose with a
-//! cache-blocked kernel — the standard approach when the packing routines
-//! are layout-specialized. NN backpropagation (`dW = Xᵀ·dZ`, `dX = dZ·Wᵀ`)
+//! The blocked GEMM consumes row-major, non-transposed operands; a caller
+//! that needs `Aᵀ·B` or `A·Bᵀ` materializes the transpose here with a
+//! cache-blocked kernel. NN backpropagation (`dW = Xᵀ·dZ`, `dX = dZ·Wᵀ`)
 //! is the primary consumer.
 
 use crate::matrix::{Mat, MatMut, MatRef};
-use crate::parallel::gemm;
-use crate::pool::Par;
 use crate::scalar::Scalar;
 
 /// Cache-blocked transposition: `dst = srcᵀ`.
@@ -38,48 +35,9 @@ pub fn transpose<T: Scalar>(src: MatRef<'_, T>) -> Mat<T> {
     dst
 }
 
-/// Operand orientation for [`gemm_op`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Op {
-    NoTrans,
-    Trans,
-}
-
-/// `C ← α·op(A)·op(B) + β·C`, BLAS-style. Transposed operands are
-/// materialized once (O(n²) traffic against the O(n³) multiply).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_op<T: Scalar>(
-    op_a: Op,
-    op_b: Op,
-    alpha: T,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    beta: T,
-    c: MatMut<'_, T>,
-    par: Par,
-) {
-    match (op_a, op_b) {
-        (Op::NoTrans, Op::NoTrans) => gemm(alpha, a, b, beta, c, par),
-        (Op::Trans, Op::NoTrans) => {
-            let at = transpose(a);
-            gemm(alpha, at.as_ref(), b, beta, c, par);
-        }
-        (Op::NoTrans, Op::Trans) => {
-            let bt = transpose(b);
-            gemm(alpha, a, bt.as_ref(), beta, c, par);
-        }
-        (Op::Trans, Op::Trans) => {
-            let at = transpose(a);
-            let bt = transpose(b);
-            gemm(alpha, at.as_ref(), bt.as_ref(), beta, c, par);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::matmul_naive;
 
     fn numbered(rows: usize, cols: usize) -> Mat<f64> {
         Mat::from_fn(rows, cols, |i, j| (i * cols + j) as f64 + 1.0)
@@ -106,61 +64,5 @@ mod tests {
         let t = transpose(v);
         assert_eq!(t.at(0, 0), big.at(2, 3));
         assert_eq!(t.at(4, 3), big.at(5, 7));
-    }
-
-    #[test]
-    fn gemm_op_all_orientations() {
-        // Build shapes so every orientation computes a 4×6 result.
-        let m = 4;
-        let k = 5;
-        let n = 6;
-        let a = numbered(m, k);
-        let b = numbered(k, n);
-        let at = transpose(a.as_ref());
-        let bt = transpose(b.as_ref());
-        let expect = matmul_naive(a.as_ref(), b.as_ref());
-
-        let run = |op_a, op_b, av: &Mat<f64>, bv: &Mat<f64>| {
-            let mut c = Mat::<f64>::zeros(m, n);
-            gemm_op(
-                op_a,
-                op_b,
-                1.0,
-                av.as_ref(),
-                bv.as_ref(),
-                0.0,
-                c.as_mut(),
-                Par::Seq,
-            );
-            assert!(c.rel_frobenius_error(&expect) < 1e-13, "{op_a:?},{op_b:?}");
-        };
-        run(Op::NoTrans, Op::NoTrans, &a, &b);
-        run(Op::Trans, Op::NoTrans, &at, &b);
-        run(Op::NoTrans, Op::Trans, &a, &bt);
-        run(Op::Trans, Op::Trans, &at, &bt);
-    }
-
-    #[test]
-    fn gemm_op_respects_alpha_beta() {
-        let a = numbered(3, 3);
-        let at = transpose(a.as_ref());
-        let b = numbered(3, 3);
-        let mut c = Mat::from_fn(3, 3, |_, _| 1.0);
-        gemm_op(
-            Op::Trans,
-            Op::NoTrans,
-            2.0,
-            at.as_ref(),
-            b.as_ref(),
-            -1.0,
-            c.as_mut(),
-            Par::Seq,
-        );
-        let expect = matmul_naive(a.as_ref(), b.as_ref());
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((c.at(i, j) - (2.0 * expect.at(i, j) - 1.0)).abs() < 1e-12);
-            }
-        }
     }
 }

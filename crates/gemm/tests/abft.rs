@@ -44,7 +44,16 @@ fn assert_bitwise_eq<T: Scalar>(got: &Mat<T>, want: &Mat<T>, ctx: &str) {
     }
 }
 
-fn check_fault_free_identity<T: Scalar>(m: usize, k: usize, n: usize, beta: T) {
+/// Plain gemm, then the fused-operand path with a 2-term A list against a
+/// B list of each arity in `b_arities`: checked ≡ unchecked bitwise, zero
+/// detections.
+fn check_fault_free_identity<T: Scalar>(
+    m: usize,
+    k: usize,
+    n: usize,
+    beta: T,
+    b_arities: &[usize],
+) {
     let a = rand_mat::<T>(m, k, 11);
     let b = rand_mat::<T>(k, n, 12);
     let c0 = rand_mat::<T>(m, n, 13);
@@ -77,29 +86,32 @@ fn check_fault_free_identity<T: Scalar>(m: usize, k: usize, n: usize, beta: T) {
     assert_eq!(counts.detected, 0, "false positive ({m},{k},{n})");
     assert_eq!(counts.repaired + counts.unrepaired, 0);
 
-    // Fused-operand path, 3-term combinations.
     let a2 = rand_mat::<T>(m, k, 21);
-    let b2 = rand_mat::<T>(k, n, 22);
     let a_terms = [
         (T::from_f64(0.5), a.as_ref()),
         (T::from_f64(-1.5), a2.as_ref()),
     ];
-    let b_terms = [
-        (T::from_f64(2.0), b.as_ref()),
-        (T::from_f64(0.25), b2.as_ref()),
-    ];
-    let mut plain_f = c0.clone();
-    gemm_combined_st(T::ONE, &a_terms, &b_terms, beta, plain_f.as_mut());
-    let session_f = Arc::new(AbftSession::default());
-    let mut checked_f = c0.clone();
-    {
-        let _g = abft::scoped(session_f.clone());
-        gemm_combined_st(T::ONE, &a_terms, &b_terms, beta, checked_f.as_mut());
+    for &arity in b_arities {
+        let b_srcs: Vec<Mat<T>> = (0..arity as u64).map(|t| rand_mat(k, n, 22 + t)).collect();
+        let b_terms: Vec<_> = b_srcs
+            .iter()
+            .enumerate()
+            .map(|(t, s)| (T::from_f64([2.0, 0.25, -0.75][t % 3]), s.as_ref()))
+            .collect();
+        let mut plain_f = c0.clone();
+        gemm_combined_st(T::ONE, &a_terms, &b_terms, beta, plain_f.as_mut());
+        let session_f = Arc::new(AbftSession::default());
+        let mut checked_f = c0.clone();
+        {
+            let _g = abft::scoped(session_f.clone());
+            gemm_combined_st(T::ONE, &a_terms, &b_terms, beta, checked_f.as_mut());
+        }
+        let ctx = format!("fused ({m},{k},{n}) B arity {arity}");
+        assert_bitwise_eq(&checked_f, &plain_f, &ctx);
+        let counts_f = session_f.stats.snapshot();
+        assert!(counts_f.checks > 0, "{ctx}");
+        assert_eq!(counts_f.detected, 0, "false positive: {ctx}");
     }
-    assert_bitwise_eq(&checked_f, &plain_f, &format!("fused ({m},{k},{n})"));
-    let counts_f = session_f.stats.snapshot();
-    assert!(counts_f.checks > 0);
-    assert_eq!(counts_f.detected, 0, "fused false positive ({m},{k},{n})");
 }
 
 #[test]
@@ -112,10 +124,12 @@ fn fault_free_abft_is_bitwise_transparent() {
         (129, 257, 63),
         (150, 40, 130),
     ] {
-        check_fault_free_identity::<f32>(m, k, n, 0.0);
-        check_fault_free_identity::<f32>(m, k, n, -0.75);
-        check_fault_free_identity::<f64>(m, k, n, 0.0);
-        check_fault_free_identity::<f64>(m, k, n, 0.5);
+        // B lists of 32 terms fill the AVX2 checksum stage of the B
+        // packer; 33 spill to its portable sweep.
+        check_fault_free_identity::<f32>(m, k, n, 0.0, &[2, 32, 33]);
+        check_fault_free_identity::<f32>(m, k, n, -0.75, &[2]);
+        check_fault_free_identity::<f64>(m, k, n, 0.0, &[2, 32, 33]);
+        check_fault_free_identity::<f64>(m, k, n, 0.5, &[2]);
     }
 }
 
@@ -132,8 +146,8 @@ proptest::proptest! {
     ) {
         let _g = lock();
         let beta = [0.0f64, 0.5, -1.25][beta_sel];
-        check_fault_free_identity::<f32>(m, k, n, beta as f32);
-        check_fault_free_identity::<f64>(m, k, n, beta);
+        check_fault_free_identity::<f32>(m, k, n, beta as f32, &[2]);
+        check_fault_free_identity::<f64>(m, k, n, beta, &[2]);
     }
 }
 
@@ -186,10 +200,12 @@ fn scratch_grows_only_across_checked_calls() {
     let b = rand_mat::<f32>(80, 72, 42);
     let mut c = Mat::<f32>::zeros(96, 72);
     let mut scratch = apa_gemm::Scratch::new();
-    apa_gemm::gemm_st_with_scratch(1.0, a.as_ref(), b.as_ref(), 1.0, c.as_mut(), &mut scratch);
+    let spec = apa_gemm::kernel_spec::<f32>();
+    let (a, b) = (a.as_ref(), b.as_ref());
+    apa_gemm::gemm_st_with_spec(&spec, 1.0, a, b, 1.0, c.as_mut(), &mut scratch);
     let bytes = scratch.capacity_bytes();
     for _ in 0..4 {
-        apa_gemm::gemm_st_with_scratch(1.0, a.as_ref(), b.as_ref(), 1.0, c.as_mut(), &mut scratch);
+        apa_gemm::gemm_st_with_spec(&spec, 1.0, a, b, 1.0, c.as_mut(), &mut scratch);
     }
     assert_eq!(
         scratch.capacity_bytes(),

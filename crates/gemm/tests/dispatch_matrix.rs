@@ -1,8 +1,10 @@
 //! Dispatch matrix: every SIMD tier the host exposes must agree
 //! **bitwise** with the portable scalar tier, for both element types,
-//! both β classes, and both the plain and fused-combined gemm paths,
-//! across ragged shapes that exercise full tiles, edge tiles and
-//! single-row/column slivers of every tier's MR×NR geometry.
+//! both β classes, and every operand arity from the unit list `[(1, x)]`
+//! (a plain matrix, packed by the copy sweeps) to 4-term combinations —
+//! drawn independently for A and B — across ragged shapes that exercise
+//! full tiles, edge tiles and single-row/column slivers of every tier's
+//! MR×NR geometry.
 //!
 //! Bitwise (not tolerance-based) agreement is the contract that makes
 //! runtime dispatch invisible: results must not depend on which CPU the
@@ -33,10 +35,14 @@ const SHAPES: [(usize, usize, usize); 12] = [
     (130, 70, 129),
 ];
 
+/// Term coefficients by position; a list of arity 1 is the unit list.
+const A_COEFFS: [f64; 4] = [1.0, -0.5, 0.25, 2.0];
+const B_COEFFS: [f64; 4] = [1.0, 2.0, -1.5, 0.125];
+
 macro_rules! dispatch_matrix_for {
-    ($ty:ty, $plain:ident, $combined:ident) => {
+    ($ty:ty, $name:ident) => {
         #[test]
-        fn $plain() {
+        fn $name() {
             let scalar = spec_for_tier::<$ty>(KernelTier::Scalar).unwrap();
             let mut scratch = Scratch::new();
             for &tier in available_tiers() {
@@ -44,89 +50,57 @@ macro_rules! dispatch_matrix_for {
                     panic!("available tier {tier:?} has no {} spec", stringify!($ty));
                 };
                 for &(m, n, k) in &SHAPES {
-                    let a = Mat::<$ty>::from_fn(m, k, |i, j| {
-                        ((i * 7 + j * 3) % 23) as $ty * 0.11 - 1.2
-                    });
-                    let b =
-                        Mat::<$ty>::from_fn(k, n, |i, j| ((i * 5 + j) % 19) as $ty * 0.07 - 0.6);
+                    let a_srcs: Vec<Mat<$ty>> = (0..4)
+                        .map(|s| {
+                            Mat::from_fn(m, k, |i, j| {
+                                ((i * (7 + s) + j * 3) % (23 - 2 * s)) as $ty * 0.11 - 1.2
+                            })
+                        })
+                        .collect();
+                    let b_srcs: Vec<Mat<$ty>> = (0..4)
+                        .map(|s| {
+                            Mat::from_fn(k, n, |i, j| {
+                                ((i * 5 + j * (1 + s)) % (19 - 2 * s)) as $ty * 0.07 - 0.6
+                            })
+                        })
+                        .collect();
                     let init = Mat::<$ty>::from_fn(m, n, |i, j| ((i + j) % 9) as $ty * 0.3 - 1.0);
-                    for beta in [0.0 as $ty, 1.0] {
-                        let mut want = init.clone();
-                        gemm_st_with_spec(
-                            &scalar,
-                            1.25,
-                            a.as_ref(),
-                            b.as_ref(),
-                            beta,
-                            want.as_mut(),
-                            &mut scratch,
-                        );
-                        let mut got = init.clone();
-                        gemm_st_with_spec(
-                            &spec,
-                            1.25,
-                            a.as_ref(),
-                            b.as_ref(),
-                            beta,
-                            got.as_mut(),
-                            &mut scratch,
-                        );
-                        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-                            assert_eq!(
-                                g.to_bits(),
-                                w.to_bits(),
-                                "tier {tier:?} diverges from scalar at ({m},{n},{k}) β={beta}"
+                    for (a_arity, b_arity) in (1..=4).flat_map(|x| (1..=4).map(move |y| (x, y))) {
+                        let a_terms: Vec<_> = (0..a_arity)
+                            .map(|t| (A_COEFFS[t] as $ty, a_srcs[t].as_ref()))
+                            .collect();
+                        let b_terms: Vec<_> = (0..b_arity)
+                            .map(|t| (B_COEFFS[t] as $ty, b_srcs[t].as_ref()))
+                            .collect();
+                        for beta in [0.0 as $ty, 1.0] {
+                            let mut want = init.clone();
+                            gemm_combined_st_with_spec(
+                                &scalar,
+                                1.25,
+                                &a_terms,
+                                &b_terms,
+                                beta,
+                                want.as_mut(),
+                                &mut scratch,
                             );
-                        }
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn $combined() {
-            let scalar = spec_for_tier::<$ty>(KernelTier::Scalar).unwrap();
-            let mut scratch = Scratch::new();
-            for &tier in available_tiers() {
-                let spec = spec_for_tier::<$ty>(tier).unwrap();
-                for &(m, n, k) in &SHAPES {
-                    let a0 =
-                        Mat::<$ty>::from_fn(m, k, |i, j| ((i + j * 2) % 13) as $ty * 0.1 - 0.5);
-                    let a1 =
-                        Mat::<$ty>::from_fn(m, k, |i, j| ((i * 3 + j) % 11) as $ty * 0.1 - 0.4);
-                    let b0 =
-                        Mat::<$ty>::from_fn(k, n, |i, j| ((i + 2 * j) % 17) as $ty * 0.1 - 0.7);
-                    let b1 = Mat::<$ty>::from_fn(k, n, |i, j| ((i + 5 * j) % 7) as $ty * 0.1 - 0.3);
-                    let a_terms = [(1.0 as $ty, a0.as_ref()), (-0.5, a1.as_ref())];
-                    let b_terms = [(0.25 as $ty, b0.as_ref()), (2.0, b1.as_ref())];
-                    let init = Mat::<$ty>::from_fn(m, n, |i, j| ((2 * i + j) % 5) as $ty * 0.2);
-                    for beta in [0.0 as $ty, 1.0] {
-                        let mut want = init.clone();
-                        gemm_combined_st_with_spec(
-                            &scalar,
-                            0.75,
-                            &a_terms,
-                            &b_terms,
-                            beta,
-                            want.as_mut(),
-                            &mut scratch,
-                        );
-                        let mut got = init.clone();
-                        gemm_combined_st_with_spec(
-                            &spec,
-                            0.75,
-                            &a_terms,
-                            &b_terms,
-                            beta,
-                            got.as_mut(),
-                            &mut scratch,
-                        );
-                        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-                            assert_eq!(
-                                g.to_bits(),
-                                w.to_bits(),
-                                "fused tier {tier:?} diverges at ({m},{n},{k}) β={beta}"
+                            let mut got = init.clone();
+                            gemm_combined_st_with_spec(
+                                &spec,
+                                1.25,
+                                &a_terms,
+                                &b_terms,
+                                beta,
+                                got.as_mut(),
+                                &mut scratch,
                             );
+                            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                                assert_eq!(
+                                    g.to_bits(),
+                                    w.to_bits(),
+                                    "tier {tier:?} diverges from scalar at ({m},{n},{k}) \
+                                     arity {a_arity}x{b_arity} β={beta}"
+                                );
+                            }
                         }
                     }
                 }
@@ -135,16 +109,8 @@ macro_rules! dispatch_matrix_for {
     };
 }
 
-dispatch_matrix_for!(
-    f32,
-    plain_tiers_agree_bitwise_f32,
-    combined_tiers_agree_bitwise_f32
-);
-dispatch_matrix_for!(
-    f64,
-    plain_tiers_agree_bitwise_f64,
-    combined_tiers_agree_bitwise_f64
-);
+dispatch_matrix_for!(f32, tiers_agree_bitwise_f32);
+dispatch_matrix_for!(f64, tiers_agree_bitwise_f64);
 
 /// The scalar tier is always present and always first, so the suite above
 /// is never vacuous — on a machine with no SIMD it still pins the scalar

@@ -1,8 +1,9 @@
 //! 2D-parallel gemm contract (ISSUE 10): the cooperative-packing
 //! multithreaded driver is **bitwise identical** to the single-threaded
-//! blocked kernel — plain and fused, f32 and f64, ragged shapes, any
-//! thread count — and the sequential path stays entirely outside the
-//! pool's claim machinery.
+//! blocked kernel — any operand arity from the unit list (a plain matrix)
+//! to 4-term combinations, drawn independently per side, f32 and f64,
+//! ragged shapes, any thread count — and the sequential path stays
+//! entirely outside the pool's claim machinery.
 //!
 //! The proptests force multi-cell grids with small explicit block sizes
 //! (via the `parallel::hooks` test seam); the public entry points use the
@@ -10,7 +11,7 @@
 
 use apa_gemm::blocked::BlockSizes;
 use apa_gemm::parallel::hooks;
-use apa_gemm::{gemm, gemm_st, matmul_naive_f64, Mat, Par, Scalar};
+use apa_gemm::{gemm, gemm_st, matmul_naive_f64, Mat, MatRef, Par, Scalar};
 use proptest::prelude::*;
 
 fn rand_mat<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Mat<T> {
@@ -59,94 +60,70 @@ impl Bits for f64 {
     }
 }
 
+/// Term coefficients by position; a list of arity 1 is the unit list.
+const A_COEFFS: [f64; 4] = [1.0, -0.25, 0.125, 2.0];
+const B_COEFFS: [f64; 4] = [1.0, 2.0, -1.5, 0.5];
+
+fn sources<T: Scalar>(rows: usize, cols: usize, arity: usize, seed: u64) -> Vec<Mat<T>> {
+    (0..arity as u64)
+        .map(|t| rand_mat(rows, cols, seed ^ (0x11 * t)))
+        .collect()
+}
+
+fn terms<'a, T: Scalar>(coeffs: &[f64; 4], srcs: &'a [Mat<T>]) -> Vec<(T, MatRef<'a, T>)> {
+    srcs.iter()
+        .zip(coeffs)
+        .map(|(s, &c)| (T::from_f64(c), s.as_ref()))
+        .collect()
+}
+
+/// The unit list of a plain operand.
+fn unit<T: Scalar>(m: &Mat<T>) -> [(T, MatRef<'_, T>); 1] {
+    [(T::ONE, m.as_ref())]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(60))]
 
     #[test]
-    fn plain_f32_parallel_is_bitwise_st(
+    fn f32_parallel_is_bitwise_st(
         m in 1usize..90, k in 1usize..90, n in 1usize..90,
+        a_arity in 1usize..=4, b_arity in 1usize..=4,
         threads in 1usize..=8, seed in 0u64..1_000
     ) {
-        let a = rand_mat::<f32>(m, k, seed);
-        let b = rand_mat::<f32>(k, n, seed ^ 0xABCD);
+        let a_srcs = sources::<f32>(m, k, a_arity, seed);
+        let b_srcs = sources::<f32>(k, n, b_arity, seed ^ 0xABCD);
+        let (a_terms, b_terms) = (terms(&A_COEFFS, &a_srcs), terms(&B_COEFFS, &b_srcs));
         let c0 = rand_mat::<f32>(m, n, seed ^ 0x1234);
         let (mut seq, mut par) = (c0.clone(), c0.clone());
-        hooks::gemm_st_with_blocks(1.5f32, a.as_ref(), b.as_ref(), -0.5, seq.as_mut(), SMALL);
-        hooks::gemm_2d_with_blocks(1.5f32, a.as_ref(), b.as_ref(), -0.5, par.as_mut(), threads, SMALL)
+        hooks::gemm_st_with_blocks(1.5f32, &a_terms, &b_terms, -0.5, seq.as_mut(), SMALL);
+        hooks::gemm_2d_with_blocks(1.5f32, &a_terms, &b_terms, -0.5, par.as_mut(), threads, SMALL)
             .unwrap();
         for i in 0..m {
             for j in 0..n {
                 prop_assert_eq!(par.at(i, j).to_bits(), seq.at(i, j).to_bits(),
-                    "({},{},{}) t={} C[{},{}]", m, k, n, threads, i, j);
+                    "({},{},{}) arity {}x{} t={} C[{},{}]", m, k, n, a_arity, b_arity, threads, i, j);
             }
         }
     }
 
     #[test]
-    fn plain_f64_parallel_is_bitwise_st(
+    fn f64_parallel_is_bitwise_st(
         m in 1usize..70, k in 1usize..70, n in 1usize..70,
+        a_arity in 1usize..=4, b_arity in 1usize..=4,
         threads in 1usize..=8, seed in 0u64..1_000
     ) {
-        let a = rand_mat::<f64>(m, k, seed);
-        let b = rand_mat::<f64>(k, n, seed ^ 0xBEEF);
+        let a_srcs = sources::<f64>(m, k, a_arity, seed);
+        let b_srcs = sources::<f64>(k, n, b_arity, seed ^ 0xBEEF);
+        let (a_terms, b_terms) = (terms(&A_COEFFS, &a_srcs), terms(&B_COEFFS, &b_srcs));
         let (mut seq, mut par) = (Mat::<f64>::zeros(m, n), Mat::<f64>::zeros(m, n));
-        hooks::gemm_st_with_blocks(1.0f64, a.as_ref(), b.as_ref(), 0.0, seq.as_mut(), SMALL);
-        hooks::gemm_2d_with_blocks(1.0f64, a.as_ref(), b.as_ref(), 0.0, par.as_mut(), threads, SMALL)
+        hooks::gemm_st_with_blocks(2.0f64, &a_terms, &b_terms, 0.0, seq.as_mut(), SMALL);
+        hooks::gemm_2d_with_blocks(2.0f64, &a_terms, &b_terms, 0.0, par.as_mut(), threads, SMALL)
             .unwrap();
         for i in 0..m {
             for j in 0..n {
                 prop_assert_eq!(par.at(i, j).to_bits(), seq.at(i, j).to_bits(),
-                    "({},{},{}) t={} C[{},{}]", m, k, n, threads, i, j);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_combined_parallel_is_bitwise_st(
-        m in 1usize..60, k in 1usize..60, n in 1usize..60,
-        threads in 1usize..=8, seed in 0u64..1_000
-    ) {
-        // Two-term linear combinations on both sides — the APA leaf shape.
-        let a1 = rand_mat::<f32>(m, k, seed);
-        let a2 = rand_mat::<f32>(m, k, seed ^ 0x11);
-        let b1 = rand_mat::<f32>(k, n, seed ^ 0x22);
-        let b2 = rand_mat::<f32>(k, n, seed ^ 0x33);
-        let a_terms = [(1.0f32, a1.as_ref()), (-0.25f32, a2.as_ref())];
-        let b_terms = [(0.5f32, b1.as_ref()), (2.0f32, b2.as_ref())];
-        let (mut seq, mut par) = (Mat::<f32>::zeros(m, n), Mat::<f32>::zeros(m, n));
-        hooks::gemm_combined_st_with_blocks(1.0f32, &a_terms, &b_terms, 0.0, seq.as_mut(), SMALL);
-        hooks::gemm_combined_2d_with_blocks(
-            1.0f32, &a_terms, &b_terms, 0.0, par.as_mut(), threads, SMALL,
-        )
-        .unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                prop_assert_eq!(par.at(i, j).to_bits(), seq.at(i, j).to_bits(),
-                    "({},{},{}) t={} C[{},{}]", m, k, n, threads, i, j);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_f64_parallel_is_bitwise_st(
-        m in 1usize..50, k in 1usize..50, n in 1usize..50,
-        threads in 1usize..=8, seed in 0u64..1_000
-    ) {
-        let a1 = rand_mat::<f64>(m, k, seed);
-        let a2 = rand_mat::<f64>(m, k, seed ^ 0x44);
-        let b1 = rand_mat::<f64>(k, n, seed ^ 0x55);
-        let a_terms = [(1.0f64, a1.as_ref()), (0.125f64, a2.as_ref())];
-        let b_terms = [(-1.5f64, b1.as_ref())];
-        let (mut seq, mut par) = (Mat::<f64>::zeros(m, n), Mat::<f64>::zeros(m, n));
-        hooks::gemm_combined_st_with_blocks(2.0f64, &a_terms, &b_terms, 0.0, seq.as_mut(), SMALL);
-        hooks::gemm_combined_2d_with_blocks(
-            2.0f64, &a_terms, &b_terms, 0.0, par.as_mut(), threads, SMALL,
-        )
-        .unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                prop_assert_eq!(par.at(i, j).to_bits(), seq.at(i, j).to_bits(),
-                    "({},{},{}) t={} C[{},{}]", m, k, n, threads, i, j);
+                    "({},{},{}) arity {}x{} t={} C[{},{}]", m, k, n, a_arity, b_arity, threads, i, j);
             }
         }
     }
@@ -181,8 +158,7 @@ fn parallel_result_is_numerically_correct() {
     let a = rand_mat::<f32>(64, 48, 21);
     let b = rand_mat::<f32>(48, 57, 22);
     let mut par = Mat::<f32>::zeros(64, 57);
-    hooks::gemm_2d_with_blocks(1.0f32, a.as_ref(), b.as_ref(), 0.0, par.as_mut(), 4, SMALL)
-        .unwrap();
+    hooks::gemm_2d_with_blocks(1.0f32, &unit(&a), &unit(&b), 0.0, par.as_mut(), 4, SMALL).unwrap();
     let oracle = matmul_naive_f64(a.as_ref(), b.as_ref());
     let mut err: f64 = 0.0;
     for i in 0..64 {
@@ -222,9 +198,8 @@ fn stats_show_cooperative_packing_once_per_slab() {
     let a = rand_mat::<f32>(64, 64, 41);
     let b = rand_mat::<f32>(64, 64, 42);
     let mut c = Mat::<f32>::zeros(64, 64);
-    let stats =
-        hooks::gemm_2d_with_blocks(1.0f32, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), 4, SMALL)
-            .unwrap();
+    let stats = hooks::gemm_2d_with_blocks(1.0f32, &unit(&a), &unit(&b), 0.0, c.as_mut(), 4, SMALL)
+        .unwrap();
     let slabs = 64usize.div_ceil(SMALL.kc);
     let jc_blocks = 64usize.div_ceil(SMALL.nc);
     assert_eq!(stats.panels_packed, (slabs * jc_blocks) as u64);

@@ -43,16 +43,16 @@ fn lane_panic_releases_arena_and_pool_survives() {
     let _guard = DRILL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let a = rand_mat::<f32>(160, 120, 1);
     let b = rand_mat::<f32>(120, 140, 2);
+    let (at, bt) = ([(1.0f32, a.as_ref())], [(1.0f32, b.as_ref())]);
 
     // One clean warmup so pools and dispatch are resolved before the
     // fault is armed (arming is one-shot on the *next* pooled task).
     let mut warm = Mat::<f32>::zeros(160, 140);
-    hooks::gemm_2d_with_blocks(1.0f32, a.as_ref(), b.as_ref(), 0.0, warm.as_mut(), 4, SMALL)
-        .unwrap();
+    hooks::gemm_2d_with_blocks(1.0f32, &at, &bt, 0.0, warm.as_mut(), 4, SMALL).unwrap();
 
     lane_fault::arm_panic();
     let mut c = Mat::<f32>::zeros(160, 140);
-    let err = hooks::gemm_2d_with_blocks(1.0f32, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), 4, SMALL)
+    let err = hooks::gemm_2d_with_blocks(1.0f32, &at, &bt, 0.0, c.as_mut(), 4, SMALL)
         .expect_err("armed lane panic must surface");
     let PoolError::WorkerPanicked { detail } = &err;
     assert!(
@@ -67,18 +67,10 @@ fn lane_panic_releases_arena_and_pool_survives() {
     // And the pool stays usable: the very next call on the same pool is
     // bitwise identical to the single-threaded kernel.
     let mut seq = Mat::<f32>::zeros(160, 140);
-    hooks::gemm_st_with_blocks(1.0f32, a.as_ref(), b.as_ref(), 0.0, seq.as_mut(), SMALL);
+    hooks::gemm_st_with_blocks(1.0f32, &at, &bt, 0.0, seq.as_mut(), SMALL);
     let mut again = Mat::<f32>::zeros(160, 140);
-    hooks::gemm_2d_with_blocks(
-        1.0f32,
-        a.as_ref(),
-        b.as_ref(),
-        0.0,
-        again.as_mut(),
-        4,
-        SMALL,
-    )
-    .expect("pool must be usable after a drained lane panic");
+    hooks::gemm_2d_with_blocks(1.0f32, &at, &bt, 0.0, again.as_mut(), 4, SMALL)
+        .expect("pool must be usable after a drained lane panic");
     for i in 0..160 {
         for j in 0..140 {
             assert_eq!(
@@ -98,17 +90,16 @@ fn repeated_lane_faults_never_wedge_the_pool() {
     // clean call must succeed, and no call may leak the arena.
     let a = rand_mat::<f64>(96, 64, 3);
     let b = rand_mat::<f64>(64, 96, 4);
+    let (at, bt) = ([(1.0f64, a.as_ref())], [(1.0f64, b.as_ref())]);
     // Warm once so arming can't race pool construction.
     let mut warm = Mat::<f64>::zeros(96, 96);
-    hooks::gemm_2d_with_blocks(1.0f64, a.as_ref(), b.as_ref(), 0.0, warm.as_mut(), 3, SMALL)
-        .unwrap();
+    hooks::gemm_2d_with_blocks(1.0f64, &at, &bt, 0.0, warm.as_mut(), 3, SMALL).unwrap();
     for round in 0..4u64 {
         if round.is_multiple_of(2) {
             lane_fault::arm_panic();
         }
         let mut c = Mat::<f64>::zeros(96, 96);
-        let res =
-            hooks::gemm_2d_with_blocks(1.0f64, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), 3, SMALL);
+        let res = hooks::gemm_2d_with_blocks(1.0f64, &at, &bt, 0.0, c.as_mut(), 3, SMALL);
         if round.is_multiple_of(2) {
             assert!(res.is_err(), "round {round}: armed fault must fire");
         } else {

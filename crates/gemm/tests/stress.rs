@@ -1,7 +1,7 @@
 //! GEMM stress tests: exhaustive small shapes, awkward strides, and
 //! proptest-driven randomized checks against the naive oracle.
 
-use apa_gemm::{gemm, gemm_op, gemm_st, matmul_naive, Mat, Op, Par, Scalar};
+use apa_gemm::{gemm, gemm_st, matmul_naive, Mat, Par, Scalar};
 use proptest::prelude::*;
 
 fn rand_mat<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Mat<T> {
@@ -71,19 +71,6 @@ fn repeated_accumulation_is_linear() {
             assert!((c.at(i, j) - 5.0 * expect.at(i, j)).abs() < 1e-10);
         }
     }
-}
-
-#[test]
-fn gemm_op_transposes_on_subviews() {
-    let big = rand_mat::<f64>(40, 40, 7);
-    let a = big.as_ref().subview(5, 5, 12, 20); // 12×20
-    let b = big.as_ref().subview(0, 10, 12, 17); // 12×17
-                                                 // C = Aᵀ·B → 20×17
-    let mut c = Mat::<f64>::zeros(20, 17);
-    gemm_op(Op::Trans, Op::NoTrans, 1.0, a, b, 0.0, c.as_mut(), Par::Seq);
-    let at = apa_gemm::transpose(a);
-    let expect = matmul_naive(at.as_ref(), b);
-    assert!(c.rel_frobenius_error(&expect) < 1e-13);
 }
 
 proptest! {

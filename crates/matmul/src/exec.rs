@@ -21,8 +21,8 @@
 //!
 //! # Fused execution
 //!
-//! Under [`FusionPolicy::Auto`]/[`FusionPolicy::Always`] the framework's
-//! additions fold into the gemm leaves instead of materializing:
+//! Under [`FusionPolicy::Auto`] the framework's additions fold into the
+//! gemm leaves instead of materializing:
 //!
 //! * **Pack-time operand combination** — steps 2–3 merge: the term lists
 //!   `Σᵢ uᵢ·A_i` / `Σᵢ vᵢ·B_i` go straight to
@@ -56,7 +56,7 @@
 
 use crate::plan::{Combo, ExecPlan};
 use crate::schedule::{effective_strategy, FusionPolicy, Strategy};
-use crate::workspace::{build_level, FusionSpec, LaneWs, LevelWs};
+use crate::workspace::{build_level, combo_needs_buffer, FusionSpec, LaneWs, LevelWs};
 use apa_gemm::{combine_par, gemm, gemm_combined, pool, Mat, MatMut, MatRef, Par, Scalar};
 use std::borrow::Borrow;
 
@@ -509,8 +509,14 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     write_outputs(plan, c, products, w_temps, strategy, threads, fusion);
 }
 
-/// Compute product `t` into its target: form `S_t`/`T_t` (in the lane's
-/// buffers, or as pack-time term lists) and run the gemm.
+/// Compute product `t` into its target: stage `S_t`/`T_t` as term lists
+/// (see [`with_combo_terms`]), then either recurse on them or make the
+/// gemm call. At a leaf the staged combinations form during the gemm pack
+/// sweep (the packers mirror the `combine` kernels FMA for FMA, so this is
+/// bitwise identical to materializing first), and the product lands in
+/// its target straight from the register tile. Under `Never` every
+/// multi-term combination is materialized, the lists are unit lists and
+/// the call is the engine's pre-fusion `gemm`, bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn compute_product<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     plan: &ExecPlan,
@@ -529,70 +535,6 @@ fn compute_product<T: Scalar, P: Borrow<ExecPlan> + Sync>(
         t_buf,
         child,
     } = lane;
-
-    if recursive || policy == FusionPolicy::Never {
-        // Materialized path: combinations form in the lane buffers, the
-        // product lands in M_t. Under `Never` this is the engine's
-        // pre-fusion reference, bit for bit.
-        let Target::Buf(m_out) = target else {
-            unreachable!("recursive and Never-policy products never epilogue-fuse")
-        };
-        let (s_view, alpha_a) = match &plan.a_combos[t] {
-            Combo::Single { block, coeff } if !recursive || *coeff == 1.0 => {
-                (a_blocks.get(*block), *coeff)
-            }
-            combo => {
-                debug_assert_eq!(
-                    (s_buf.rows(), s_buf.cols()),
-                    (a_blocks.rows, a_blocks.cols),
-                    "workspace S-buffer shape mismatch"
-                );
-                form_combo(s_buf.as_mut(), combo, a_blocks, par);
-                (s_buf.as_ref(), 1.0)
-            }
-        };
-        let (t_view, alpha_b) = match &plan.b_combos[t] {
-            Combo::Single { block, coeff } if !recursive || *coeff == 1.0 => {
-                (b_blocks.get(*block), *coeff)
-            }
-            combo => {
-                debug_assert_eq!(
-                    (t_buf.rows(), t_buf.cols()),
-                    (b_blocks.rows, b_blocks.cols),
-                    "workspace T-buffer shape mismatch"
-                );
-                form_combo(t_buf.as_mut(), combo, b_blocks, par);
-                (t_buf.as_ref(), 1.0)
-            }
-        };
-
-        if recursive {
-            debug_assert!(
-                (alpha_a - 1.0).abs() < f64::EPSILON && (alpha_b - 1.0).abs() < f64::EPSILON
-            );
-            let child = child
-                .as_deref_mut()
-                .expect("recursive level carries a child workspace");
-            run_level(
-                rest,
-                s_view,
-                t_view,
-                m_out.as_mut(),
-                Strategy::Seq,
-                1,
-                child,
-            );
-        } else {
-            let alpha = T::from_f64(alpha_a * alpha_b);
-            gemm(alpha, s_view, t_view, T::ZERO, m_out.as_mut(), par);
-        }
-        return;
-    }
-
-    // Fused leaf: the operand combinations form during the gemm pack
-    // sweep (`pack_*_combined` mirrors the `combine` kernels FMA for FMA,
-    // so this is bitwise identical to materializing first), and the
-    // product lands in its target straight from the register tile.
     let (dst, w, init) = match target {
         Target::Buf(m_out) => {
             debug_assert_eq!(
@@ -602,73 +544,98 @@ fn compute_product<T: Scalar, P: Borrow<ExecPlan> + Sync>(
             );
             (m_out.as_mut(), 1.0, true)
         }
-        Target::Block(dst, w, init) => (dst, w, init),
+        Target::Block(dst, w, init) => {
+            debug_assert!(
+                !recursive && policy != FusionPolicy::Never,
+                "recursive and Never-policy products never epilogue-fuse"
+            );
+            (dst, w, init)
+        }
     };
-    let beta = if init { T::ZERO } else { T::ONE };
+    let (a_combo, b_combo) = (&plan.a_combos[t], &plan.b_combos[t]);
     with_combo_terms(
-        &plan.a_combos[t],
+        a_combo,
         a_blocks,
         s_buf,
+        recursive,
         policy,
         par,
         |a_terms, alpha_a| {
             with_combo_terms(
-                &plan.b_combos[t],
+                b_combo,
                 b_blocks,
                 t_buf,
+                recursive,
                 policy,
                 par,
                 |b_terms, alpha_b| {
-                    let alpha = T::from_f64(w * alpha_a * alpha_b);
-                    gemm_combined(alpha, a_terms, b_terms, beta, dst, par);
+                    if recursive {
+                        // `combo_needs_buffer` materializes everything a
+                        // recursive product consumes except unit
+                        // singletons, so both lists are `[(1, view)]` and
+                        // no scalar is left to fold.
+                        debug_assert!(a_terms.len() == 1 && b_terms.len() == 1);
+                        debug_assert!(alpha_a == 1.0 && alpha_b == 1.0);
+                        let child = child
+                            .as_deref_mut()
+                            .expect("recursive level carries a child workspace");
+                        run_level(
+                            rest,
+                            a_terms[0].1,
+                            b_terms[0].1,
+                            dst,
+                            Strategy::Seq,
+                            1,
+                            child,
+                        );
+                    } else {
+                        let alpha = T::from_f64(w * alpha_a * alpha_b);
+                        let beta = if init { T::ZERO } else { T::ONE };
+                        gemm_combined(alpha, a_terms, b_terms, beta, dst, par);
+                    }
                 },
-            );
+            )
         },
     );
 }
 
-/// Hand `f` the pack-time term list for `combo`, plus the scalar that
-/// folds into gemm's α. Singletons pass their block view directly with
-/// the coefficient folded into α (`1.0·x` in the pack is exact, so the
-/// fold matches the materialized path bit for bit). Term lists wider than
-/// the inline stage heap-stage under `Always` and materialize into the
-/// lane buffer under `Auto` — in lockstep with
-/// [`crate::workspace`]'s `combo_pack_fusable`.
+/// Hand `f` the term list for one side's combination, plus the scalar
+/// that folds into gemm's α. What
+/// [`combo_needs_buffer`] says must materialize (multi-term combinations
+/// under `Never`, at a recursive level, or wider than the inline stage;
+/// scaled singletons at a recursive level) is formed in the lane buffer
+/// and handed over as the unit list `[(1, buf)]`. Everything else is
+/// staged on the stack: a singleton passes its block view with the
+/// coefficient folded into α (the pack copies a unit list, so the fold
+/// matches the materialized path bit for bit), a multi-term combination
+/// its `(coeff, block)` list for the pack sweep to form.
 fn with_combo_terms<T: Scalar, R>(
     combo: &Combo,
     blocks: Blocks<'_, T>,
     buf: &mut Mat<T>,
+    recursive: bool,
     policy: FusionPolicy,
     par: Par,
     f: impl FnOnce(&[(T, MatRef<'_, T>)], f64) -> R,
 ) -> R {
+    if combo_needs_buffer(combo, recursive, policy) {
+        debug_assert_eq!(
+            (buf.rows(), buf.cols()),
+            (blocks.rows, blocks.cols),
+            "workspace combination-buffer shape mismatch"
+        );
+        form_combo(buf.as_mut(), combo, blocks, par);
+        return f(&[(T::ONE, buf.as_ref())], 1.0);
+    }
     match combo {
         Combo::Single { block, coeff } => f(&[(T::ONE, blocks.get(*block))], *coeff),
-        Combo::Multi(v) if v.len() <= MAX_INLINE_TERMS => {
+        Combo::Multi(v) => {
             // Stack-staged term list; slots past v.len() are never read.
             let mut terms = [(T::ZERO, blocks.mat); MAX_INLINE_TERMS];
             for (slot, &(b, coeff)) in terms.iter_mut().zip(v) {
                 *slot = (T::from_f64(coeff), blocks.get(b));
             }
             f(&terms[..v.len()], 1.0)
-        }
-        Combo::Multi(v) if policy == FusionPolicy::Always => {
-            let terms: Vec<(T, MatRef<'_, T>)> = v
-                .iter()
-                .map(|&(b, coeff)| (T::from_f64(coeff), blocks.get(b)))
-                .collect();
-            f(&terms, 1.0)
-        }
-        combo => {
-            // Auto keeps the zero-alloc steady state: a term list too wide
-            // for the inline stage materializes into the lane buffer.
-            debug_assert_eq!(
-                (buf.rows(), buf.cols()),
-                (blocks.rows, blocks.cols),
-                "workspace combination-buffer shape mismatch"
-            );
-            form_combo(buf.as_mut(), combo, blocks, par);
-            f(&[(T::ONE, buf.as_ref())], 1.0)
         }
     }
 }
@@ -1067,11 +1034,7 @@ mod tests {
             let run =
                 |fusion| fast_matmul(&plan, a.as_ref(), b.as_ref(), 1, Strategy::Seq, 1, fusion);
             let auto = run(FusionPolicy::Auto);
-            let always = run(FusionPolicy::Always);
             let never = run(FusionPolicy::Never);
-            // Auto and Always agree bitwise for every catalog rule (no
-            // combo exceeds the inline term stage).
-            assert_bitwise(&auto, &always, &alg.name);
             let mask = crate::workspace::fused_block_mask(
                 &plan,
                 Strategy::Seq,

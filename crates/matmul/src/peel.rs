@@ -17,11 +17,11 @@
 //! the heap not at all. Both run the same engine and produce bitwise
 //! identical results.
 
-use crate::exec::{fast_matmul_chain_into, run_level, with_uniform_chain};
+use crate::exec::{run_level, with_uniform_chain};
 use crate::plan::ExecPlan;
 use crate::schedule::{FusionPolicy, Strategy};
 use crate::workspace::{chain_divisor, PadBufs, Workspace};
-use apa_gemm::{gemm, Mat, MatMut, MatRef, Par, Scalar};
+use apa_gemm::{gemm, MatMut, MatRef, Par, Scalar};
 use serde::Serialize;
 use std::borrow::Borrow;
 
@@ -87,36 +87,11 @@ pub fn fast_matmul_chain_any_into<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     mode: PeelMode,
     fusion: FusionPolicy,
 ) {
+    // A transient workspace: the allocate-per-call flavor is the `_ws`
+    // body over buffers that live for this one call.
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(k, b.rows(), "inner dimensions must match");
-    assert_eq!((m, n), (c.rows(), c.cols()), "C shape mismatch");
-
-    let (dm, dk, dn) = chain_divisor(chain);
-    if m % dm == 0 && k % dk == 0 && n % dn == 0 {
-        fast_matmul_chain_into(chain, a, b, c, strategy, threads, fusion);
-        return;
-    }
-
-    match mode {
-        PeelMode::Dynamic => peel_dynamic(a, b, c, threads, (dm, dk, dn), |ac, bc, cc| {
-            fast_matmul_chain_into(chain, ac, bc, cc, strategy, threads, fusion)
-        }),
-        PeelMode::Pad => {
-            let (mp, kp, np) = (
-                m.div_ceil(dm) * dm,
-                k.div_ceil(dk) * dk,
-                n.div_ceil(dn) * dn,
-            );
-            let mut pad = PadBufs {
-                ap: Mat::<T>::zeros(mp, kp),
-                bp: Mat::<T>::zeros(kp, np),
-                cp: Mat::<T>::zeros(mp, np),
-            };
-            run_padded(a, b, c, &mut pad, |ac, bc, cc| {
-                fast_matmul_chain_into(chain, ac, bc, cc, strategy, threads, fusion)
-            });
-        }
-    }
+    let mut ws = Workspace::for_chain(chain, m, k, n, strategy, threads, mode, fusion);
+    fast_matmul_chain_any_into_ws(chain, a, b, c, strategy, threads, mode, fusion, &mut ws);
 }
 
 /// Workspace-backed variant of [`fast_matmul_chain_any_into`]. Panics if
@@ -251,7 +226,7 @@ mod tests {
     use super::*;
     use crate::plan::ExecPlan;
     use apa_core::catalog;
-    use apa_gemm::matmul_naive;
+    use apa_gemm::{matmul_naive, Mat};
 
     fn rand_mat(rows: usize, cols: usize, seed: u64) -> Mat<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);

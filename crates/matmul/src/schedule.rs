@@ -37,9 +37,6 @@ pub enum Strategy {
 ///   arity fits the engine's inline term stage and the strategy keeps the
 ///   fused `C` writes race-free — this preserves the engine's
 ///   zero-allocation steady state.
-/// * [`FusionPolicy::Always`] fuses every eligible site even when a term
-///   list is too wide for the inline stage (the staging then heap-
-///   allocates). Identical to `Auto` for every catalog rule.
 /// * [`FusionPolicy::Never`] runs the fully materialized pre-fusion path,
 ///   kept as the bitwise sentinel/fallback reference.
 ///
@@ -52,8 +49,6 @@ pub enum FusionPolicy {
     /// Fuse wherever arity and strategy permit (zero-alloc preserved).
     #[default]
     Auto,
-    /// Fuse every eligible site, heap-staging over-wide term lists.
-    Always,
     /// Fully materialized execution (the pre-fusion reference path).
     Never,
 }

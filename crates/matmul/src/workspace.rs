@@ -173,13 +173,13 @@ pub struct Workspace<T: Scalar> {
     pub(crate) runs: u64,
 }
 
-/// Whether the executor can fold this combination into the gemm pack
-/// sweep at a leaf level. Must stay in lockstep with
-/// `exec::with_combo_terms`.
+/// Whether the executor folds this combination into the gemm pack sweep
+/// at a leaf level: under `Auto`, whenever its term list fits the
+/// executor's inline (stack) stage, which keeps the steady state
+/// allocation-free.
 pub(crate) fn combo_pack_fusable(combo: &Combo, policy: FusionPolicy) -> bool {
     match policy {
         FusionPolicy::Never => false,
-        FusionPolicy::Always => true,
         FusionPolicy::Auto => match combo {
             Combo::Single { .. } => true,
             Combo::Multi(v) => v.len() <= crate::exec::MAX_INLINE_TERMS,
@@ -187,10 +187,13 @@ pub(crate) fn combo_pack_fusable(combo: &Combo, policy: FusionPolicy) -> bool {
     }
 }
 
-fn combo_needs_buffer(combo: &Combo, recursive: bool, fusion: FusionPolicy) -> bool {
+/// Whether `exec::with_combo_terms` materializes this combination into the
+/// lane's `S`/`T` buffer — the one predicate both the executor and the
+/// buffer sizing below consult.
+pub(crate) fn combo_needs_buffer(combo: &Combo, recursive: bool, fusion: FusionPolicy) -> bool {
     match combo {
-        // Mirrors the executor: a singleton is used in place unless the
-        // product recurses and the coefficient cannot fold into gemm's α.
+        // A singleton is used in place unless the product recurses and
+        // the coefficient cannot fold into gemm's α.
         Combo::Single { coeff, .. } => recursive && *coeff != 1.0,
         // Recursive products consume real matrices; leaf products only
         // materialize combinations the pack sweep cannot absorb.

@@ -17,6 +17,15 @@ use apa_matmul::{ApaMatmul, GuardedApaMatmul, PeelMode, SentinelConfig, Strategy
 #[global_allocator]
 static ALLOC: apa_gemm::CountingAlloc = apa_gemm::CountingAlloc;
 
+/// A guarded multiplier installs the process-global ABFT session for the
+/// length of each multiply; a leaf gemm on *any* thread then runs checked
+/// and grows that thread's checksum scratch. So the tests that count
+/// allocations serialize with the tests that install sessions.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    M.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn probe(rows: usize, cols: usize, seed: u64) -> Mat<f32> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     Mat::from_fn(rows, cols, |_, _| {
@@ -56,6 +65,7 @@ fn assert_steady_state_is_allocation_free(
 
 #[test]
 fn warm_divisible_multiplication_does_not_allocate() {
+    let _serial = serial();
     let mm = ApaMatmul::new(catalog::by_name("fast444").unwrap())
         .steps(2)
         .strategy(Strategy::Seq)
@@ -68,6 +78,7 @@ fn warm_divisible_multiplication_does_not_allocate() {
 
 #[test]
 fn warm_dynamic_peeling_does_not_allocate() {
+    let _serial = serial();
     let mm = ApaMatmul::new(catalog::by_name("bini322").unwrap())
         .steps(1)
         .strategy(Strategy::Seq)
@@ -81,6 +92,7 @@ fn warm_dynamic_peeling_does_not_allocate() {
 
 #[test]
 fn warm_pad_mode_does_not_allocate() {
+    let _serial = serial();
     let mm = ApaMatmul::new(catalog::by_name("strassen").unwrap())
         .steps(1)
         .strategy(Strategy::Seq)
@@ -94,6 +106,7 @@ fn warm_pad_mode_does_not_allocate() {
 
 #[test]
 fn explicit_workspace_calls_do_not_allocate() {
+    let _serial = serial();
     let mm = ApaMatmul::new(catalog::by_name("fast442").unwrap())
         .steps(1)
         .strategy(Strategy::Seq)
@@ -176,6 +189,7 @@ fn evicted_then_rebuilt_workspace_is_bit_identical_to_uncached() {
 
 #[test]
 fn warmed_shapes_are_allocation_free_from_the_first_call() {
+    let _serial = serial();
     // `warm` pre-builds the workspaces and settles the pack buffers, so
     // the first *real* multiply on every declared shape is already
     // allocation-free — the contract the apa-serve lane workers rely on.
@@ -239,6 +253,7 @@ fn warming_many_shapes_grows_the_cache_instead_of_self_evicting() {
 
 #[test]
 fn warmed_guarded_shapes_are_allocation_free_from_the_first_call() {
+    let _serial = serial();
     // The guarded variant also pre-sizes the probe scratch, the per-rung
     // stats and the per-shape ladder state, so the first sentinel-guarded
     // call — probe included — allocates nothing.
@@ -273,6 +288,7 @@ fn warmed_guarded_shapes_are_allocation_free_from_the_first_call() {
 
 #[test]
 fn warm_guarded_multiplication_does_not_allocate() {
+    let _serial = serial();
     // The sentinel's probe scratch is grow-only and the ladder is built
     // once, so a warm guarded multiply — probe included on every call —
     // must preserve the engine's zero-allocation invariant.

@@ -28,21 +28,6 @@ pub trait MatmulBackend: Send + Sync {
         c
     }
 
-    /// `Aᵀ·B` — the weight-gradient shape of backpropagation
-    /// (`dW = Xᵀ·dZ`). Default: materialize the transpose, then multiply
-    /// through this backend (so APA backends approximate this product too,
-    /// exactly as the paper's custom gradient operators do).
-    fn matmul_tn(&self, a: MatRef<'_, f32>, b: MatRef<'_, f32>) -> Mat<f32> {
-        let at = apa_gemm::transpose(a);
-        self.matmul(at.as_ref(), b)
-    }
-
-    /// `A·Bᵀ` — the input-gradient shape (`dX = dZ·Wᵀ`).
-    fn matmul_nt(&self, a: MatRef<'_, f32>, b: MatRef<'_, f32>) -> Mat<f32> {
-        let bt = apa_gemm::transpose(b);
-        self.matmul(a, bt.as_ref())
-    }
-
     /// Pre-build whatever the backend caches per `(m, k, n)` shape —
     /// execution workspaces, probe scratch, thread-local gemm pack buffers
     /// — so the **first** real multiply on a declared shape is already

@@ -13,8 +13,6 @@
 //! * [`mnist_mlp`] — the paper's accuracy (784-300-300-10) and ParaDnn
 //!   performance networks;
 //! * [`vgg`] — the VGG-19 fully connected head, timed per batch;
-//! * [`conv`] / [`cnn`] — convolution as matmul (im2col/col2im) and a
-//!   trainable CNN, so APA kernels reach convolutional layers too (§1);
 //! * [`optimizer`] — momentum SGD + weight decay;
 //! * [`checkpoint`] — versioned, checksummed, atomically written training
 //!   checkpoints and the crash-safe [`CheckpointedTrainer`] resume loop;
@@ -22,8 +20,6 @@
 
 pub mod backend;
 pub mod checkpoint;
-pub mod cnn;
-pub mod conv;
 pub mod data;
 pub mod layer;
 pub mod loss;
@@ -41,8 +37,6 @@ pub use checkpoint::{
     CheckpointError, CheckpointManager, CheckpointedTrainer, EpochProgress, LayerState, TrainState,
     TrainerConfig,
 };
-pub use cnn::SimpleCnn;
-pub use conv::{col2im, conv2d_direct, im2col, Conv2d, Conv2dConfig, ConvShape};
 pub use data::{
     load_mnist_idx, synthetic_mnist, synthetic_mnist_split, try_load_mnist_idx, DataError, Dataset,
     IdxKind,

@@ -1,12 +1,10 @@
-//! NN training integration at the crate level: optimizers, conv-in-a-
-//! pipeline, backend swapping mid-training, and gradient plumbing.
+//! NN training integration at the crate level: optimizers, backend
+//! swapping mid-training, and gradient plumbing.
 
 use apa_core::catalog;
-use apa_gemm::Mat;
 use apa_nn::{
-    accuracy, apa, classical, guarded, im2col, softmax_cross_entropy, synthetic_mnist_split,
-    Activation, Backend, Conv2d, Conv2dConfig, ConvShape, Dense, MatmulBackend, Mlp, Optimizer,
-    SgdConfig,
+    apa, classical, guarded, softmax_cross_entropy, synthetic_mnist_split, Backend, MatmulBackend,
+    Mlp, Optimizer, SgdConfig,
 };
 
 #[test]
@@ -39,47 +37,6 @@ fn momentum_training_on_synthetic_digits() {
 }
 
 #[test]
-fn conv_then_dense_pipeline_runs_with_apa() {
-    // A small conv feature extractor feeding a dense classifier — the §1
-    // "conv as matmul" lowering end to end, APA kernels in both stages.
-    let backend = apa(catalog::bini322(), 1);
-    let conv = Conv2d::new(
-        Conv2dConfig {
-            in_channels: 1,
-            out_channels: 4,
-            kernel: 3,
-            stride: 2,
-            padding: 1,
-        },
-        backend.clone(),
-        3,
-    );
-    let shape = ConvShape {
-        n: 8,
-        c: 1,
-        h: 28,
-        w: 28,
-    };
-    let (train, _) = synthetic_mnist_split(8, 1, 0x77);
-    let input: Vec<f32> = train.images().as_slice().to_vec();
-    let (features, out_shape) = conv.forward(&input, shape);
-    assert_eq!((out_shape.h, out_shape.w, out_shape.c), (14, 14, 4));
-
-    // Flatten per image and classify.
-    let feat_len = out_shape.c * out_shape.h * out_shape.w;
-    let mut x = Mat::zeros(8, feat_len);
-    for i in 0..8 {
-        x.as_mut_slice()[i * feat_len..(i + 1) * feat_len]
-            .copy_from_slice(&features[i * feat_len..(i + 1) * feat_len]);
-    }
-    let mut head = Dense::new(feat_len, 10, Activation::Identity, backend, 9);
-    let logits = head.forward(&x);
-    assert_eq!((logits.rows(), logits.cols()), (8, 10));
-    assert!(logits.as_slice().iter().all(|v| v.is_finite()));
-    let _ = accuracy(&logits, train.labels());
-}
-
-#[test]
 fn backend_swap_mid_training_preserves_learning() {
     // Train 3 epochs classical, swap the middle layer to APA, train 3 more:
     // accuracy must keep improving (the operators are interchangeable).
@@ -98,28 +55,6 @@ fn backend_swap_mid_training_preserves_learning() {
         end >= mid - 0.02,
         "accuracy regressed after backend swap: {mid} → {end}"
     );
-}
-
-#[test]
-fn im2col_patch_count_matches_formula() {
-    let shape = ConvShape {
-        n: 3,
-        c: 2,
-        h: 11,
-        w: 9,
-    };
-    let cfg = Conv2dConfig {
-        in_channels: 2,
-        out_channels: 1,
-        kernel: 3,
-        stride: 2,
-        padding: 1,
-    };
-    let (oh, ow) = cfg.out_size(shape.h, shape.w);
-    let x = vec![0.5f32; shape.elems()];
-    let p = im2col(&x, shape, &cfg);
-    assert_eq!(p.rows(), shape.n * oh * ow);
-    assert_eq!(p.cols(), cfg.patch_len());
 }
 
 /// Delegates to an exact inner backend but poisons one chosen call with a

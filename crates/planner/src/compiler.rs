@@ -165,15 +165,15 @@ fn strategy_from(code: u8) -> Option<Strategy> {
 fn fusion_code(f: FusionPolicy) -> u8 {
     match f {
         FusionPolicy::Auto => 0,
-        FusionPolicy::Always => 1,
         FusionPolicy::Never => 2,
     }
 }
 
 fn fusion_from(code: u8) -> Option<FusionPolicy> {
     Some(match code {
+        // Code 1 was `FusionPolicy::Always` (removed): a stored plan that
+        // carries it fails to decode and is re-tuned once.
         0 => FusionPolicy::Auto,
-        1 => FusionPolicy::Always,
         2 => FusionPolicy::Never,
         _ => return None,
     })

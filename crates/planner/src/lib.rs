@@ -31,9 +31,8 @@
 //!
 //! All persistence lives under one documented root: `$APA_PLAN_DIR/plans`
 //! for compiled plans (this crate) and `$APA_PLAN_DIR/blocks` for gemm
-//! block tunes (`apa-gemm`). The legacy `APA_TUNE_DIR` /
-//! `APA_BLOCK_CONFIG` / `APA_AUTOTUNE` variables still work as
-//! fallbacks; see the README deprecation note.
+//! block tunes (`apa-gemm`). `APA_BLOCK_CONFIG` and `APA_AUTOTUNE` still
+//! steer the block tune itself; see the README knob table.
 
 pub(crate) mod codec;
 pub mod compiler;

@@ -46,26 +46,57 @@ fn roundtrip_is_bitwise_and_file_is_deterministic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn corrupted_store_is_rejected_then_retuned() {
-    let dir = scratch_dir("corrupt");
-    PlanCompiler::with_store(&dir).compile(&some_request());
-
-    // Flip one payload byte: CRC must catch it.
-    let mut bytes = std::fs::read(store_file(&dir)).unwrap();
+/// Flip one payload byte: the CRC must catch it.
+fn flip_payload_byte(bytes: &mut [u8]) {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
-    std::fs::write(store_file(&dir), &bytes).unwrap();
-    assert_eq!(PlanStore::load(&dir).unwrap_err(), PlanStoreError::Corrupt);
+}
 
-    // The compiler treats the bad store as empty, re-tunes to the same
-    // deterministic answer, and its save repairs the file.
-    let recovered = PlanCompiler::with_store(&dir);
-    let plan = recovered.compile(&some_request());
-    assert_eq!(plan, PlanCompiler::new().compile(&some_request()));
-    assert!(PlanStore::load(&dir).is_ok(), "save repaired the store");
+/// Rewrite the (single, last) record's fusion byte to code 1 — the
+/// removed `FusionPolicy::Always` — under a *valid* CRC, as a store
+/// written by an older build would carry it: the record's typed decode
+/// must reject it. After the fusion byte a record holds threads (u64),
+/// cse (u8), two f64 predictions and two u32 addition counts.
+fn retired_fusion_code(bytes: &mut [u8]) {
+    const AFTER_FUSION: usize = 8 + 1 + 8 + 8 + 4 + 4;
+    let body_len = bytes.len() - 4;
+    let at = body_len - AFTER_FUSION - 1;
+    assert_eq!(bytes[at], 0, "the planner only emits Auto (code 0)");
+    bytes[at] = 1;
+    let crc = ieee_crc32(&bytes[..body_len]);
+    bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+}
 
-    let _ = std::fs::remove_dir_all(&dir);
+#[test]
+fn corrupted_store_is_rejected_then_retuned() {
+    for (tag, corrupt) in [
+        ("corrupt", flip_payload_byte as fn(&mut [u8])),
+        ("fusion1", retired_fusion_code),
+    ] {
+        let dir = scratch_dir(tag);
+        PlanCompiler::with_store(&dir).compile(&some_request());
+
+        let mut bytes = std::fs::read(store_file(&dir)).unwrap();
+        corrupt(&mut bytes);
+        std::fs::write(store_file(&dir), &bytes).unwrap();
+        assert_eq!(
+            PlanStore::load(&dir).unwrap_err(),
+            PlanStoreError::Corrupt,
+            "{tag}"
+        );
+
+        // The compiler treats the bad store as empty, re-tunes to the same
+        // deterministic answer, and its save repairs the file.
+        let recovered = PlanCompiler::with_store(&dir);
+        let plan = recovered.compile(&some_request());
+        assert_eq!(plan, PlanCompiler::new().compile(&some_request()), "{tag}");
+        assert!(
+            PlanStore::load(&dir).is_ok(),
+            "{tag}: save repaired the store"
+        );
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
