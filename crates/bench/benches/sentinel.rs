@@ -44,14 +44,10 @@ fn bench_sentinel_overhead(c: &mut Criterion) {
         });
 
         // Residual probe on every call — the worst-case sentinel setting.
-        let probed = GuardedApaMatmul::new(catalog::by_name("fast444").unwrap())
-            .steps(1)
-            .strategy(Strategy::Seq)
-            .threads(1)
-            .sentinel(SentinelConfig {
-                probe_every: 1,
-                ..SentinelConfig::default()
-            });
+        let probed = GuardedApaMatmul::from_matmul(raw.clone()).sentinel(SentinelConfig {
+            probe_every: 1,
+            ..SentinelConfig::default()
+        });
         probed.multiply_into(a.as_ref(), b.as_ref(), out.as_mut());
         group.bench_with_input(
             BenchmarkId::new("guarded_probe_every_call", n),
@@ -62,14 +58,10 @@ fn bench_sentinel_overhead(c: &mut Criterion) {
         );
 
         // Non-finite scan only — the cheapest guarded setting.
-        let scanned = GuardedApaMatmul::new(catalog::by_name("fast444").unwrap())
-            .steps(1)
-            .strategy(Strategy::Seq)
-            .threads(1)
-            .sentinel(SentinelConfig {
-                probe_every: 0,
-                ..SentinelConfig::default()
-            });
+        let scanned = GuardedApaMatmul::from_matmul(raw.clone()).sentinel(SentinelConfig {
+            probe_every: 0,
+            ..SentinelConfig::default()
+        });
         scanned.multiply_into(a.as_ref(), b.as_ref(), out.as_mut());
         group.bench_with_input(BenchmarkId::new("guarded_scan_only", n), &n, |bench, _| {
             bench.iter(|| scanned.multiply_into(a.as_ref(), b.as_ref(), out.as_mut()));

@@ -9,11 +9,13 @@
 //! apa schedule <rank> <threads>     # render the hybrid schedule
 //! apa time <name> <n> [threads]     # time one multiplication vs classical
 //! apa error <name> <n>              # tuned-λ error vs f64 classical
+//! apa autotune <n> [threads]        # measured plan compile for n×n×n
 //! ```
 
 use apa_core::{brent, catalog, derive, error_model, io, Dims};
 use apa_gemm::Mat;
-use apa_matmul::{hybrid_schedule, tune_lambda, ApaMatmul, ClassicalMatmul, Strategy};
+use apa_matmul::{hybrid_schedule, tune_lambda, ApaMatmul, Strategy};
+use apa_planner::{PlanCompiler, PlanRequest};
 use std::time::Instant;
 
 fn main() {
@@ -40,7 +42,7 @@ fn main() {
             eprintln!("  time <name> <n> [threads] time vs classical gemm");
             eprintln!("  error <name> <n>          tuned-lambda error vs f64 classical");
             eprintln!("  render <name>             print the rule in M-formula notation");
-            eprintln!("  autotune <n> [threads]    race the catalog at your shape");
+            eprintln!("  autotune <n> [threads]    measured plan for an n^3 multiply");
             2
         }
     };
@@ -63,15 +65,13 @@ fn cmd_render(args: &[String]) -> i32 {
 fn cmd_autotune(args: &[String]) -> i32 {
     let n: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(2048);
     let threads: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
-    let outcome = apa_matmul::autotune(n, threads, 1536);
-    println!("race at n = {n}, threads = {threads} (probe dim <= 1536):");
-    for c in &outcome.candidates {
-        println!(
-            "  {:12} {:.4}s  ({:.3}x classical)",
-            c.name, c.seconds, c.relative
-        );
-    }
-    println!("winner: {}", outcome.best_name);
+    let plan = PlanCompiler::new()
+        .measured(true)
+        .compile(&PlanRequest::new(n, n, n).threads(threads));
+    println!(
+        "plan at n = {n}: rule {}, steps {}, threads {}, predicted {:.4}s",
+        plan.rule, plan.steps, plan.threads, plan.predicted_seconds
+    );
     0
 }
 
@@ -226,7 +226,7 @@ fn cmd_time(args: &[String]) -> i32 {
     let b = probe(n, 2);
     let mut c = Mat::<f32>::zeros(n, n);
 
-    let classical = ClassicalMatmul::new().threads(threads);
+    let classical = ApaMatmul::classical().threads(threads);
     classical.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
     let t0 = Instant::now();
     classical.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());

@@ -28,7 +28,7 @@
 use apa_bench::{banner, print_csv, print_table, Args};
 use apa_core::catalog;
 use apa_gemm::Mat;
-use apa_matmul::{ApaMatmul, ClassicalMatmul, PeelMode, Strategy};
+use apa_matmul::{ApaMatmul, PeelMode, Strategy};
 use apa_planner::{PlanCompiler, PlanRequest};
 use serde_json::json;
 use std::time::Instant;
@@ -102,7 +102,7 @@ fn main() {
         let mut c = Mat::<f32>::zeros(m, n);
 
         // The classical reference floor.
-        let classical = ClassicalMatmul::new().threads(threads);
+        let classical = ApaMatmul::classical().threads(threads);
         let classical_seconds = time_best(reps, || {
             classical.multiply_into(a.as_ref(), b.as_ref(), c.as_mut())
         });
@@ -129,7 +129,7 @@ fn main() {
         // Compiler-selected plan for the same request.
         let req = PlanRequest::new(m, k, n).threads(threads);
         let plan = compiler.compile(&req);
-        let exec = plan.build().expect("compiled plan builds");
+        let exec = plan.to_matmul().expect("compiled plan builds");
         let compiler_seconds = time_best(reps, || {
             exec.multiply_into(a.as_ref(), b.as_ref(), c.as_mut())
         });

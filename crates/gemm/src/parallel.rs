@@ -440,7 +440,7 @@ fn gemm_2d<T: Scalar>(
     // A multi-lane request always dispatches through the pool, even when
     // the tuned blocking collapses the grid to fewer cells than lanes:
     // callers asking for threads >= 2 are buying the pool's panic
-    // isolation and watchdog (ClassicalMatmul::try_multiply_into must
+    // isolation and watchdog (a classical `try_multiply_into` must
     // surface a lane death as a typed error on any shape), not just
     // throughput.
     let workers = threads.min(cells);

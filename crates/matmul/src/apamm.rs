@@ -24,16 +24,19 @@
 //! allocate-per-call behavior for ablations, and
 //! [`ApaMatmul::make_workspace`] / [`ApaMatmul::multiply_into_with`] hand
 //! the workspace to callers who want to manage it themselves.
+//!
+//! The classical baseline is the same type at recursion depth 0
+//! ([`ApaMatmul::classical`]): one gemm call per multiply, no cache.
 
 use crate::error::{check_operands, MatmulError};
-use crate::exec::with_uniform_chain;
+use crate::exec::{run_level, with_uniform_chain};
 use crate::peel::{
     fast_matmul_any_into, fast_matmul_chain_any_into, fast_matmul_chain_any_into_ws, PeelMode,
 };
 use crate::plan::ExecPlan;
 use crate::schedule::{FusionPolicy, Strategy};
-use crate::workspace::Workspace;
-use apa_core::{brent, error_model, BilinearAlgorithm};
+use crate::workspace::{LevelWs, Workspace};
+use apa_core::{brent, catalog, error_model, BilinearAlgorithm, Dims};
 use apa_gemm::{Mat, MatMut, MatRef, Scalar};
 use std::any::{Any, TypeId};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -163,6 +166,17 @@ impl ApaMatmul {
         }
     }
 
+    /// The classical baseline — the paper's "custom classical operator
+    /// that directly calls gemm" (§4.1): recursion depth 0, so every
+    /// multiply is one `gemm` call on the same leaf the APA rules use,
+    /// with no workspace cache and no lock. Named `classical`; the rule it
+    /// carries (the 1×1×1 product) is never split.
+    pub fn classical() -> Self {
+        let mut alg = catalog::classical(Dims::new(1, 1, 1));
+        alg.name = "classical".to_string();
+        Self::new(alg).steps(0)
+    }
+
     fn default_lambda(alg: &BilinearAlgorithm, sigma: Option<u32>, steps: u32) -> f64 {
         match sigma {
             Some(sigma) => {
@@ -225,14 +239,6 @@ impl ApaMatmul {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Size the thread budget to this machine: `APA_THREADS` when set,
-    /// otherwise one lane per physical core (see
-    /// [`apa_gemm::default_threads`]).
-    pub fn auto_threads(self) -> Self {
-        let lanes = apa_gemm::default_threads();
-        self.threads(lanes)
     }
 
     pub fn peel_mode(mut self, peel: PeelMode) -> Self {
@@ -332,6 +338,12 @@ impl ApaMatmul {
         b: MatRef<'_, T>,
         c: MatMut<'_, T>,
     ) {
+        if self.steps == 0 {
+            // Depth 0 is one gemm call: nothing to cache, so no lock.
+            let mut leaf = LevelWs::leaf();
+            run_level::<T, &ExecPlan>(&[], a, b, c, self.strategy, self.threads, &mut leaf);
+            return;
+        }
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         with_uniform_chain(&self.plan, self.steps, |chain| {
             let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
@@ -586,14 +598,6 @@ impl ApaChain {
         self
     }
 
-    /// Size the thread budget to this machine: `APA_THREADS` when set,
-    /// otherwise one lane per physical core (see
-    /// [`apa_gemm::default_threads`]).
-    pub fn auto_threads(self) -> Self {
-        let lanes = apa_gemm::default_threads();
-        self.threads(lanes)
-    }
-
     pub fn peel_mode(mut self, peel: PeelMode) -> Self {
         self.peel = peel;
         self
@@ -689,76 +693,6 @@ impl ApaChain {
     }
 }
 
-/// A classical-gemm multiplier with the same calling surface, for
-/// baselines — mirrors the paper's "custom classical operator that directly
-/// calls gemm".
-#[derive(Clone, Copy, Debug)]
-pub struct ClassicalMatmul {
-    threads: usize,
-}
-
-impl ClassicalMatmul {
-    pub fn new() -> Self {
-        Self { threads: 1 }
-    }
-
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Size the thread budget to this machine: `APA_THREADS` when set,
-    /// otherwise one lane per physical core (see
-    /// [`apa_gemm::default_threads`]).
-    pub fn auto_threads(self) -> Self {
-        let lanes = apa_gemm::default_threads();
-        self.threads(lanes)
-    }
-
-    pub fn multiply_into<T: Scalar>(&self, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
-        self.try_multiply_into(a, b, c)
-            .unwrap_or_else(|e| panic!("ClassicalMatmul::multiply_into: {e}"));
-    }
-
-    /// [`Self::multiply_into`] returning typed errors: operand-shape
-    /// mismatches and panicked worker lanes (the pool is rebuilt, `C` may
-    /// be partially written, the instance stays usable).
-    pub fn try_multiply_into<T: Scalar>(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-    ) -> Result<(), MatmulError> {
-        check_operands(
-            (a.rows(), a.cols()),
-            (b.rows(), b.cols()),
-            (c.rows(), c.cols()),
-        )?;
-        let par = if self.threads > 1 {
-            apa_gemm::Par::Threads(self.threads)
-        } else {
-            apa_gemm::Par::Seq
-        };
-        apa_gemm::try_gemm(T::ONE, a, b, T::ZERO, c, par).map_err(|e| {
-            let apa_gemm::PoolError::WorkerPanicked { detail } = e;
-            apa_gemm::rebuild(self.threads);
-            MatmulError::WorkerPanicked { detail }
-        })
-    }
-
-    pub fn multiply<T: Scalar>(&self, a: MatRef<'_, T>, b: MatRef<'_, T>) -> Mat<T> {
-        let mut c = Mat::zeros(a.rows(), b.cols());
-        self.multiply_into(a, b, c.as_mut());
-        c
-    }
-}
-
-impl Default for ClassicalMatmul {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,11 +732,29 @@ mod tests {
 
     #[test]
     fn classical_wrapper_is_exact() {
+        // Depth 0 is one gemm call: bitwise the leaf, and no cache entry.
         let a = rand_mat(20, 20, 3);
         let b = rand_mat(20, 20, 4);
-        let got = ClassicalMatmul::new().multiply(a.as_ref(), b.as_ref());
         let expect = matmul_naive(a.as_ref(), b.as_ref());
-        assert!(got.rel_frobenius_error(&expect) < 1e-5);
+        for threads in [1, 2] {
+            let mm = ApaMatmul::classical().threads(threads);
+            assert_eq!(mm.algorithm().name, "classical");
+            let got = mm.multiply(a.as_ref(), b.as_ref());
+            assert!(got.rel_frobenius_error(&expect) < 1e-5);
+            let par = if threads > 1 {
+                apa_gemm::Par::Threads(threads)
+            } else {
+                apa_gemm::Par::Seq
+            };
+            let mut leaf = Mat::zeros(20, 20);
+            apa_gemm::gemm(1.0, a.as_ref(), b.as_ref(), 0.0, leaf.as_mut(), par);
+            for i in 0..20 {
+                for j in 0..20 {
+                    assert_eq!(got.at(i, j).to_bits(), leaf.at(i, j).to_bits());
+                }
+            }
+            assert_eq!(mm.cached_workspaces(), 0);
+        }
     }
 
     #[test]

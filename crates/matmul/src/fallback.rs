@@ -6,7 +6,7 @@
 //! through the sentinel (non-finite scan every call, Freivalds residual
 //! probe at the configured sampling rate). On a violation the call is
 //! **retried on the next rung down** until a rung passes — the last rung,
-//! [`ClassicalMatmul`], is exact and always accepted — so a caller never
+//! [`ApaMatmul::classical`], is exact and always accepted — so a caller never
 //! observes a corrupted product. The ladder:
 //!
 //! 1. the configured APA multiplier (possibly multi-step);
@@ -54,10 +54,8 @@
 //! buffers, seed NaN/Inf, perturb λ, or panic/stall a worker lane at
 //! chosen call indices to exercise every rung deterministically.
 
-use crate::apamm::{ApaMatmul, ClassicalMatmul};
+use crate::apamm::ApaMatmul;
 use crate::error::{check_operands, MatmulError};
-use crate::peel::PeelMode;
-use crate::schedule::Strategy;
 use crate::sentinel::{self, AbftMode, ProbeScratch, SentinelConfig, Verdict};
 use crate::stats::HealthStats;
 use crate::tune::tune_lambda;
@@ -187,29 +185,6 @@ pub enum RungKind {
     Classical,
 }
 
-#[derive(Clone)]
-enum RungExec {
-    // Arc, not Box: the watchdog hands a clone of the exec to its helper
-    // thread, and sharing keeps the workspace cache (interior Mutex) warm
-    // across watchdogged calls.
-    Apa(Arc<ApaMatmul>),
-    Classical(ClassicalMatmul),
-}
-
-impl RungExec {
-    fn try_run<T: Scalar>(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-    ) -> Result<(), MatmulError> {
-        match self {
-            RungExec::Apa(mm) => mm.try_multiply_into(a, b, c),
-            RungExec::Classical(cm) => cm.try_multiply_into(a, b, c),
-        }
-    }
-}
-
 /// Why a rung failed to *execute* (as opposed to executing and failing
 /// the sentinel): both causes demote exactly like a bad verdict.
 enum RungFailure {
@@ -244,7 +219,7 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the helper computes into an owned matrix that is only copied into `c`
 /// on an in-deadline success.
 fn exec_with_watchdog<T: Scalar>(
-    exec: &RungExec,
+    exec: &Arc<ApaMatmul>,
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     mut c: MatMut<'_, T>,
@@ -259,7 +234,7 @@ fn exec_with_watchdog<T: Scalar>(
         .spawn(move || {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut out = Mat::<T>::zeros(m, n);
-                exec.try_run(a_own.as_ref(), b_own.as_ref(), out.as_mut())
+                exec.try_multiply_into(a_own.as_ref(), b_own.as_ref(), out.as_mut())
                     .map(|()| out)
             }));
             let flat = match outcome {
@@ -286,7 +261,10 @@ fn exec_with_watchdog<T: Scalar>(
 
 struct Rung {
     kind: RungKind,
-    exec: RungExec,
+    // Arc, not Box: the watchdog hands a clone of the exec to its helper
+    // thread, and sharing keeps the workspace cache (interior Mutex) warm
+    // across watchdogged calls.
+    exec: Arc<ApaMatmul>,
     /// Sentinel residual budget for products computed on this rung.
     budget: f64,
 }
@@ -422,41 +400,6 @@ impl GuardedApaMatmul {
             stats: Mutex::new(HealthStats::default()),
             calls: AtomicU64::new(0),
         }
-    }
-
-    // Builder passthroughs — mirror ApaMatmul's surface. The ladder is
-    // built lazily on first use, so these stay cheap.
-
-    pub fn steps(mut self, steps: u32) -> Self {
-        self.base = self.base.steps(steps);
-        self
-    }
-
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.base = self.base.strategy(strategy);
-        self
-    }
-
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.base = self.base.threads(threads);
-        self
-    }
-
-    /// Size the thread budget to this machine (see
-    /// [`apa_gemm::default_threads`]).
-    pub fn auto_threads(mut self) -> Self {
-        self.base = self.base.auto_threads();
-        self
-    }
-
-    pub fn peel_mode(mut self, peel: PeelMode) -> Self {
-        self.base = self.base.peel_mode(peel);
-        self
-    }
-
-    pub fn lambda(mut self, lambda: f64) -> Self {
-        self.base = self.base.lambda(lambda);
-        self
     }
 
     pub fn policy(mut self, policy: DegradePolicy) -> Self {
@@ -616,24 +559,7 @@ impl GuardedApaMatmul {
         let _abft_scope = self
             .abft_session()
             .map(|s| gemm_abft::scoped(Arc::new(AbftSession::new(s.cfg))));
-        match &rungs[0].exec {
-            RungExec::Apa(mm) => mm.warm::<T>(shapes),
-            RungExec::Classical(cm) => {
-                // Unreachable with the current ladder (rung 0 is always the
-                // configured APA multiplier) but kept total: classical gemm
-                // holds only thread-local pack buffers, settled by a pass
-                // per shape.
-                for &(m, k, n) in shapes {
-                    if m == 0 || k == 0 || n == 0 {
-                        continue;
-                    }
-                    let a = Mat::<T>::zeros(m, k);
-                    let b = Mat::<T>::zeros(k, n);
-                    let mut c = Mat::<T>::zeros(m, n);
-                    cm.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
-                }
-            }
-        }
+        rungs[0].exec.warm::<T>(shapes);
         {
             let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
             if stats.calls_by_rung.len() < rungs.len() {
@@ -702,7 +628,7 @@ impl GuardedApaMatmul {
                     lambda: mm.current_lambda(),
                 },
                 budget: self.sentinel.budget(sigma, phi, s),
-                exec: RungExec::Apa(Arc::new(mm)),
+                exec: Arc::new(mm),
             });
         }
 
@@ -716,7 +642,7 @@ impl GuardedApaMatmul {
                     lambda: tuned.lambda,
                 },
                 budget: self.sentinel.budget(sigma, phi, 1),
-                exec: RungExec::Apa(Arc::new(self.base.clone().steps(1).lambda(tuned.lambda))),
+                exec: Arc::new(self.base.clone().steps(1).lambda(tuned.lambda)),
             });
         }
 
@@ -731,7 +657,7 @@ impl GuardedApaMatmul {
             rungs.push(Rung {
                 kind: RungKind::ExactFast,
                 budget: self.sentinel.budget(None, 0, 1),
-                exec: RungExec::Apa(Arc::new(exact)),
+                exec: Arc::new(exact),
             });
         }
 
@@ -739,7 +665,7 @@ impl GuardedApaMatmul {
         rungs.push(Rung {
             kind: RungKind::Classical,
             budget: f64::INFINITY,
-            exec: RungExec::Classical(ClassicalMatmul::new().threads(self.base.current_threads())),
+            exec: Arc::new(ApaMatmul::classical().threads(self.base.current_threads())),
         });
         rungs
     }
@@ -950,11 +876,10 @@ impl GuardedApaMatmul {
         let perturbed = first_attempt
             .then(|| crate::fault::lambda_factor(call))
             .flatten()
-            .and_then(|factor| match &rung.exec {
-                RungExec::Apa(mm) => Some(RungExec::Apa(Arc::new(
-                    (**mm).clone().lambda(mm.current_lambda() * factor),
-                ))),
-                RungExec::Classical(_) => None,
+            .map(|factor| {
+                let mm = rung.exec.as_ref().clone();
+                let lambda = mm.current_lambda() * factor;
+                Arc::new(mm.lambda(lambda))
             });
         #[cfg(feature = "fault-inject")]
         let exec = perturbed.as_ref().unwrap_or(&rung.exec);
@@ -970,7 +895,9 @@ impl GuardedApaMatmul {
         }
         let result = match self.watchdog {
             Some(deadline) => exec_with_watchdog(exec, a, b, c.rb(), deadline),
-            None => exec.try_run(a, b, c.rb()).map_err(RungFailure::from),
+            None => exec
+                .try_multiply_into(a, b, c.rb())
+                .map_err(RungFailure::from),
         };
         #[cfg(feature = "fault-inject")]
         if first_attempt {
@@ -1064,7 +991,7 @@ mod tests {
 
     #[test]
     fn ladder_shape_for_approximate_rule() {
-        let guard = GuardedApaMatmul::new(catalog::bini322()).steps(2);
+        let guard = GuardedApaMatmul::from_matmul(ApaMatmul::new(catalog::bini322()).steps(2));
         let rungs = guard.rungs();
         // 2-step, 1-step, retuned, exact fast, classical.
         assert_eq!(rungs.len(), 5);
@@ -1287,7 +1214,8 @@ mod tests {
         let snapshot = guard.export_state();
 
         // Different λ (pinned off the optimum) → refused.
-        let other_lambda = GuardedApaMatmul::new(catalog::bini322()).lambda(1e-2);
+        let other_lambda =
+            GuardedApaMatmul::from_matmul(ApaMatmul::new(catalog::bini322()).lambda(1e-2));
         assert!(matches!(
             other_lambda.restore_state(&snapshot),
             Err(RestoreError::LambdaMismatch { .. })
@@ -1295,7 +1223,9 @@ mod tests {
 
         // Different ladder (exact rule → 2 rungs vs 5) → refused, with a
         // λ that matches so the ladder check is the one that trips.
-        let exact = GuardedApaMatmul::new(catalog::strassen()).lambda(snapshot.lambda);
+        let exact = GuardedApaMatmul::from_matmul(
+            ApaMatmul::new(catalog::strassen()).lambda(snapshot.lambda),
+        );
         let err = exact.restore_state(&snapshot).unwrap_err();
         assert!(matches!(err, RestoreError::LadderMismatch { .. }), "{err}");
         assert!(err.to_string().contains("rungs"), "{err}");

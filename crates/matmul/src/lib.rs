@@ -16,8 +16,9 @@
 //! * [`tune`] — the 5-powers-of-2 λ auto-tuner of the paper's Fig. 1;
 //! * [`error`] — relative-Frobenius error measurement against the f64
 //!   classical reference;
-//! * [`apamm`] — the configured [`ApaMatmul`] front end plus the
-//!   [`ClassicalMatmul`] baseline wrapper;
+//! * [`apamm`] — the configured [`ApaMatmul`] front end; the classical
+//!   baseline is the same type at recursion depth 0
+//!   ([`ApaMatmul::classical`]);
 //! * [`sentinel`] — the numerical-health sentinel: a fused non-finite
 //!   scan plus a sampled Freivalds residual probe checked against the
 //!   error-model budget;
@@ -28,7 +29,6 @@
 //!   fault injection for exercising the degradation ladder.
 
 pub mod apamm;
-pub mod autotune;
 pub mod cse;
 pub mod error;
 pub mod exec;
@@ -43,8 +43,7 @@ pub mod stats;
 pub mod tune;
 pub mod workspace;
 
-pub use apamm::{ApaChain, ApaMatmul, ClassicalMatmul};
-pub use autotune::{autotune, autotune_with, Candidate, TuneOutcome};
+pub use apamm::{ApaChain, ApaMatmul};
 pub use cse::{plan_additions, CseReport};
 pub use error::{measure_error, MatmulError};
 pub use exec::{fast_matmul, fast_matmul_chain_into, fast_matmul_into};

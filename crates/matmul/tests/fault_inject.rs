@@ -15,7 +15,7 @@
 use apa_core::catalog;
 use apa_gemm::{matmul_naive, Mat};
 use apa_matmul::fault::{self, Fault, FaultKind};
-use apa_matmul::{ClassicalMatmul, GuardedApaMatmul, MatmulError, SentinelConfig, Strategy};
+use apa_matmul::{ApaMatmul, GuardedApaMatmul, MatmulError, SentinelConfig, Strategy};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -32,9 +32,11 @@ fn probe(rows: usize, cols: usize, seed: u64) -> Mat<f32> {
 }
 
 fn guard() -> GuardedApaMatmul {
-    GuardedApaMatmul::new(catalog::bini322())
-        .strategy(Strategy::Seq)
-        .threads(1)
+    GuardedApaMatmul::from_matmul(
+        ApaMatmul::new(catalog::bini322())
+            .strategy(Strategy::Seq)
+            .threads(1),
+    )
 }
 
 /// Healthy-call APA error level for bini322 at the default λ — the bar a
@@ -165,7 +167,7 @@ fn panicked_lane_surfaces_as_a_typed_error_and_the_next_multiply_succeeds() {
     let a = probe(64, 48, 11);
     let b = probe(48, 40, 12);
     let expect = matmul_naive(a.as_ref(), b.as_ref());
-    let mm = ClassicalMatmul::new().threads(2);
+    let mm = ApaMatmul::classical().threads(2);
     let mut c = Mat::<f32>::zeros(64, 40);
 
     // Arm the one-shot lane switch directly: the next gemm lane dequeued
@@ -196,9 +198,11 @@ fn guard_absorbs_a_lane_panic_by_demoting() {
     let expect = matmul_naive(a.as_ref(), b.as_ref());
     // Parallel execution so a worker lane actually exists to kill; the
     // hybrid schedule must unwind out of its barrier, not deadlock.
-    let mm = GuardedApaMatmul::new(catalog::bini322())
-        .strategy(Strategy::Hybrid)
-        .threads(2);
+    let mm = GuardedApaMatmul::from_matmul(
+        ApaMatmul::new(catalog::bini322())
+            .strategy(Strategy::Hybrid)
+            .threads(2),
+    );
     fault::install(&[Fault {
         at_call: 0,
         kind: FaultKind::PanicInLane,
@@ -226,10 +230,12 @@ fn stalled_lane_trips_the_watchdog_and_demotes() {
     let a = probe(64, 48, 15);
     let b = probe(48, 40, 16);
     let expect = matmul_naive(a.as_ref(), b.as_ref());
-    let mm = GuardedApaMatmul::new(catalog::bini322())
-        .strategy(Strategy::Hybrid)
-        .threads(2)
-        .watchdog(Duration::from_millis(100));
+    let mm = GuardedApaMatmul::from_matmul(
+        ApaMatmul::new(catalog::bini322())
+            .strategy(Strategy::Hybrid)
+            .threads(2),
+    )
+    .watchdog(Duration::from_millis(100));
     // The one-shot stall holds the first lane dequeued for 1.5 s — far
     // past the 100 ms deadline — so rung 0 times out and the call lands
     // on a lower rung (the stall switch is consumed; the retry is clean).

@@ -193,34 +193,44 @@ fn warmed_shapes_are_allocation_free_from_the_first_call() {
     // `warm` pre-builds the workspaces and settles the pack buffers, so
     // the first *real* multiply on every declared shape is already
     // allocation-free — the contract the apa-serve lane workers rely on.
-    let mm = ApaMatmul::new(catalog::by_name("bini322").unwrap())
+    // Depth 0 (classical) has no workspace, only the pack buffers to settle.
+    let apa = ApaMatmul::new(catalog::by_name("bini322").unwrap())
         .strategy(Strategy::Seq)
         .threads(1);
+    let classical = ApaMatmul::classical();
     let shapes = [(16, 24, 30), (8, 24, 30), (16, 30, 10)];
-    mm.warm::<f32>(&shapes);
+    for (what, mm, cached) in [("bini322", apa, shapes.len()), ("classical", classical, 0)] {
+        // A fresh thread each: pack buffers are thread-local, so the
+        // second multiplier must not inherit the first one's.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                mm.warm::<f32>(&shapes);
+                let mut operands: Vec<(Mat<f32>, Mat<f32>, Mat<f32>)> = shapes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(m, k, n))| {
+                        (
+                            probe(m, k, 2 * i as u64 + 71),
+                            probe(k, n, 2 * i as u64 + 72),
+                            Mat::zeros(m, n),
+                        )
+                    })
+                    .collect();
 
-    let mut operands: Vec<(Mat<f32>, Mat<f32>, Mat<f32>)> = shapes
-        .iter()
-        .enumerate()
-        .map(|(i, &(m, k, n))| {
-            (
-                probe(m, k, 2 * i as u64 + 71),
-                probe(k, n, 2 * i as u64 + 72),
-                Mat::zeros(m, n),
-            )
-        })
-        .collect();
-
-    let before = thread_allocation_counters();
-    for (a, b, c) in &mut operands {
-        mm.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+                let before = thread_allocation_counters();
+                for (a, b, c) in &mut operands {
+                    mm.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+                }
+                let delta = thread_allocation_counters().since(before);
+                assert_eq!(
+                    delta.calls, 0,
+                    "{what}: first calls on warmed shapes allocated: {} allocations ({} bytes)",
+                    delta.calls, delta.bytes
+                );
+            });
+        });
+        assert_eq!(mm.cached_workspaces(), cached, "{what}");
     }
-    let delta = thread_allocation_counters().since(before);
-    assert_eq!(
-        delta.calls, 0,
-        "first calls on warmed shapes allocated: {} allocations ({} bytes)",
-        delta.calls, delta.bytes
-    );
 }
 
 #[test]
@@ -257,13 +267,15 @@ fn warmed_guarded_shapes_are_allocation_free_from_the_first_call() {
     // The guarded variant also pre-sizes the probe scratch, the per-rung
     // stats and the per-shape ladder state, so the first sentinel-guarded
     // call — probe included — allocates nothing.
-    let guard = GuardedApaMatmul::new(catalog::by_name("bini322").unwrap())
-        .strategy(Strategy::Seq)
-        .threads(1)
-        .sentinel(SentinelConfig {
-            probe_every: 1,
-            ..SentinelConfig::default()
-        });
+    let guard = GuardedApaMatmul::from_matmul(
+        ApaMatmul::new(catalog::by_name("bini322").unwrap())
+            .strategy(Strategy::Seq)
+            .threads(1),
+    )
+    .sentinel(SentinelConfig {
+        probe_every: 1,
+        ..SentinelConfig::default()
+    });
     let shapes = [(32, 28, 34), (16, 28, 34)];
     guard.warm::<f32>(&shapes);
 
@@ -292,13 +304,15 @@ fn warm_guarded_multiplication_does_not_allocate() {
     // The sentinel's probe scratch is grow-only and the ladder is built
     // once, so a warm guarded multiply — probe included on every call —
     // must preserve the engine's zero-allocation invariant.
-    let guard = GuardedApaMatmul::new(catalog::by_name("bini322").unwrap())
-        .strategy(Strategy::Seq)
-        .threads(1)
-        .sentinel(SentinelConfig {
-            probe_every: 1,
-            ..SentinelConfig::default()
-        });
+    let guard = GuardedApaMatmul::from_matmul(
+        ApaMatmul::new(catalog::by_name("bini322").unwrap())
+            .strategy(Strategy::Seq)
+            .threads(1),
+    )
+    .sentinel(SentinelConfig {
+        probe_every: 1,
+        ..SentinelConfig::default()
+    });
     let a = probe(40, 28, 31);
     let b = probe(28, 34, 32);
     let mut c = Mat::zeros(40, 34);

@@ -7,9 +7,7 @@
 
 use apa_core::BilinearAlgorithm;
 use apa_gemm::{Mat, MatMut, MatRef};
-use apa_matmul::{
-    ApaMatmul, ClassicalMatmul, GuardedApaMatmul, HealthStats, PeelMode, QualityOverride, Strategy,
-};
+use apa_matmul::{ApaMatmul, GuardedApaMatmul, HealthStats, PeelMode, QualityOverride, Strategy};
 use std::sync::Arc;
 
 /// A matrix-multiplication provider used by network layers. All NN compute
@@ -49,33 +47,10 @@ pub trait MatmulBackend: Send + Sync {
     }
 }
 
-/// The classical baseline: a direct call into the blocked gemm ("custom
+/// An APA (or exact fast) backend wrapping a configured [`ApaMatmul`] —
+/// the classical baseline included: [`classical`] wraps
+/// [`ApaMatmul::classical`], a direct call into the blocked gemm ("custom
 /// classical operator that directly calls gemm", §4.1).
-pub struct ClassicalBackend {
-    inner: ClassicalMatmul,
-    threads: usize,
-}
-
-impl ClassicalBackend {
-    pub fn new(threads: usize) -> Self {
-        Self {
-            inner: ClassicalMatmul::new().threads(threads),
-            threads,
-        }
-    }
-}
-
-impl MatmulBackend for ClassicalBackend {
-    fn matmul_into(&self, a: MatRef<'_, f32>, b: MatRef<'_, f32>, c: MatMut<'_, f32>) {
-        self.inner.multiply_into(a, b, c);
-    }
-
-    fn name(&self) -> String {
-        format!("classical(t={})", self.threads)
-    }
-}
-
-/// An APA (or exact fast) backend wrapping a configured [`ApaMatmul`].
 ///
 /// Because [`ApaMatmul::multiply_into`] caches execution workspaces keyed
 /// by shape, a layer that multiplies the same shapes every training step
@@ -210,12 +185,13 @@ pub struct PlannedBackend {
     threads: usize,
     target_error: f64,
     guarded: bool,
-    slots: std::sync::Mutex<std::collections::HashMap<(usize, usize, usize), Arc<PlannedSlot>>>,
+    slots: std::sync::Mutex<std::collections::HashMap<(usize, usize, usize), PlannedSlot>>,
 }
 
+#[derive(Clone)]
 enum PlannedSlot {
-    Exec(apa_planner::PlanExec),
-    Guarded(Box<GuardedApaMatmul>),
+    Plain(Arc<ApaMatmul>),
+    Guarded(Arc<GuardedApaMatmul>),
 }
 
 impl PlannedBackend {
@@ -242,7 +218,7 @@ impl PlannedBackend {
         self
     }
 
-    fn slot(&self, shape: (usize, usize, usize)) -> Arc<PlannedSlot> {
+    fn slot(&self, shape: (usize, usize, usize)) -> PlannedSlot {
         if let Some(slot) = self.slots.lock().unwrap().get(&shape) {
             return slot.clone();
         }
@@ -258,14 +234,12 @@ impl PlannedBackend {
                 apa_planner::Robustness::Plain
             });
         let plan = apa_planner::compile(&req);
-        let slot = Arc::new(if self.guarded && !plan.is_classical() {
-            use apa_planner::FromPlan;
-            PlannedSlot::Guarded(Box::new(
-                GuardedApaMatmul::from_plan(&plan).expect("non-classical plan"),
-            ))
+        let mm = plan.to_matmul().expect("compiled plan builds");
+        let slot = if self.guarded && !plan.is_classical() {
+            PlannedSlot::Guarded(Arc::new(GuardedApaMatmul::from_matmul(mm)))
         } else {
-            PlannedSlot::Exec(plan.build().expect("compiled plan builds"))
-        });
+            PlannedSlot::Plain(Arc::new(mm))
+        };
         self.slots
             .lock()
             .unwrap()
@@ -282,8 +256,8 @@ impl PlannedBackend {
             .unwrap()
             .iter()
             .map(|(&shape, slot)| {
-                let rule = match slot.as_ref() {
-                    PlannedSlot::Exec(exec) => exec.rule_name().to_string(),
+                let rule = match slot {
+                    PlannedSlot::Plain(mm) => mm.algorithm().name.clone(),
                     PlannedSlot::Guarded(g) => format!("guarded-{}", g.base().algorithm().name),
                 };
                 (shape, rule)
@@ -296,9 +270,8 @@ impl PlannedBackend {
 
 impl MatmulBackend for PlannedBackend {
     fn matmul_into(&self, a: MatRef<'_, f32>, b: MatRef<'_, f32>, c: MatMut<'_, f32>) {
-        let slot = self.slot((a.rows(), a.cols(), b.cols()));
-        match slot.as_ref() {
-            PlannedSlot::Exec(exec) => exec.multiply_into(a, b, c),
+        match self.slot((a.rows(), a.cols(), b.cols())) {
+            PlannedSlot::Plain(mm) => mm.multiply_into(a, b, c),
             PlannedSlot::Guarded(guard) => guard.multiply_into(a, b, c),
         }
     }
@@ -317,8 +290,8 @@ impl MatmulBackend for PlannedBackend {
             if shape.0 == 0 || shape.1 == 0 || shape.2 == 0 {
                 continue;
             }
-            match self.slot(shape).as_ref() {
-                PlannedSlot::Exec(exec) => exec.warm::<f32>(&[shape]),
+            match self.slot(shape) {
+                PlannedSlot::Plain(mm) => mm.warm::<f32>(&[shape]),
                 PlannedSlot::Guarded(guard) => guard.warm::<f32>(&[shape]),
             }
         }
@@ -330,7 +303,9 @@ pub type Backend = Arc<dyn MatmulBackend>;
 
 /// Convenience constructors.
 pub fn classical(threads: usize) -> Backend {
-    Arc::new(ClassicalBackend::new(threads))
+    Arc::new(ApaBackend::from_matmul(
+        ApaMatmul::classical().threads(threads),
+    ))
 }
 
 pub fn apa(alg: BilinearAlgorithm, threads: usize) -> Backend {

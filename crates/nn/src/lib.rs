@@ -30,8 +30,8 @@ pub mod tensor;
 pub mod vgg;
 
 pub use backend::{
-    apa, classical, guarded, planned, planned_guarded, ApaBackend, Backend, ClassicalBackend,
-    GuardedBackend, MatmulBackend, PlannedBackend,
+    apa, classical, guarded, planned, planned_guarded, ApaBackend, Backend, GuardedBackend,
+    MatmulBackend, PlannedBackend,
 };
 pub use checkpoint::{
     CheckpointError, CheckpointManager, CheckpointedTrainer, EpochProgress, LayerState, TrainState,

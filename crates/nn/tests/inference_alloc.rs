@@ -7,10 +7,18 @@
 //! `apa-serve` lane workers rely on for per-request latency.
 
 use apa_gemm::{thread_allocation_counters, Mat};
-use apa_nn::{classical, guarded, Backend, InferenceScratch, Mlp};
+use apa_nn::{classical, guarded, planned, Backend, InferenceScratch, Mlp};
 
 #[global_allocator]
 static ALLOC: apa_gemm::CountingAlloc = apa_gemm::CountingAlloc;
+
+/// A guarded backend installs the process-global ABFT session for the
+/// length of each multiply; a leaf gemm on *any* thread then runs checked
+/// and grows that thread's checksum scratch. So the tests serialize.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    M.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn probe(rows: usize, cols: usize, seed: u64) -> Mat<f32> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -47,12 +55,14 @@ fn assert_warm_inference_is_allocation_free(net: &Mlp, batch: usize, what: &str)
 
 #[test]
 fn warm_classical_inference_does_not_allocate() {
+    let _serial = serial();
     let net = Mlp::new(&[24, 32, 32, 10], vec![classical(1); 3], 11);
     assert_warm_inference_is_allocation_free(&net, 16, "classical 24-32-32-10");
 }
 
 #[test]
 fn warm_guarded_apa_inference_does_not_allocate() {
+    let _serial = serial();
     // The guarded backend's ladder, workspace cache and probe scratch are
     // all grow-only, so the sentinel-guarded serving path must preserve
     // the invariant too (probes sample at the default rate).
@@ -60,4 +70,39 @@ fn warm_guarded_apa_inference_does_not_allocate() {
     let backends: Vec<Backend> = vec![classical(1), hidden, classical(1)];
     let net = Mlp::new(&[24, 30, 30, 10], backends, 13);
     assert_warm_inference_is_allocation_free(&net, 30, "guarded-bini322 24-30-30-10");
+}
+
+#[test]
+fn warmed_backends_are_allocation_free_from_the_first_multiply() {
+    // The `MatmulBackend::warm` contract: after `warm(&[shape])` the first
+    // real multiply on that shape allocates nothing. Pack buffers are
+    // thread-local, so each backend runs on a fresh thread.
+    let _serial = serial();
+    let (m, k, n) = (16, 300, 200);
+    let backends: Vec<Backend> = vec![
+        classical(1),
+        guarded(apa_core::catalog::bini322(), 1),
+        planned(1),
+    ];
+    for backend in &backends {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                backend.warm(&[(m, k, n)]);
+                let a = probe(m, k, 21);
+                let b = probe(k, n, 22);
+                let mut c = Mat::zeros(m, n);
+                let before = thread_allocation_counters();
+                backend.matmul_into(a.as_ref(), b.as_ref(), c.as_mut());
+                let delta = thread_allocation_counters().since(before);
+                assert_eq!(
+                    delta.calls,
+                    0,
+                    "{}: first multiply after warm made {} allocations ({} bytes)",
+                    backend.name(),
+                    delta.calls,
+                    delta.bytes
+                );
+            });
+        });
+    }
 }

@@ -15,9 +15,7 @@ use crate::request::{DType, PlanRequest};
 use crate::store::{Calibration, PlanStore};
 use apa_core::{brent, catalog, error_model};
 use apa_gemm::Mat;
-use apa_matmul::{
-    plan_additions, ApaMatmul, ClassicalMatmul, ExecPlan, FusionPolicy, GuardedApaMatmul, Strategy,
-};
+use apa_matmul::{plan_additions, ApaMatmul, ExecPlan, FusionPolicy, Strategy};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
@@ -57,91 +55,17 @@ pub struct CompiledPlan {
 pub enum PlanError {
     /// The plan names a rule this build's catalog does not contain.
     UnknownRule { rule: String },
-    /// The plan is classical; there is no [`ApaMatmul`] to build. Use
-    /// [`CompiledPlan::build`] to get the [`PlanExec`] wrapper instead.
-    ClassicalPlan,
 }
 
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::UnknownRule { rule } => write!(f, "unknown catalog rule {rule:?}"),
-            PlanError::ClassicalPlan => {
-                write!(f, "plan is classical; build() it instead of to_matmul()")
-            }
         }
     }
 }
 
 impl std::error::Error for PlanError {}
-
-/// The executable a plan builds to: an approximating multiplier or the
-/// classical baseline, behind one calling surface. The `ApaMatmul` is
-/// boxed — it carries the full execution plan, hundreds of bytes next
-/// to the `Copy` classical config.
-#[derive(Debug)]
-pub enum PlanExec {
-    Apa(Box<ApaMatmul>),
-    Classical(ClassicalMatmul),
-}
-
-impl PlanExec {
-    pub fn multiply_into<T: apa_gemm::Scalar>(
-        &self,
-        a: apa_gemm::MatRef<'_, T>,
-        b: apa_gemm::MatRef<'_, T>,
-        c: apa_gemm::MatMut<'_, T>,
-    ) {
-        match self {
-            PlanExec::Apa(mm) => mm.multiply_into(a, b, c),
-            PlanExec::Classical(mm) => mm.multiply_into(a, b, c),
-        }
-    }
-
-    pub fn multiply<T: apa_gemm::Scalar>(
-        &self,
-        a: apa_gemm::MatRef<'_, T>,
-        b: apa_gemm::MatRef<'_, T>,
-    ) -> Mat<T> {
-        match self {
-            PlanExec::Apa(mm) => mm.multiply(a, b),
-            PlanExec::Classical(mm) => mm.multiply(a, b),
-        }
-    }
-
-    /// Pre-build workspaces for the given shapes (no-op for classical).
-    pub fn warm<T: apa_gemm::Scalar>(&self, shapes: &[(usize, usize, usize)]) {
-        if let PlanExec::Apa(mm) = self {
-            mm.warm::<T>(shapes);
-        }
-    }
-
-    pub fn rule_name(&self) -> &str {
-        match self {
-            PlanExec::Apa(mm) => &mm.plan().name,
-            PlanExec::Classical(_) => CLASSICAL_RULE,
-        }
-    }
-}
-
-/// Build an executor straight from a [`CompiledPlan`] — implemented for
-/// [`ApaMatmul`] and [`GuardedApaMatmul`] so existing call sites can
-/// adopt the compiler without changing their executor type.
-pub trait FromPlan: Sized {
-    fn from_plan(plan: &CompiledPlan) -> Result<Self, PlanError>;
-}
-
-impl FromPlan for ApaMatmul {
-    fn from_plan(plan: &CompiledPlan) -> Result<Self, PlanError> {
-        plan.to_matmul()
-    }
-}
-
-impl FromPlan for GuardedApaMatmul {
-    fn from_plan(plan: &CompiledPlan) -> Result<Self, PlanError> {
-        Ok(GuardedApaMatmul::from_matmul(plan.to_matmul()?))
-    }
-}
 
 fn strategy_code(s: Strategy) -> u8 {
     match s {
@@ -186,10 +110,13 @@ impl CompiledPlan {
 
     /// Reduce to the explicit hand-flagged [`ApaMatmul`] configuration —
     /// the escape-hatch/equivalence contract: a compiled plan is nothing
-    /// the builder could not express.
+    /// the builder could not express. A classical plan is
+    /// [`ApaMatmul::classical`] on the plan's threads; its recorded
+    /// strategy is not applied, since depth 0 has no sub-products to
+    /// schedule and `Seq` would take its lanes away.
     pub fn to_matmul(&self) -> Result<ApaMatmul, PlanError> {
         if self.is_classical() {
-            return Err(PlanError::ClassicalPlan);
+            return Ok(ApaMatmul::classical().threads(self.threads));
         }
         let alg = catalog::by_name(&self.rule).ok_or_else(|| PlanError::UnknownRule {
             rule: self.rule.clone(),
@@ -203,17 +130,6 @@ impl CompiledPlan {
             .threads(self.threads)
             .fusion(self.fusion)
             .cse(self.cse))
-    }
-
-    /// Build the executor, classical plans included.
-    pub fn build(&self) -> Result<PlanExec, PlanError> {
-        if self.is_classical() {
-            Ok(PlanExec::Classical(
-                ClassicalMatmul::new().threads(self.threads),
-            ))
-        } else {
-            Ok(PlanExec::Apa(Box::new(self.to_matmul()?)))
-        }
     }
 
     /// Stable binary encoding (bitwise round-trip; see the store docs).
@@ -603,7 +519,7 @@ fn measured_env() -> bool {
 }
 
 fn measure_candidate(plan: &CompiledPlan, shape: (usize, usize, usize), dtype: DType) -> f64 {
-    fn time_one<T: apa_gemm::Scalar>(exec: &PlanExec, (m, k, n): (usize, usize, usize)) -> f64 {
+    fn time_one<T: apa_gemm::Scalar>(exec: &ApaMatmul, (m, k, n): (usize, usize, usize)) -> f64 {
         let a = Mat::<T>::from_fn(m, k, |i, j| {
             T::from_f64(((i * 31 + j * 7) % 13) as f64 * 0.05)
         });
@@ -620,7 +536,7 @@ fn measure_candidate(plan: &CompiledPlan, shape: (usize, usize, usize), dtype: D
         }
         best
     }
-    match plan.build() {
+    match plan.to_matmul() {
         Ok(exec) => match dtype {
             DType::F32 => time_one::<f32>(&exec, shape),
             DType::F64 => time_one::<f64>(&exec, shape),
@@ -705,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn classical_plan_builds_but_has_no_matmul() {
+    fn classical_plan_builds_a_depth_zero_matmul() {
         let plan = CompiledPlan {
             rule: CLASSICAL_RULE.to_string(),
             steps: 0,
@@ -719,8 +635,12 @@ mod tests {
             additions_before: 0,
             additions_after: 0,
         };
-        assert_eq!(plan.to_matmul().unwrap_err(), PlanError::ClassicalPlan);
-        assert!(matches!(plan.build().unwrap(), PlanExec::Classical(_)));
+        let mm = plan.to_matmul().unwrap();
+        assert_eq!(mm.algorithm().name, CLASSICAL_RULE);
+        assert_eq!(mm.current_steps(), 0);
+        // The plan's lanes survive: its recorded `Seq` is not applied.
+        assert_eq!(mm.current_threads(), 2);
+        assert_ne!(mm.current_strategy(), Strategy::Seq);
     }
 
     #[test]
@@ -791,8 +711,8 @@ mod tests {
         let plan = compiler.compile(&req);
         assert!(!plan.is_classical(), "expected an APA rule, got classical");
         assert!(plan.predicted_error <= 1e-2);
-        let exec = plan.build().unwrap();
-        assert_eq!(exec.rule_name(), plan.rule);
+        let exec = plan.to_matmul().unwrap();
+        assert_eq!(exec.algorithm().name, plan.rule);
     }
 
     #[test]
@@ -853,11 +773,11 @@ mod tests {
         let compiler = PlanCompiler::new();
         let req = PlanRequest::new(128, 128, 128).target_error(1e-2);
         let plan = compiler.compile(&req);
-        let exec = plan.build().unwrap();
+        let exec = plan.to_matmul().unwrap();
         let a = Mat::<f32>::from_fn(128, 128, |i, j| ((i * 13 + j * 5) % 17) as f32 * 0.03);
         let b = Mat::<f32>::from_fn(128, 128, |i, j| ((i * 7 + j * 11) % 19) as f32 * 0.02);
         let got = exec.multiply(a.as_ref(), b.as_ref());
-        let exact = ClassicalMatmul::new().multiply(a.as_ref(), b.as_ref());
+        let exact = ApaMatmul::classical().multiply(a.as_ref(), b.as_ref());
         let mut num = 0.0f64;
         let mut den = 0.0f64;
         for i in 0..128 {

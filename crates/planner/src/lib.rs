@@ -41,7 +41,7 @@ pub mod request;
 pub mod stats;
 pub mod store;
 
-pub use compiler::{compile, global, CompiledPlan, FromPlan, PlanCompiler, PlanError, PlanExec};
+pub use compiler::{compile, global, CompiledPlan, PlanCompiler, PlanError};
 pub use cost::MachineModel;
 pub use request::{DType, PlanRequest, Robustness};
 pub use stats::{cache_counts, cache_report};

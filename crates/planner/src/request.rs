@@ -102,14 +102,6 @@ impl PlanRequest {
         self
     }
 
-    /// Size the thread budget to this machine: `APA_THREADS` when set,
-    /// otherwise one lane per physical core (see
-    /// [`apa_gemm::default_threads`]).
-    pub fn auto_threads(self) -> Self {
-        let lanes = apa_gemm::default_threads();
-        self.threads(lanes)
-    }
-
     pub fn robustness(mut self, robustness: Robustness) -> Self {
         self.robustness = robustness;
         self
@@ -144,10 +136,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_threads_matches_the_machine_budget() {
-        let req = PlanRequest::new(128, 128, 128).auto_threads();
-        assert_eq!(req.threads, apa_gemm::default_threads());
-        assert!(req.threads >= 1);
+    fn thread_budget_is_at_least_one() {
+        assert_eq!(PlanRequest::new(128, 128, 128).threads, 1);
+        assert_eq!(PlanRequest::new(128, 128, 128).threads(0).threads, 1);
+        let machine = apa_gemm::default_threads();
+        assert_eq!(
+            PlanRequest::new(128, 128, 128).threads(machine).threads,
+            machine
+        );
     }
 
     #[test]

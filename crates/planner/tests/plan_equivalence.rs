@@ -1,17 +1,19 @@
 //! The compiler's equivalence contract (ISSUE 9 satellite):
 //!
 //! * a [`CompiledPlan`] is *nothing the hand-flagged builder could not
-//!   express* — building through `to_matmul()`/`build()` must be bitwise
-//!   identical to spelling the same knobs out on `ApaMatmul` directly,
-//!   across catalog rules × shapes × thread counts;
+//!   express* — building through `to_matmul()` must be bitwise identical
+//!   to spelling the same knobs out on `ApaMatmul` directly, across
+//!   catalog rules × shapes × thread counts, and a classical plan must be
+//!   bitwise the gemm leaf itself;
 //! * the addition-CSE rewrite is pure reassociation — CSE-on output must
 //!   stay within the PR-5 fusion-equivalence tolerance of CSE-off (both
 //!   share the identical approximation error; only summation order of
 //!   the linear combinations differs).
 
 use apa_core::catalog;
-use apa_matmul::{ApaMatmul, ClassicalMatmul, FusionPolicy, Strategy};
-use apa_planner::{CompiledPlan, PlanCompiler, PlanExec, PlanRequest};
+use apa_gemm::Par;
+use apa_matmul::{ApaMatmul, FusionPolicy, Strategy};
+use apa_planner::{CompiledPlan, PlanCompiler, PlanRequest};
 use proptest::prelude::*;
 
 fn rand_mat<T: apa_gemm::Scalar>(rows: usize, cols: usize, seed: u64) -> apa_gemm::Mat<T> {
@@ -117,17 +119,18 @@ proptest! {
     ) {
         let req = PlanRequest::new(m, k, n).threads(threads);
         let plan = PlanCompiler::new().compile(&req);
-        let exec = plan.build().unwrap();
+        let exec = plan.to_matmul().unwrap();
 
         let a = rand_mat::<f32>(m, k, seed);
         let b = rand_mat::<f32>(k, n, seed ^ 0x5EED);
         let got = exec.multiply(a.as_ref(), b.as_ref());
 
         let want = if plan.is_classical() {
-            prop_assert!(matches!(exec, PlanExec::Classical(_)));
-            ClassicalMatmul::new()
-                .threads(plan.threads)
-                .multiply(a.as_ref(), b.as_ref())
+            // Depth 0 is one call of the gemm leaf on the plan's lanes.
+            let par = if plan.threads > 1 { Par::Threads(plan.threads) } else { Par::Seq };
+            let mut c = apa_gemm::Mat::zeros(m, n);
+            apa_gemm::gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), par);
+            c
         } else {
             let alg = catalog::by_name(&plan.rule).unwrap();
             ApaMatmul::new(alg)
@@ -161,7 +164,7 @@ proptest! {
 
         let a = rand_mat::<f64>(m, k, seed);
         let b = rand_mat::<f64>(k, n, seed ^ 0xC5E);
-        let exact = ClassicalMatmul::new().multiply(a.as_ref(), b.as_ref());
+        let exact = ApaMatmul::classical().multiply(a.as_ref(), b.as_ref());
 
         let off = ApaMatmul::new(alg.clone()).strategy(strategy).cse(false);
         let on = off.clone().cse(true);

@@ -44,7 +44,7 @@ fn main() {
     let n = 1008; // divisible by Bini ⊗ Strassen level dims (6, 4, 4)
     let a = random(n, 1);
     let b = random(n, 2);
-    let classical = ClassicalMatmul::new();
+    let classical = ApaMatmul::classical();
     let t0 = std::time::Instant::now();
     let c_ref = classical.multiply(a.as_ref(), b.as_ref());
     let t_classical = t0.elapsed().as_secs_f64();

@@ -26,7 +26,7 @@ fn main() {
     let b = random(n, 2);
 
     // 1. Classical baseline (the MKL-role blocked gemm).
-    let classical = ClassicalMatmul::new();
+    let classical = ApaMatmul::classical();
     let t0 = Instant::now();
     let c_ref = classical.multiply(a.as_ref(), b.as_ref());
     let t_classical = t0.elapsed().as_secs_f64();

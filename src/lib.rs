@@ -44,7 +44,7 @@ pub use apa_serve as serve;
 pub mod prelude {
     pub use apa_core::{catalog, error_model, BilinearAlgorithm, Dims};
     pub use apa_gemm::{Mat, MatMut, MatRef, Par};
-    pub use apa_matmul::{ApaMatmul, ClassicalMatmul, PeelMode, Strategy};
+    pub use apa_matmul::{ApaMatmul, PeelMode, Strategy};
     pub use apa_nn::{accuracy_network, apa, classical, performance_network, Mlp, Vgg19Fc};
     pub use apa_planner::{CompiledPlan, PlanCompiler, PlanRequest};
     pub use apa_serve::{InferenceService, Replica, ServeConfig, ServeError};

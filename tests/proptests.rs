@@ -3,7 +3,7 @@
 //! and transformation correctness on randomized inputs.
 
 use apa_repro::core::{brent, catalog, transform, Dims, Laurent};
-use apa_repro::gemm::{combine, gemm_st, matmul, matmul_naive, Mat};
+use apa_repro::gemm::{combine, gemm, gemm_st, matmul, matmul_naive, Mat, Par};
 use apa_repro::matmul::{ApaMatmul, Strategy as ExecStrategy};
 use proptest::prelude::*;
 
@@ -112,7 +112,7 @@ proptest! {
     #[test]
     fn workspace_reuse_is_bitwise_identical_to_allocate_per_call(
         m in 1usize..36, k in 1usize..36, n in 1usize..36,
-        seed in 0u64..1000, strat in 0usize..4, threads in 1usize..4
+        seed in 0u64..1000, strat in 0usize..4, threads in 1usize..4, steps in 0u32..2
     ) {
         let strategy = [ExecStrategy::Seq, ExecStrategy::Dfs, ExecStrategy::Bfs, ExecStrategy::Hybrid][strat];
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(7);
@@ -122,9 +122,24 @@ proptest! {
         };
         let a = Mat::from_fn(m, k, |_, _| next());
         let b = Mat::from_fn(k, n, |_, _| next());
-        let mm = ApaMatmul::new(catalog::bini322()).strategy(strategy).threads(threads);
+        let mm = ApaMatmul::new(catalog::bini322()).steps(steps).strategy(strategy).threads(threads);
         let mut fresh = Mat::zeros(m, n);
         mm.multiply_into_uncached(a.as_ref(), b.as_ref(), fresh.as_mut());
+        if steps == 0 {
+            // Depth 0 is the gemm leaf itself, at the strategy's parallelism.
+            let par = if strategy == ExecStrategy::Seq || threads == 1 {
+                Par::Seq
+            } else {
+                Par::Threads(threads)
+            };
+            let mut leaf = Mat::zeros(m, n);
+            gemm(1.0, a.as_ref(), b.as_ref(), 0.0, leaf.as_mut(), par);
+            for i in 0..m {
+                for j in 0..n {
+                    prop_assert_eq!(fresh.at(i, j).to_bits(), leaf.at(i, j).to_bits());
+                }
+            }
+        }
         let mut cached = Mat::zeros(m, n);
         // Twice through the cached path: the second call runs on a warm
         // (reused) workspace and must still match bit for bit.
@@ -134,7 +149,7 @@ proptest! {
                 for j in 0..n {
                     prop_assert_eq!(
                         cached.at(i, j).to_bits(), fresh.at(i, j).to_bits(),
-                        "round {} at ({}, {}) under {:?}", round, i, j, strategy
+                        "round {} at ({}, {}) under {:?}, steps {}", round, i, j, strategy, steps
                     );
                 }
             }
