@@ -11,7 +11,8 @@
 //!   B-side operand-combination rounding never enters the residual and no
 //!   second pass over the B sources is needed — and after each
 //!   register-tile sweep the driver folds
-//!   `Σ_p A[i, p] · b_sum[p]` (read from the **source** A rows — so any
+//!   `Σ_p A[i, p] · b_sum[p]` (read from the **source** A rows, or the
+//!   contiguous columns of a transposed A — so any
 //!   later corruption of the packed panels, the kernel, or the C tile
 //!   shifts the observed sum away from this expectation) into a per-row
 //!   expected-update vector. Once a `(jc, ic)` block has seen all of k,
@@ -623,7 +624,9 @@ impl<T: Scalar> AbftBufs<T> {
             self.snap.reserve(m * n);
             let cref = c.as_ref();
             for i in 0..m {
-                self.snap.extend_from_slice(cref.row(i));
+                // SAFETY: a view of a `MatMut` is plain, and i < m = rows.
+                self.snap
+                    .extend_from_slice(unsafe { cref.row_unchecked(i) });
             }
             self.snap_cols = n;
         }
@@ -639,6 +642,7 @@ impl<T: Scalar> AbftBufs<T> {
     /// source row of the (possibly multi-term) A operand,
     /// `dot_row[i] += Σ_p A[i,p] · b_sum[p]` plus the abs companion.
     /// O(mc·kc) fused f64 work — a `1/nc` fraction of the kernel flops.
+    /// A transposed source is folded a contiguous column at a time.
     pub(crate) fn accum_rows(
         &mut self,
         terms: &[(T, crate::matrix::MatRef<'_, T>)],
@@ -650,11 +654,43 @@ impl<T: Scalar> AbftBufs<T> {
         for &(cf, src) in terms {
             let cfd = cf.to_f64();
             let acf = cfd.abs();
+            if src.is_transposed() {
+                self.accum_cols(cfd, src, ic, pc, mc, kc);
+                continue;
+            }
             for i in 0..mc {
-                let row = &src.row(ic + i)[pc..pc + kc];
+                // SAFETY: plain (checked above), and ic + i < ic + mc ≤ rows.
+                let row = &unsafe { src.row_unchecked(ic + i) }[pc..pc + kc];
                 let (d, g) = row_dot_mag_fast(row, &self.b_sum, &self.b_mag);
                 self.dot_row[ic + i] += cfd * d;
                 self.mag_row[ic + i] += acf * g;
+            }
+        }
+    }
+
+    /// [`Self::accum_rows`] for one transposed source (coefficient `cf`):
+    /// column `p` of the block is a contiguous source row, folded into
+    /// every row's expectation at once. Out of line (one call per block),
+    /// so the blocked driver's loop nest compiles as it did without it.
+    #[inline(never)]
+    fn accum_cols(
+        &mut self,
+        cf: f64,
+        src: crate::matrix::MatRef<'_, T>,
+        ic: usize,
+        pc: usize,
+        mc: usize,
+        kc: usize,
+    ) {
+        let dot = &mut self.dot_row[ic..ic + mc];
+        let mag = &mut self.mag_row[ic..ic + mc];
+        for p in 0..kc {
+            let (w, wm) = (cf * self.b_sum[p], cf.abs() * self.b_mag[p]);
+            let col = &src.col(pc + p)[ic..ic + mc];
+            for ((d, g), &v) in dot.iter_mut().zip(mag.iter_mut()).zip(col) {
+                let v = v.to_f64();
+                *d += v * w;
+                *g += v.abs() * wm;
             }
         }
     }
@@ -680,7 +716,9 @@ impl<T: Scalar> AbftBufs<T> {
         resize0(&mut self.obs_row, mc);
         let cref = c.as_ref();
         for i in 0..mc {
-            self.obs_row[i] = row_sum_abs_fast(&cref.row(ic + i)[jc..jc + nc]).0;
+            // SAFETY: a view of a `MatMut` is plain, and ic + i < rows.
+            let row = unsafe { cref.row_unchecked(ic + i) };
+            self.obs_row[i] = row_sum_abs_fast(&row[jc..jc + nc]).0;
         }
         let with_pre = be != 0.0;
         if with_pre {
@@ -742,7 +780,7 @@ impl<T: Scalar> AbftBufs<T> {
             for p in 0..k {
                 let mut v = 0.0f64;
                 for &(cf, src) in a_terms {
-                    v += cf.to_f64() * src.row(ic + i)[p].to_f64();
+                    v += cf.to_f64() * src.at(ic + i, p).to_f64();
                 }
                 self.loc_a_sum[p] += v;
                 self.loc_a_mag[p] += v.abs();
@@ -757,7 +795,7 @@ impl<T: Scalar> AbftBufs<T> {
             for j in 0..nc {
                 let mut bv = 0.0f64;
                 for &(cf, src) in b_terms {
-                    bv += cf.to_f64() * src.row(p)[jc + j].to_f64();
+                    bv += cf.to_f64() * src.at(p, jc + j).to_f64();
                 }
                 self.dot_col[j] += asp * bv;
                 self.mag_col[j] += amp * bv.abs();
@@ -768,7 +806,9 @@ impl<T: Scalar> AbftBufs<T> {
         resize0(&mut self.obs_col, nc);
         let cref = c.as_ref();
         for i in 0..mc {
-            for (j, &v) in cref.row(ic + i)[jc..jc + nc].iter().enumerate() {
+            // SAFETY: a view of a `MatMut` is plain, and ic + i < rows.
+            let row = unsafe { cref.row_unchecked(ic + i) };
+            for (j, &v) in row[jc..jc + nc].iter().enumerate() {
                 self.obs_col[j] += v.to_f64();
             }
         }

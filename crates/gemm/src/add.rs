@@ -14,19 +14,112 @@ use crate::pool::{pool, Par};
 use crate::scalar::Scalar;
 
 /// `dst ← Σ_i coeff_i · src_i` (or `dst += …` when `accumulate`), in one
-/// pass over `dst`. All sources must have `dst`'s shape.
+/// pass over `dst`. All sources must have `dst`'s shape; any of them may
+/// be a transposed view.
 pub fn combine<T: Scalar>(mut dst: MatMut<'_, T>, accumulate: bool, terms: &[(T, MatRef<'_, T>)]) {
     for (_, src) in terms {
         assert_eq!(src.rows(), dst.rows(), "source shape mismatch");
         assert_eq!(src.cols(), dst.cols(), "source shape mismatch");
     }
+    let by_element = terms.iter().any(|(_, src)| src.is_transposed());
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::hardware_fma_enabled() {
         // SAFETY: avx2+fma presence was verified at runtime.
-        unsafe { combine_sweep_fma(&mut dst, accumulate, terms) };
+        unsafe {
+            if by_element {
+                combine_tiles_fma(&mut dst, accumulate, terms);
+            } else {
+                combine_sweep_fma(&mut dst, accumulate, terms);
+            }
+        }
         return;
     }
-    combine_sweep(&mut dst, accumulate, terms);
+    if by_element {
+        combine_tiles(&mut dst, accumulate, terms);
+    } else {
+        combine_sweep(&mut dst, accumulate, terms);
+    }
+}
+
+/// [`combine`] over transposed sources: element by element through
+/// [`combine_elem`], in square tiles so plain rows and transposed columns
+/// are both read a cache line at a time.
+#[inline(always)]
+fn combine_tiles<T: Scalar>(
+    dst: &mut MatMut<'_, T>,
+    accumulate: bool,
+    terms: &[(T, MatRef<'_, T>)],
+) {
+    const TILE: usize = 32;
+    let (rows, cols) = (dst.rows(), dst.cols());
+    for i0 in (0..rows).step_by(TILE) {
+        for j0 in (0..cols).step_by(TILE) {
+            for j in j0..cols.min(j0 + TILE) {
+                for i in i0..rows.min(i0 + TILE) {
+                    let o = dst.at(i, j);
+                    dst.set(i, j, combine_elem(o, accumulate, terms, i, j));
+                }
+            }
+        }
+    }
+}
+
+/// # Safety
+/// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn combine_tiles_fma<T: Scalar>(
+    dst: &mut MatMut<'_, T>,
+    accumulate: bool,
+    terms: &[(T, MatRef<'_, T>)],
+) {
+    combine_tiles(dst, accumulate, terms)
+}
+
+/// One element of [`combine`]: `Σ coeff_t · src_t[i, j]`, added to `o`
+/// when `accumulate`, with exactly the chain shapes of the row sweep
+/// ([`combine_row`]: ≤4-term mul_add chains, later 4-term chunks added
+/// on, a lone trailing term fused into the accumulator). Sources are read
+/// through [`MatRef::at`], so any mix of plain and transposed views works
+/// — the orientation-agnostic body behind [`combine`] and the packers'
+/// mixed term lists.
+#[inline(always)]
+pub(crate) fn combine_elem<T: Scalar>(
+    o: T,
+    accumulate: bool,
+    terms: &[(T, MatRef<'_, T>)],
+    i: usize,
+    j: usize,
+) -> T {
+    let c = |t: usize| terms[t].0;
+    let x = |t: usize| terms[t].1.at(i, j);
+    let chain = |s: usize, n: usize| match n {
+        1 => c(s) * x(s),
+        2 => c(s).mul_add(x(s), c(s + 1) * x(s + 1)),
+        3 => c(s).mul_add(x(s), c(s + 1).mul_add(x(s + 1), c(s + 2) * x(s + 2))),
+        _ => c(s).mul_add(
+            x(s),
+            c(s + 1).mul_add(x(s + 1), c(s + 2).mul_add(x(s + 2), c(s + 3) * x(s + 3))),
+        ),
+    };
+    let mut v = match (terms.len().min(4), accumulate) {
+        (0, false) => T::ZERO,
+        (0, true) => o,
+        (1, true) => c(0).mul_add(x(0), o),
+        (n, true) => o + chain(0, n),
+        (n, false) => chain(0, n),
+    };
+    let mut s = 4;
+    while s < terms.len() {
+        let n = (terms.len() - s).min(4);
+        v = if n == 1 {
+            c(s).mul_add(x(s), v)
+        } else {
+            v + chain(s, n)
+        };
+        s += 4;
+    }
+    v
 }
 
 /// The row sweep of [`combine`]. The `_fma` twin runs the identical code
@@ -75,6 +168,15 @@ fn combine_row<T: Scalar>(out: &mut [T], accumulate: bool, terms: &[(T, MatRef<'
     }
 }
 
+/// Row `i` of a source inside the row sweep, without [`MatRef::row`]'s
+/// checks: [`combine`] sends a list with any transposed source to
+/// [`combine_tiles`], and every source has `dst`'s shape.
+#[inline(always)]
+fn plain_row<'a, T: Scalar>(src: &MatRef<'a, T>, i: usize) -> &'a [T] {
+    // SAFETY: plain and in range, by the routing above.
+    unsafe { src.row_unchecked(i) }
+}
+
 /// The ≤4-term bodies of [`combine_row`], specialized so the inner loops
 /// fuse into a single vectorized sweep.
 #[inline(always)]
@@ -91,7 +193,7 @@ fn combine_row_small<T: Scalar>(
             }
         }
         [(c0, s0)] => {
-            let r0 = s0.row(i);
+            let r0 = plain_row(s0, i);
             if accumulate {
                 for (o, &x0) in out.iter_mut().zip(r0) {
                     *o = c0.mul_add(x0, *o);
@@ -103,21 +205,26 @@ fn combine_row_small<T: Scalar>(
             }
         }
         [(c0, s0), (c1, s1)] => {
-            let (r0, r1) = (s0.row(i), s1.row(i));
+            let (r0, r1) = (plain_row(s0, i), plain_row(s1, i));
             for (j, o) in out.iter_mut().enumerate() {
                 let v = c0.mul_add(r0[j], *c1 * r1[j]);
                 *o = if accumulate { *o + v } else { v };
             }
         }
         [(c0, s0), (c1, s1), (c2, s2)] => {
-            let (r0, r1, r2) = (s0.row(i), s1.row(i), s2.row(i));
+            let (r0, r1, r2) = (plain_row(s0, i), plain_row(s1, i), plain_row(s2, i));
             for (j, o) in out.iter_mut().enumerate() {
                 let v = c0.mul_add(r0[j], c1.mul_add(r1[j], *c2 * r2[j]));
                 *o = if accumulate { *o + v } else { v };
             }
         }
         [(c0, s0), (c1, s1), (c2, s2), (c3, s3)] => {
-            let (r0, r1, r2, r3) = (s0.row(i), s1.row(i), s2.row(i), s3.row(i));
+            let (r0, r1, r2, r3) = (
+                plain_row(s0, i),
+                plain_row(s1, i),
+                plain_row(s2, i),
+                plain_row(s3, i),
+            );
             for (j, o) in out.iter_mut().enumerate() {
                 let v = c0.mul_add(r0[j], c1.mul_add(r1[j], c2.mul_add(r2[j], *c3 * r3[j])));
                 *o = if accumulate { *o + v } else { v };
@@ -183,7 +290,8 @@ pub fn combine_par<T: Scalar>(
 pub const MAX_INLINE_COMBINE: usize = 32;
 
 /// Naive chained-AXPY version of [`combine`] — re-reads/re-writes `dst`
-/// once per term. Kept as the baseline for the write-once ablation bench.
+/// once per term. Kept as the baseline for the write-once ablation bench;
+/// plain (non-transposed) sources only.
 pub fn combine_axpy<T: Scalar>(
     mut dst: MatMut<'_, T>,
     accumulate: bool,
@@ -206,6 +314,7 @@ fn combine_axpy_sweep<T: Scalar>(dst: &mut MatMut<'_, T>, terms: &[(T, MatRef<'_
     for (c, src) in terms {
         assert_eq!(src.rows(), dst.rows());
         assert_eq!(src.cols(), dst.cols());
+        assert!(!src.is_transposed(), "combine_axpy takes plain sources");
         for i in 0..dst.rows() {
             let row = dst.row_mut(i);
             for (o, &x) in row.iter_mut().zip(src.row(i)) {
@@ -264,6 +373,49 @@ mod tests {
     fn all_arities_accumulate_correctly() {
         for count in 0..=7 {
             check_combination(count);
+        }
+    }
+
+    /// Transposed sources (alone or mixed with plain ones) combine bitwise
+    /// like their materialized transposes, in both modes and every chunking
+    /// of the term list.
+    #[test]
+    fn transposed_sources_match_materialized_transposes() {
+        let (rows, cols) = (37, 45);
+        let srcs: Vec<Mat<f32>> = (0..7)
+            .map(|s| Mat::from_fn(cols, rows, |i, j| ((i * 7 + j * 3 + s) as f32).sin()))
+            .collect();
+        let owned: Vec<Mat<f32>> = srcs.iter().map(|m| m.as_ref().t().to_owned()).collect();
+        for count in 0..=7 {
+            for mixed in [false, true] {
+                let coeffs = |t: usize| 0.375 * t as f32 - 1.1;
+                let views: Vec<(f32, MatRef<'_, f32>)> = (0..count)
+                    .map(|t| {
+                        let plain = mixed && t % 2 == 1;
+                        let v = if plain {
+                            owned[t].as_ref()
+                        } else {
+                            srcs[t].as_ref().t()
+                        };
+                        (coeffs(t), v)
+                    })
+                    .collect();
+                let want_terms: Vec<(f32, MatRef<'_, f32>)> =
+                    (0..count).map(|t| (coeffs(t), owned[t].as_ref())).collect();
+                for accumulate in [false, true] {
+                    let base = Mat::from_fn(rows, cols, |i, j| (i as f32 - j as f32) * 0.01);
+                    let (mut got, mut want) = (base.clone(), base);
+                    combine(got.as_mut(), accumulate, &views);
+                    combine(want.as_mut(), accumulate, &want_terms);
+                    let bits =
+                        |m: &Mat<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "count {count} mixed {mixed} accumulate {accumulate}"
+                    );
+                }
+            }
         }
     }
 

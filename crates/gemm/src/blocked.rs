@@ -11,7 +11,7 @@ use crate::abft::{self, AbftBufs, AbftSession};
 use crate::blocktune::block_sizes;
 use crate::kernel::{kernel_spec, KernelSpec, MAX_TILE_ELEMS};
 use crate::matrix::{Mat, MatMut, MatRef};
-use crate::pack::{pack_a_terms, pack_b_terms, terms_shape, MAX_PACK_TERMS};
+use crate::pack::{pack_a_terms, pack_b_terms, terms_shape, with_views};
 use crate::scalar::Scalar;
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -261,8 +261,7 @@ fn run_tiles<T: Scalar>(
 }
 
 /// Restrict every term's source to the same sub-block and hand the
-/// restricted list to `f`. Uses a fixed-capacity inline buffer (no heap)
-/// up to [`MAX_PACK_TERMS`] terms.
+/// restricted list to `f` (staged inline, see [`with_views`]).
 #[inline]
 pub(crate) fn with_subviews<'a, T: Scalar, R>(
     terms: &[(T, MatRef<'a, T>)],
@@ -272,19 +271,7 @@ pub(crate) fn with_subviews<'a, T: Scalar, R>(
     cols: usize,
     f: impl FnOnce(&[(T, MatRef<'a, T>)]) -> R,
 ) -> R {
-    if terms.len() <= MAX_PACK_TERMS {
-        let mut sub = [terms[0]; MAX_PACK_TERMS];
-        for (slot, (cf, src)) in sub.iter_mut().zip(terms) {
-            *slot = (*cf, src.subview(r0, c0, rows, cols));
-        }
-        f(&sub[..terms.len()])
-    } else {
-        let sub: Vec<(T, MatRef<'a, T>)> = terms
-            .iter()
-            .map(|(cf, src)| (*cf, src.subview(r0, c0, rows, cols)))
-            .collect();
-        f(&sub)
-    }
+    with_views(terms, |src| src.subview(r0, c0, rows, cols), f)
 }
 
 /// The single-threaded GEMM, with pack buffers from the thread-local

@@ -7,6 +7,12 @@
 //! remain contiguous slices. Disjoint mutable sub-blocks of one matrix are
 //! obtained through the splitting APIs, which encapsulate the aliasing
 //! reasoning in one place.
+//!
+//! A transposed operand is a view too: [`MatRef::t`] swaps rows and
+//! columns over the same storage, so `Xᵀ·dZ` is `gemm` on `x.t()` with no
+//! copy of X. The packers read a transposed view in place (see
+//! [`crate::pack`]); everything above them reaches operands only through
+//! [`MatRef::subview`], which maps coordinates for either orientation.
 
 use crate::scalar::Scalar;
 use std::marker::PhantomData;
@@ -79,6 +85,7 @@ impl<T: Scalar> Mat<T> {
             rows: self.rows,
             cols: self.cols,
             rs: self.cols,
+            trans: false,
             _marker: PhantomData,
         }
     }
@@ -127,14 +134,20 @@ impl<T: Scalar> Mat<T> {
     }
 }
 
-/// An immutable view of a (sub-)matrix: `rows × cols`, row stride `rs`,
-/// each row a contiguous slice of length `cols`.
+/// An immutable view of a (sub-)matrix: `rows × cols` over row-major
+/// storage with stride `rs` between stored rows. A plain view's rows are
+/// contiguous slices of length `cols` ([`Self::row`]); a transposed view
+/// ([`Self::t`]) reads the same storage with the roles swapped, so its
+/// *columns* are the contiguous slices ([`Self::col`]).
 #[derive(Clone, Copy, Debug)]
 pub struct MatRef<'a, T> {
     ptr: *const T,
     rows: usize,
     cols: usize,
     rs: usize,
+    /// Element `(i, j)` is stored at `ptr + j·rs + i` instead of
+    /// `ptr + i·rs + j`.
+    trans: bool,
     _marker: PhantomData<&'a T>,
 }
 
@@ -152,35 +165,99 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         self.cols
     }
 
+    /// Stride between stored rows: rows of a plain view, columns of a
+    /// transposed one.
     pub fn row_stride(&self) -> usize {
         self.rs
     }
 
-    /// Row `i` as a slice.
+    /// The transpose, as a zero-copy view of the same storage: rows and
+    /// columns swap, and `t().t()` is the original view.
+    #[inline]
+    pub fn t(&self) -> MatRef<'a, T> {
+        MatRef {
+            ptr: self.ptr,
+            rows: self.cols,
+            cols: self.rows,
+            rs: self.rs,
+            trans: !self.trans,
+            _marker: PhantomData,
+        }
+    }
+
+    /// Whether this view reads its storage transposed (see [`Self::t`]).
+    #[inline]
+    pub fn is_transposed(&self) -> bool {
+        self.trans
+    }
+
+    /// Row `i` as a slice. Only a plain view has contiguous rows: panics
+    /// on a transposed one (use [`Self::col`] or [`Self::at`]).
     #[inline]
     pub fn row(&self, i: usize) -> &'a [T] {
+        assert!(!self.trans, "row() of a transposed view: use col()");
+        assert!(i < self.rows, "row index out of bounds");
+        // SAFETY: checked just above.
+        unsafe { self.row_unchecked(i) }
+    }
+
+    /// Column `j` of a transposed view as a slice — one contiguous stored
+    /// row of the source it transposes. Panics on a plain view.
+    #[inline]
+    pub fn col(&self, j: usize) -> &'a [T] {
+        assert!(self.trans, "col() of a plain view: use row()");
+        assert!(j < self.cols, "column index out of bounds");
+        // SAFETY: checked just above.
+        unsafe { self.col_unchecked(j) }
+    }
+
+    /// [`Self::row`] without its checks, for the crate's sweeps that have
+    /// already dispatched on [`Self::is_transposed`].
+    ///
+    /// # Safety
+    /// The view must be plain (`!self.is_transposed()`) and `i < rows`.
+    #[inline]
+    pub(crate) unsafe fn row_unchecked(&self, i: usize) -> &'a [T] {
+        debug_assert!(!self.trans, "row() of a transposed view: use col()");
         debug_assert!(i < self.rows);
         // SAFETY: the view invariant guarantees `ptr + i·rs .. + cols` is
-        // in-bounds of the underlying allocation for every i < rows.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(i * self.rs), self.cols) }
+        // in-bounds of the underlying allocation for every i < rows of a
+        // plain view.
+        std::slice::from_raw_parts(self.ptr.add(i * self.rs), self.cols)
+    }
+
+    /// [`Self::col`] without its checks.
+    ///
+    /// # Safety
+    /// The view must be transposed and `j < cols`.
+    #[inline]
+    pub(crate) unsafe fn col_unchecked(&self, j: usize) -> &'a [T] {
+        debug_assert!(self.trans, "col() of a plain view: use row()");
+        debug_assert!(j < self.cols);
+        // SAFETY: as `row_unchecked`, for the transposed source: `ptr +
+        // j·rs .. + rows` is in-bounds for every j < cols.
+        std::slice::from_raw_parts(self.ptr.add(j * self.rs), self.rows)
     }
 
     #[inline]
     pub fn at(&self, i: usize, j: usize) -> T {
         debug_assert!(i < self.rows && j < self.cols);
-        unsafe { *self.ptr.add(i * self.rs + j) }
+        let (r, c) = if self.trans { (j, i) } else { (i, j) };
+        unsafe { *self.ptr.add(r * self.rs + c) }
     }
 
     /// Zero-copy sub-block starting at `(r0, c0)`.
     pub fn subview(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> MatRef<'a, T> {
         assert!(r0 + rows <= self.rows, "subview rows out of bounds");
         assert!(c0 + cols <= self.cols, "subview cols out of bounds");
+        let (sr, sc) = if self.trans { (c0, r0) } else { (r0, c0) };
         MatRef {
             // SAFETY: offset stays inside the parent view.
-            ptr: unsafe { self.ptr.add(r0 * self.rs + c0) },
+            ptr: unsafe { self.ptr.add(sr * self.rs + sc) },
             rows,
             cols,
             rs: self.rs,
+            trans: self.trans,
             _marker: PhantomData,
         }
     }
@@ -209,12 +286,10 @@ impl<'a, T: Scalar> MatRef<'a, T> {
         out
     }
 
-    /// Copy into an owned matrix.
+    /// Copy into an owned (row-major) matrix.
     pub fn to_owned(&self) -> Mat<T> {
         let mut m = Mat::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            m.as_mut_slice()[i * self.cols..(i + 1) * self.cols].copy_from_slice(self.row(i));
-        }
+        m.as_mut().copy_from(*self);
         m
     }
 }
@@ -296,6 +371,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
             rows: self.rows,
             cols: self.cols,
             rs: self.rs,
+            trans: false,
             _marker: PhantomData,
         }
     }
@@ -437,10 +513,18 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         }
     }
 
-    /// Copy from a same-shaped source view.
+    /// Copy from a same-shaped source view (plain or transposed).
     pub fn copy_from(&mut self, src: MatRef<'_, T>) {
         assert_eq!(self.rows, src.rows());
         assert_eq!(self.cols, src.cols());
+        if src.is_transposed() {
+            for j in 0..self.cols {
+                for (i, &v) in src.col(j).iter().enumerate() {
+                    self.set(i, j, v);
+                }
+            }
+            return;
+        }
         for i in 0..self.rows {
             self.row_mut(i).copy_from_slice(src.row(i));
         }
@@ -472,6 +556,30 @@ mod tests {
         assert_eq!(v.at(1, 1), 11.0);
         assert_eq!(v.row(0), &[6.0, 7.0]);
         assert_eq!(v.row_stride(), 4);
+    }
+
+    #[test]
+    fn transposed_view_maps_coordinates() {
+        let m = iota(3, 5);
+        let t = m.as_ref().t();
+        assert!(t.is_transposed() && !t.t().is_transposed());
+        assert_eq!((t.rows(), t.cols()), (5, 3));
+        for i in 0..5 {
+            for j in 0..3 {
+                assert_eq!(t.at(i, j), m.at(j, i));
+            }
+        }
+        // Column j of the transpose is stored row j of the source.
+        assert_eq!(t.col(1), m.as_ref().row(1));
+        let s = t.subview(1, 1, 3, 2);
+        assert_eq!(s.at(0, 0), m.at(1, 1));
+        assert_eq!(s.at(2, 1), m.at(2, 3));
+        assert_eq!(s.col(0), &[6.0, 7.0, 8.0]);
+        assert_eq!(s.t().row(1), &[11.0, 12.0, 13.0]);
+        assert_eq!(t.grid(5, 1)[4].at(0, 2), m.at(2, 4));
+        let owned = t.to_owned();
+        assert_eq!(owned, Mat::from_fn(5, 3, |i, j| m.at(j, i)));
+        assert_eq!(owned.as_ref().t().to_owned(), m);
     }
 
     #[test]
@@ -544,6 +652,20 @@ mod tests {
         let mut b = a.clone();
         b.set(0, 0, 1.0);
         assert!(a.rel_frobenius_error(&b) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "row() of a transposed view")]
+    fn row_of_transposed_view_panics() {
+        let m = iota(4, 100);
+        let _ = m.as_ref().t().row(99);
+    }
+
+    #[test]
+    #[should_panic(expected = "col() of a plain view")]
+    fn col_of_plain_view_panics() {
+        let m = iota(4, 100);
+        let _ = m.as_ref().col(0);
     }
 
     #[test]

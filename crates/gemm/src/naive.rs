@@ -4,18 +4,18 @@ use crate::matrix::{Mat, MatRef};
 use crate::scalar::Scalar;
 
 /// `C = A · B` by the ijk triple loop. Quadratically slower than the
-/// blocked kernel; only used to validate it.
+/// blocked kernel; only used to validate it. Either operand may be a
+/// transposed view (elements are read through [`MatRef::at`]).
 pub fn matmul_naive<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> Mat<T> {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must match");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut c = Mat::zeros(m, n);
     for i in 0..m {
-        let arow = a.row(i);
         let crow = &mut c.as_mut_slice()[i * n..(i + 1) * n];
-        for (p, &aip) in arow.iter().enumerate().take(k) {
-            let brow = b.row(p);
-            for j in 0..n {
-                crow[j] = aip.mul_add(brow[j], crow[j]);
+        for p in 0..k {
+            let aip = a.at(i, p);
+            for (j, cij) in crow.iter_mut().enumerate() {
+                *cij = aip.mul_add(b.at(p, j), *cij);
             }
         }
     }
@@ -27,16 +27,14 @@ pub fn matmul_naive<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> Mat<T> {
 /// measures f32 algorithms against a double-precision classical result).
 pub fn matmul_naive_f64<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> Mat<f64> {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must match");
-    let (m, n) = (a.rows(), b.cols());
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut c = Mat::zeros(m, n);
     for i in 0..m {
-        let arow = a.row(i);
         let crow = &mut c.as_mut_slice()[i * n..(i + 1) * n];
-        for (p, aip) in arow.iter().enumerate() {
-            let aip = aip.to_f64();
-            let brow = b.row(p);
-            for j in 0..n {
-                crow[j] += aip * brow[j].to_f64();
+        for p in 0..k {
+            let aip = a.at(i, p).to_f64();
+            for (j, cij) in crow.iter_mut().enumerate() {
+                *cij += aip * b.at(p, j).to_f64();
             }
         }
     }
@@ -74,6 +72,22 @@ mod tests {
         assert_eq!((c.rows(), c.cols()), (2, 4));
         // c[1][2] = Σ_p a[1][p]·b[p][2] = 1·2 + 2·6 + 3·10 = 44
         assert_eq!(c.at(1, 2), 44.0);
+    }
+
+    #[test]
+    fn transposed_views_match_materialized_transposes() {
+        let a = Mat::from_fn(3, 4, |i, j| (i * 4 + j) as f64 - 5.0);
+        let b = Mat::from_fn(2, 4, |i, j| (i + 2 * j) as f64 * 0.5);
+        let bt = b.as_ref().t().to_owned();
+        let at = a.as_ref().t().to_owned();
+        assert_eq!(
+            matmul_naive(a.as_ref(), b.as_ref().t()),
+            matmul_naive(a.as_ref(), bt.as_ref())
+        );
+        assert_eq!(
+            matmul_naive_f64(at.as_ref().t(), bt.as_ref()),
+            matmul_naive_f64(a.as_ref(), bt.as_ref())
+        );
     }
 
     #[test]

@@ -10,15 +10,24 @@
 //! (`mr`/`nr`) as a parameter — callers pass the active
 //! [`crate::kernel::KernelSpec`]'s shape so panels always match the kernel
 //! that will consume them.
+//!
+//! A source may be a transposed view ([`MatRef::t`]) — `Xᵀ` in
+//! `dW = Xᵀ·dZ`, `Wᵀ` in `dX = dZ·Wᵀ`. The packers read it in place and
+//! write the very panel transpose-then-pack would (same elements, same
+//! per-element combination chains), so the microkernel, its FMA order and
+//! every bitwise contract above it never learn the operand was
+//! transposed. The orientation is decided once per panel, next to
+//! [`unit_source`]; the row-major sweeps are untouched by it.
 
+use crate::add::combine_elem;
 use crate::matrix::MatRef;
 use crate::scalar::Scalar;
 
 /// Maximum operand-term arity staged inline (on the stack): by the blocked
-/// driver when it cuts sub-blocks out of a term list, and by the AVX2
-/// checksum stage of the B packer. Wider lists heap-stage / take the
-/// portable sweep. Matches the executor's inline term budget with
-/// headroom.
+/// driver when it cuts sub-blocks out of a term list, by the packers when
+/// they untranspose one, and by the AVX2 checksum stage of the B packer.
+/// Wider lists heap-stage / take the portable sweep. Matches the
+/// executor's inline term budget with headroom.
 pub const MAX_PACK_TERMS: usize = 32;
 
 /// The panel `buf[..len]`, growing `buf` when it is shorter. Grow-only: a
@@ -62,6 +71,58 @@ fn unit_source<'a, T: Scalar>(terms: &[(T, MatRef<'a, T>)]) -> Option<MatRef<'a,
     match terms {
         [(coeff, src)] if *coeff == T::ONE => Some(*src),
         _ => None,
+    }
+}
+
+/// Row `i` of a source inside a row sweep, without [`MatRef::row`]'s
+/// checks. The row sweeps only ever see plain sources: the packers route a
+/// list with any transposed source to `pack_a_transposed` /
+/// `pack_b_transposed`, which hand the sweeps the plain views (`t()`) a
+/// transposed list transposes, and no sweep reads past its shape.
+#[inline(always)]
+fn plain_row<'a, T: Scalar>(src: &MatRef<'a, T>, i: usize) -> &'a [T] {
+    // SAFETY: plain and in range, by the routing above.
+    unsafe { src.row_unchecked(i) }
+}
+
+/// How a term list's sources are stored. `Cols`: every source is a
+/// transposed view; `Mixed`: some are (e.g. a row-major CSE temp combined
+/// with blocks of a transposed operand).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Orientation {
+    Rows,
+    Cols,
+    Mixed,
+}
+
+#[inline]
+fn orientation<T: Scalar>(terms: &[(T, MatRef<'_, T>)]) -> Orientation {
+    match terms.iter().filter(|(_, src)| src.is_transposed()).count() {
+        0 => Orientation::Rows,
+        n if n == terms.len() => Orientation::Cols,
+        _ => Orientation::Mixed,
+    }
+}
+
+/// Hand `f` the term list with every source replaced by `view(source)`
+/// (a sub-block, the view a transposed source transposes). Uses a
+/// fixed-capacity inline buffer (no heap) up to [`MAX_PACK_TERMS`] terms.
+#[inline]
+pub(crate) fn with_views<'a, T: Scalar, R>(
+    terms: &[(T, MatRef<'a, T>)],
+    view: impl Fn(&MatRef<'a, T>) -> MatRef<'a, T>,
+    f: impl FnOnce(&[(T, MatRef<'a, T>)]) -> R,
+) -> R {
+    if terms.len() <= MAX_PACK_TERMS {
+        let mut staged = [terms[0]; MAX_PACK_TERMS];
+        for (slot, (coeff, src)) in staged.iter_mut().zip(terms) {
+            *slot = (*coeff, view(src));
+        }
+        f(&staged[..terms.len()])
+    } else {
+        let staged: Vec<(T, MatRef<'a, T>)> =
+            terms.iter().map(|(c, src)| (*c, view(src))).collect();
+        f(&staged)
     }
 }
 
@@ -119,6 +180,11 @@ pub(crate) fn pack_a_terms<T: Scalar>(
 ) -> usize {
     let (mc, kc) = terms_shape(terms);
     let panel = size_panel(buf, mc.div_ceil(mr) * kc * mr);
+    let orient = orientation(terms);
+    if orient != Orientation::Rows {
+        pack_a_transposed(terms, orient, panel, mr, mc, kc);
+        return panel.len();
+    }
     if let Some(a) = unit_source(terms) {
         pack_a_sweep(a, panel, mr, mc, kc);
         return panel.len();
@@ -142,7 +208,10 @@ fn pack_a_sweep<T: Scalar>(a: MatRef<'_, T>, buf: &mut [T], mr: usize, mc: usize
         let i0 = s * mr;
         let rows = mr.min(mc - i0);
         for i in 0..rows {
-            for (col, &v) in sliver.chunks_exact_mut(mr).zip(&a.row(i0 + i)[..kc]) {
+            for (col, &v) in sliver
+                .chunks_exact_mut(mr)
+                .zip(&plain_row(&a, i0 + i)[..kc])
+            {
                 col[i] = v;
             }
         }
@@ -199,6 +268,67 @@ unsafe fn pack_a_combined_sweep_fma<T: Scalar>(
     pack_a_combined_sweep(terms, buf, mr, mc, kc)
 }
 
+/// The A packer for a list with transposed sources. A k-major A sliver is
+/// exactly a B sliver (`nr = mr`) of the sources a transposed list
+/// transposes, so the B row sweeps pack it: `mr`-wide contiguous runs of
+/// each source row, the same per-element chains as packing the
+/// materialized transpose. A mixed list goes element by element. Out of
+/// line (one call per panel), so the row-major packers compile as they
+/// did without it.
+#[inline(never)]
+fn pack_a_transposed<T: Scalar>(
+    terms: &[(T, MatRef<'_, T>)],
+    orient: Orientation,
+    buf: &mut [T],
+    mr: usize,
+    mc: usize,
+    kc: usize,
+) {
+    if orient == Orientation::Mixed {
+        pack_by_element(buf, mr, mc, kc, |i, p| {
+            combine_elem(T::ZERO, false, terms, i, p)
+        });
+        return;
+    }
+    with_views(terms, MatRef::t, |src| {
+        if let Some(s) = unit_source(src) {
+            pack_b_sweep(s, buf, mr, mc, kc, None);
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if crate::kernel::hardware_fma_enabled() {
+            // SAFETY: avx2+fma presence was verified at runtime.
+            unsafe { pack_b_combined_sweep_fma(src, buf, mr, mc, kc, None) };
+            return;
+        }
+        pack_b_combined_sweep(src, buf, mr, mc, kc, None);
+    })
+}
+
+/// Any panel, one element at a time: `lines × kc` values `at(l, p)` into
+/// `width`-wide slivers (`l` runs across a sliver, `p` down it; pads
+/// zeroed). The packers' fallback for mixed-orientation term lists, which
+/// [`combine_elem`] evaluates with the row sweeps' chains.
+fn pack_by_element<T: Scalar>(
+    buf: &mut [T],
+    width: usize,
+    lines: usize,
+    kc: usize,
+    at: impl Fn(usize, usize) -> T,
+) {
+    for s in 0..lines.div_ceil(width) {
+        let l0 = s * width;
+        let n = width.min(lines - l0);
+        for p in 0..kc {
+            let seg = &mut buf[s * kc * width + p * width..][..width];
+            for (q, v) in seg[..n].iter_mut().enumerate() {
+                *v = at(l0 + q, p);
+            }
+            seg[n..].fill(T::ZERO);
+        }
+    }
+}
+
 /// The B packer behind [`pack_b`] / [`pack_b_combined`]. With `sums` it
 /// also records the fused ABFT row checksums `sum[p] = Σ_j P[p, j]` and
 /// `mag[p] = Σ_j |P[p, j]|` (f64) of the block `P` being packed, during
@@ -228,6 +358,11 @@ pub(crate) fn pack_b_terms<T: Scalar>(
         mag.resize(kc, 0.0);
         (&mut sum[..], &mut mag[..])
     });
+    let orient = orientation(terms);
+    if orient != Orientation::Rows {
+        pack_b_transposed(terms, orient, panel, nr, nc, kc, sums);
+        return panel.len();
+    }
     let unit = unit_source(terms);
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::hardware_fma_enabled() {
@@ -261,7 +396,7 @@ fn pack_b_sweep<T: Scalar>(
 ) {
     let slivers = nc.div_ceil(nr);
     for p in 0..kc {
-        let brow = b.row(p);
+        let brow = plain_row(&b, p);
         for s in 0..slivers {
             let base = s * kc * nr + p * nr;
             let j0 = s * nr;
@@ -290,6 +425,177 @@ unsafe fn pack_b_sweep_fma<T: Scalar>(
     sums: Option<PackSums<'_>>,
 ) {
     pack_b_sweep(b, buf, nr, nc, kc, sums)
+}
+
+/// Source rows a transposed-B pass takes at once (see [`pack_bt_sweep`]).
+const BT_ROWS: usize = 8;
+/// `p` depth of one copying transposed-B pass: every group of a sliver
+/// covers the same `BT_COPY_DEPTH` sliver rows before the sweep moves
+/// down, so each row's cache lines fill completely while L1-hot.
+const BT_COPY_DEPTH: usize = 64;
+/// `p` depth of one combining pass: the stack stage its rows are formed
+/// in holds `BT_ROWS × BT_DEPTH` elements (a typical KC: the row chains
+/// then run one long segment per source row).
+const BT_DEPTH: usize = 384;
+
+/// The B packer for a list with transposed sources. A transposed list
+/// hands [`pack_bt_sweep`] (under the FMA dispatch) the plain `nc × kc`
+/// sources `S` it transposes: panel element `(p, j)` is `Σ c·S[j, p]`. A
+/// mixed list goes element by element, its checksums read back from the
+/// panel. Out of line like [`pack_a_transposed`].
+#[inline(never)]
+fn pack_b_transposed<T: Scalar>(
+    terms: &[(T, MatRef<'_, T>)],
+    orient: Orientation,
+    buf: &mut [T],
+    nr: usize,
+    nc: usize,
+    kc: usize,
+    sums: Option<PackSums<'_>>,
+) {
+    if orient == Orientation::Mixed {
+        pack_by_element(buf, nr, nc, kc, |j, p| {
+            combine_elem(T::ZERO, false, terms, p, j)
+        });
+        if let Some((sum, mag)) = sums {
+            for p in 0..kc {
+                for s in 0..nc.div_ceil(nr) {
+                    for &v in &buf[s * kc * nr + p * nr..][..nr.min(nc - s * nr)] {
+                        sum[p] += v.to_f64();
+                        mag[p] += v.to_f64().abs();
+                    }
+                }
+            }
+        }
+        return;
+    }
+    with_views(terms, MatRef::t, |src| {
+        #[cfg(target_arch = "x86_64")]
+        if crate::kernel::hardware_fma_enabled() {
+            // SAFETY: avx2+fma presence was verified at runtime.
+            unsafe { pack_bt_sweep_fma(src, buf, nr, nc, kc, sums) };
+            return;
+        }
+        pack_bt_sweep(src, buf, nr, nc, kc, sums);
+    })
+}
+
+/// The transposed-B sweep. One column of B is one contiguous source row,
+/// so a sliver is filled [`BT_ROWS`] source rows at a time: for every `p`
+/// one `BT_ROWS`-wide store fed by `BT_ROWS` sequential read streams —
+/// not one strided column per source row. A unit list copies straight
+/// from the source rows; a combination first forms its rows `BT_DEPTH`
+/// deep with the row sweeps' chains ([`combined_segment`]) into a stack
+/// stage. Checksums, when asked for, are summed from the same rows
+/// (`sum[p] += S[j, p]`, f64, vertical across `p`), so they too come
+/// from the packed values without a second pass.
+#[inline(always)]
+fn pack_bt_sweep<T: Scalar>(
+    src: &[(T, MatRef<'_, T>)],
+    buf: &mut [T],
+    nr: usize,
+    nc: usize,
+    kc: usize,
+    mut sums: Option<PackSums<'_>>,
+) {
+    let unit = unit_source(src);
+    let mut stage = [[T::ZERO; BT_DEPTH]; BT_ROWS];
+    let step = if unit.is_some() {
+        BT_COPY_DEPTH
+    } else {
+        BT_DEPTH
+    };
+    for s in 0..nc.div_ceil(nr) {
+        let sliver = &mut buf[s * kc * nr..][..kc * nr];
+        let j0 = s * nr;
+        let cols = nr.min(nc - j0);
+        for p0 in (0..kc).step_by(step) {
+            let depth = step.min(kc - p0);
+            for g in (0..cols).step_by(BT_ROWS) {
+                let w = BT_ROWS.min(cols - g);
+                let mut rows: [&[T]; BT_ROWS] = [&[]; BT_ROWS];
+                match unit {
+                    Some(b) => {
+                        for (q, row) in rows[..w].iter_mut().enumerate() {
+                            *row = &plain_row(&b, j0 + g + q)[p0..p0 + depth];
+                        }
+                    }
+                    None => {
+                        for (q, line) in stage[..w].iter_mut().enumerate() {
+                            combined_segment(src, j0 + g + q, p0, &mut line[..depth]);
+                        }
+                        for (row, line) in rows[..w].iter_mut().zip(&stage) {
+                            *row = &line[..depth];
+                        }
+                    }
+                }
+                scatter_rows(&rows[..w], sliver, nr, g, p0, &mut sums);
+            }
+        }
+        if cols < nr {
+            for p in 0..kc {
+                sliver[p * nr + cols..p * nr + nr].fill(T::ZERO);
+            }
+        }
+    }
+}
+
+/// Store `rows[q][p]` at sliver element `(p0 + p, g + q)` (`p`-major,
+/// stride `nr`) and, with checksums, add each row into `sum`/`mag` at
+/// `p0 + p`.
+#[inline(always)]
+fn scatter_rows<T: Scalar>(
+    rows: &[&[T]],
+    sliver: &mut [T],
+    nr: usize,
+    g: usize,
+    p0: usize,
+    sums: &mut Option<PackSums<'_>>,
+) {
+    let depth = rows[0].len();
+    let out = &mut sliver[p0 * nr + g..];
+    if let Ok(full) = <&[&[T]; BT_ROWS]>::try_from(rows) {
+        // Fixed width, every row cut to `depth`: no bounds checks left in
+        // the loop, which unrolls to BT_ROWS loads and stores per `p`.
+        let full = full.map(|row| &row[..depth]);
+        for (p, seg) in out.chunks_mut(nr).take(depth).enumerate() {
+            for (v, row) in seg[..BT_ROWS].iter_mut().zip(&full) {
+                *v = row[p];
+            }
+        }
+    } else {
+        let segs = out.chunks_mut(nr).take(depth);
+        for (p, seg) in segs.enumerate() {
+            for (v, row) in seg.iter_mut().zip(rows) {
+                *v = row[p];
+            }
+        }
+    }
+    if let Some((sum, mag)) = sums {
+        let (sum, mag) = (&mut sum[p0..p0 + depth], &mut mag[p0..p0 + depth]);
+        for row in rows {
+            for ((s, m), &v) in sum.iter_mut().zip(mag.iter_mut()).zip(*row) {
+                let v = v.to_f64();
+                *s += v;
+                *m += v.abs();
+            }
+        }
+    }
+}
+
+/// # Safety
+/// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn pack_bt_sweep_fma<T: Scalar>(
+    src: &[(T, MatRef<'_, T>)],
+    buf: &mut [T],
+    nr: usize,
+    nc: usize,
+    kc: usize,
+    sums: Option<PackSums<'_>>,
+) {
+    pack_bt_sweep(src, buf, nr, nc, kc, sums)
 }
 
 /// The combining row sweep of the B packer. Checksums, when asked for,
@@ -374,7 +680,7 @@ unsafe fn pack_b_combined_sweep_fma<T: Scalar>(
 /// lanes ride for free under the sweep's memory traffic.
 #[cfg(target_arch = "x86_64")]
 mod csimd {
-    use super::{PackSums, MAX_PACK_TERMS};
+    use super::{plain_row, PackSums, MAX_PACK_TERMS};
     use crate::matrix::MatRef;
     use core::arch::x86_64::*;
 
@@ -500,7 +806,7 @@ mod csimd {
         let full = nc & !7;
         for p in 0..kc {
             for (e, (_, src)) in terms.iter().enumerate() {
-                rp[e] = src.row(p).as_ptr();
+                rp[e] = plain_row(src, p).as_ptr();
             }
             let mut s0 = _mm256_setzero_pd();
             let mut s1 = _mm256_setzero_pd();
@@ -663,7 +969,7 @@ mod csimd {
         let full = nc & !3;
         for p in 0..kc {
             for (e, (_, src)) in terms.iter().enumerate() {
-                rp[e] = src.row(p).as_ptr();
+                rp[e] = plain_row(src, p).as_ptr();
             }
             let mut s0 = _mm256_setzero_pd();
             let mut m0 = _mm256_setzero_pd();
@@ -738,22 +1044,22 @@ fn combined_segment_small<T: Scalar>(
     match terms {
         [] => unreachable!("empty term list rejected at entry"),
         [(c0, s0)] => {
-            let r0 = &s0.row(i)[j0..j0 + w];
+            let r0 = &plain_row(s0, i)[j0..j0 + w];
             for (o, &x0) in out.iter_mut().zip(r0) {
                 *o = *c0 * x0;
             }
         }
         [(c0, s0), (c1, s1)] => {
-            let (r0, r1) = (&s0.row(i)[j0..j0 + w], &s1.row(i)[j0..j0 + w]);
+            let (r0, r1) = (&plain_row(s0, i)[j0..j0 + w], &plain_row(s1, i)[j0..j0 + w]);
             for (q, o) in out.iter_mut().enumerate() {
                 *o = c0.mul_add(r0[q], *c1 * r1[q]);
             }
         }
         [(c0, s0), (c1, s1), (c2, s2)] => {
             let (r0, r1, r2) = (
-                &s0.row(i)[j0..j0 + w],
-                &s1.row(i)[j0..j0 + w],
-                &s2.row(i)[j0..j0 + w],
+                &plain_row(s0, i)[j0..j0 + w],
+                &plain_row(s1, i)[j0..j0 + w],
+                &plain_row(s2, i)[j0..j0 + w],
             );
             for (q, o) in out.iter_mut().enumerate() {
                 *o = c0.mul_add(r0[q], c1.mul_add(r1[q], *c2 * r2[q]));
@@ -761,10 +1067,10 @@ fn combined_segment_small<T: Scalar>(
         }
         [(c0, s0), (c1, s1), (c2, s2), (c3, s3)] => {
             let (r0, r1, r2, r3) = (
-                &s0.row(i)[j0..j0 + w],
-                &s1.row(i)[j0..j0 + w],
-                &s2.row(i)[j0..j0 + w],
-                &s3.row(i)[j0..j0 + w],
+                &plain_row(s0, i)[j0..j0 + w],
+                &plain_row(s1, i)[j0..j0 + w],
+                &plain_row(s2, i)[j0..j0 + w],
+                &plain_row(s3, i)[j0..j0 + w],
             );
             for (q, o) in out.iter_mut().enumerate() {
                 *o = c0.mul_add(r0[q], c1.mul_add(r1[q], c2.mul_add(r2[q], *c3 * r3[q])));
@@ -788,22 +1094,22 @@ fn accumulate_segment_small<T: Scalar>(
     match terms {
         [] => {}
         [(c0, s0)] => {
-            let r0 = &s0.row(i)[j0..j0 + w];
+            let r0 = &plain_row(s0, i)[j0..j0 + w];
             for (o, &x0) in out.iter_mut().zip(r0) {
                 *o = c0.mul_add(x0, *o);
             }
         }
         [(c0, s0), (c1, s1)] => {
-            let (r0, r1) = (&s0.row(i)[j0..j0 + w], &s1.row(i)[j0..j0 + w]);
+            let (r0, r1) = (&plain_row(s0, i)[j0..j0 + w], &plain_row(s1, i)[j0..j0 + w]);
             for (q, o) in out.iter_mut().enumerate() {
                 *o += c0.mul_add(r0[q], *c1 * r1[q]);
             }
         }
         [(c0, s0), (c1, s1), (c2, s2)] => {
             let (r0, r1, r2) = (
-                &s0.row(i)[j0..j0 + w],
-                &s1.row(i)[j0..j0 + w],
-                &s2.row(i)[j0..j0 + w],
+                &plain_row(s0, i)[j0..j0 + w],
+                &plain_row(s1, i)[j0..j0 + w],
+                &plain_row(s2, i)[j0..j0 + w],
             );
             for (q, o) in out.iter_mut().enumerate() {
                 *o += c0.mul_add(r0[q], c1.mul_add(r1[q], *c2 * r2[q]));
@@ -811,10 +1117,10 @@ fn accumulate_segment_small<T: Scalar>(
         }
         [(c0, s0), (c1, s1), (c2, s2), (c3, s3)] => {
             let (r0, r1, r2, r3) = (
-                &s0.row(i)[j0..j0 + w],
-                &s1.row(i)[j0..j0 + w],
-                &s2.row(i)[j0..j0 + w],
-                &s3.row(i)[j0..j0 + w],
+                &plain_row(s0, i)[j0..j0 + w],
+                &plain_row(s1, i)[j0..j0 + w],
+                &plain_row(s2, i)[j0..j0 + w],
+                &plain_row(s3, i)[j0..j0 + w],
             );
             for (q, o) in out.iter_mut().enumerate() {
                 *o += c0.mul_add(r0[q], c1.mul_add(r1[q], c2.mul_add(r2[q], *c3 * r3[q])));
@@ -858,24 +1164,29 @@ fn combined_row_strided_small<T: Scalar>(
     match terms {
         [] => unreachable!("empty term list rejected at entry"),
         [(c0, s0)] => {
-            for (p, &x0) in s0.row(i).iter().enumerate() {
+            for (p, &x0) in plain_row(s0, i).iter().enumerate() {
                 out[p * stride] = *c0 * x0;
             }
         }
         [(c0, s0), (c1, s1)] => {
-            let (r0, r1) = (s0.row(i), s1.row(i));
+            let (r0, r1) = (plain_row(s0, i), plain_row(s1, i));
             for p in 0..kc {
                 out[p * stride] = c0.mul_add(r0[p], *c1 * r1[p]);
             }
         }
         [(c0, s0), (c1, s1), (c2, s2)] => {
-            let (r0, r1, r2) = (s0.row(i), s1.row(i), s2.row(i));
+            let (r0, r1, r2) = (plain_row(s0, i), plain_row(s1, i), plain_row(s2, i));
             for p in 0..kc {
                 out[p * stride] = c0.mul_add(r0[p], c1.mul_add(r1[p], *c2 * r2[p]));
             }
         }
         [(c0, s0), (c1, s1), (c2, s2), (c3, s3)] => {
-            let (r0, r1, r2, r3) = (s0.row(i), s1.row(i), s2.row(i), s3.row(i));
+            let (r0, r1, r2, r3) = (
+                plain_row(s0, i),
+                plain_row(s1, i),
+                plain_row(s2, i),
+                plain_row(s3, i),
+            );
             for p in 0..kc {
                 out[p * stride] =
                     c0.mul_add(r0[p], c1.mul_add(r1[p], c2.mul_add(r2[p], *c3 * r3[p])));
@@ -898,25 +1209,30 @@ fn accumulate_row_strided_small<T: Scalar>(
     match terms {
         [] => {}
         [(c0, s0)] => {
-            let r0 = s0.row(i);
+            let r0 = plain_row(s0, i);
             for p in 0..kc {
                 out[p * stride] = c0.mul_add(r0[p], out[p * stride]);
             }
         }
         [(c0, s0), (c1, s1)] => {
-            let (r0, r1) = (s0.row(i), s1.row(i));
+            let (r0, r1) = (plain_row(s0, i), plain_row(s1, i));
             for p in 0..kc {
                 out[p * stride] += c0.mul_add(r0[p], *c1 * r1[p]);
             }
         }
         [(c0, s0), (c1, s1), (c2, s2)] => {
-            let (r0, r1, r2) = (s0.row(i), s1.row(i), s2.row(i));
+            let (r0, r1, r2) = (plain_row(s0, i), plain_row(s1, i), plain_row(s2, i));
             for p in 0..kc {
                 out[p * stride] += c0.mul_add(r0[p], c1.mul_add(r1[p], *c2 * r2[p]));
             }
         }
         [(c0, s0), (c1, s1), (c2, s2), (c3, s3)] => {
-            let (r0, r1, r2, r3) = (s0.row(i), s1.row(i), s2.row(i), s3.row(i));
+            let (r0, r1, r2, r3) = (
+                plain_row(s0, i),
+                plain_row(s1, i),
+                plain_row(s2, i),
+                plain_row(s3, i),
+            );
             for p in 0..kc {
                 out[p * stride] +=
                     c0.mul_add(r0[p], c1.mul_add(r1[p], c2.mul_add(r2[p], *c3 * r3[p])));
@@ -1049,36 +1365,54 @@ mod tests {
     /// without checksums) and compare with materialize-then-pack. For the
     /// unit list `[1.0]` the reference forms `1·x` with `combine`'s
     /// multiply arm while the packers take their copy sweeps, which pins
-    /// the `[(1, src)]` selection.
+    /// the `[(1, src)]` selection. Every list is packed three ways: plain
+    /// sources, transposed views of stored transposes, and the two
+    /// alternating (the mixed-orientation sweep).
     fn check_combined_bitwise<T: Scalar>(rows: usize, cols: usize, coeffs: &[f64], special: bool) {
         use crate::add::combine;
         let srcs: Vec<Mat<T>> = (0..coeffs.len())
             .map(|s| combo_mat(rows, cols, s, special))
             .collect();
-        let terms: Vec<(T, _)> = coeffs
-            .iter()
-            .zip(&srcs)
-            .map(|(&c, m)| (T::from_f64(c), m.as_ref()))
-            .collect();
-        let ctx = format!("coeffs {coeffs:?} ({rows}x{cols}) special={special}");
+        let stored_t: Vec<Mat<T>> = srcs.iter().map(|m| m.as_ref().t().to_owned()).collect();
+        let terms_with = |transposed: &dyn Fn(usize) -> bool| -> Vec<(T, MatRef<'_, T>)> {
+            (0..coeffs.len())
+                .map(|t| {
+                    let src = if transposed(t) {
+                        stored_t[t].as_ref().t()
+                    } else {
+                        srcs[t].as_ref()
+                    };
+                    (T::from_f64(coeffs[t]), src)
+                })
+                .collect()
+        };
+        let terms = terms_with(&|_| false);
         // Reference: materialize Σ coeff·src then pack.
         let mut s = Mat::<T>::zeros(rows, cols);
         combine(s.as_mut(), false, &terms);
+        let (mut want_a, mut want_b) = (Vec::new(), Vec::new());
+        pack_a(s.as_ref(), &mut want_a, T::MR);
+        pack_b(s.as_ref(), &mut want_b, T::NR);
         // The packers only ever grow a buffer, so `got` goes in longer than
         // any panel and all NaN: an element a sweep skipped (a pad it should
         // have zeroed) shows against the freshly zero-filled `want`.
         let stale = || vec![T::from_f64(f64::NAN); 4 * (rows + T::MR) * (cols + T::NR)];
-        let (mut want, mut got) = (Vec::new(), stale());
-        pack_a(s.as_ref(), &mut want, T::MR);
-        pack_a_combined(&terms, &mut got, T::MR);
-        assert_same_bits(&got, &want, &format!("pack_a {ctx}"));
-        let (mut want, mut got) = (Vec::new(), stale());
-        pack_b(s.as_ref(), &mut want, T::NR);
-        pack_b_combined(&terms, &mut got, T::NR);
-        assert_same_bits(&got, &want, &format!("pack_b {ctx}"));
-        let (mut got, mut sum, mut mag) = (stale(), Vec::new(), Vec::new());
-        let len = pack_b_terms(&terms, &mut got, T::NR, Some((&mut sum, &mut mag)));
-        assert_same_bits(&got[..len], &want, &format!("pack_b+sums {ctx}"));
+        for (layout, terms) in [
+            ("plain", terms.clone()),
+            ("transposed", terms_with(&|_| true)),
+            ("mixed", terms_with(&|t| t % 2 == 0)),
+        ] {
+            let ctx = format!("coeffs {coeffs:?} ({rows}x{cols}) special={special} {layout}");
+            let mut got = stale();
+            pack_a_combined(&terms, &mut got, T::MR);
+            assert_same_bits(&got, &want_a, &format!("pack_a {ctx}"));
+            let mut got = stale();
+            pack_b_combined(&terms, &mut got, T::NR);
+            assert_same_bits(&got, &want_b, &format!("pack_b {ctx}"));
+            let (mut got, mut sum, mut mag) = (stale(), Vec::new(), Vec::new());
+            let len = pack_b_terms(&terms, &mut got, T::NR, Some((&mut sum, &mut mag)));
+            assert_same_bits(&got[..len], &want_b, &format!("pack_b+sums {ctx}"));
+        }
     }
 
     #[test]
@@ -1096,18 +1430,39 @@ mod tests {
         }
     }
 
-    fn check_combined_sums<T: Scalar>(kc: usize, nc: usize, arity: usize, nr: usize) {
+    /// Checksummed B pack ≡ plain B pack, sums within a tight tolerance of
+    /// an f64 reference over the packed values; `transposed` passes the
+    /// sources as transposed views of stored transposes.
+    fn check_combined_sums<T: Scalar>(
+        kc: usize,
+        nc: usize,
+        arity: usize,
+        nr: usize,
+        transposed: bool,
+    ) {
         let srcs: Vec<Mat<T>> = (0..arity)
             .map(|s| {
-                Mat::from_fn(kc, nc, |i, j| {
+                let v = |i: usize, j: usize| {
                     T::from_f64((((i * 31 + j * 7 + s * 13) as f64).sin() - 0.3) * 2.0)
-                })
+                };
+                if transposed {
+                    Mat::from_fn(nc, kc, |j, i| v(i, j))
+                } else {
+                    Mat::from_fn(kc, nc, v)
+                }
             })
             .collect();
         let terms: Vec<(T, _)> = srcs
             .iter()
             .enumerate()
-            .map(|(t, m)| (T::from_f64(0.5 * t as f64 - 0.7), m.as_ref()))
+            .map(|(t, m)| {
+                let view = if transposed {
+                    m.as_ref().t()
+                } else {
+                    m.as_ref()
+                };
+                (T::from_f64(0.5 * t as f64 - 0.7), view)
+            })
             .collect();
         let mut plain = Vec::new();
         pack_b_combined(&terms, &mut plain, nr);
@@ -1136,10 +1491,12 @@ mod tests {
     #[test]
     fn combined_pack_with_sums_matches_plain_pack() {
         for arity in 1..=7 {
-            for &(kc, nc) in &[(3, 33), (5, 8), (7, 19), (4, 64), (2, 3)] {
-                check_combined_sums::<f32>(kc, nc, arity, f32::NR);
-                check_combined_sums::<f64>(kc, nc, arity, f64::NR);
-                check_combined_sums::<f32>(kc, nc, arity, 16);
+            for &(kc, nc) in &[(3, 33), (5, 8), (7, 19), (4, 64), (2, 3), (70, 41)] {
+                for transposed in [false, true] {
+                    check_combined_sums::<f32>(kc, nc, arity, f32::NR, transposed);
+                    check_combined_sums::<f64>(kc, nc, arity, f64::NR, transposed);
+                    check_combined_sums::<f32>(kc, nc, arity, 16, transposed);
+                }
             }
         }
     }

@@ -1,18 +1,25 @@
-//! Transposition.
+//! Materialized transposition.
 //!
-//! The blocked GEMM consumes row-major, non-transposed operands; a caller
-//! that needs `Aᵀ·B` or `A·Bᵀ` materializes the transpose here with a
-//! cache-blocked kernel. NN backpropagation (`dW = Xᵀ·dZ`, `dX = dZ·Wᵀ`)
-//! is the primary consumer.
+//! A product never needs it: `Aᵀ·B` and `A·Bᵀ` pass the zero-copy view
+//! [`MatRef::t`](crate::MatRef::t) and the packers read it in place (NN
+//! backpropagation's `dW = Xᵀ·dZ`, `dX = dZ·Wᵀ` do exactly that). This
+//! cache-blocked copy is for callers that want an owned row-major
+//! transpose, and is the reference the transposed-view tests compare
+//! against.
 
 use crate::matrix::{Mat, MatMut, MatRef};
 use crate::scalar::Scalar;
 
-/// Cache-blocked transposition: `dst = srcᵀ`.
+/// Cache-blocked transposition: `dst = srcᵀ`. The transpose of a
+/// transposed view is the plain view it transposes, copied row by row.
 pub fn transpose_into<T: Scalar>(src: MatRef<'_, T>, mut dst: MatMut<'_, T>) {
     let (r, c) = (src.rows(), src.cols());
     assert_eq!(dst.rows(), c, "transpose shape mismatch");
     assert_eq!(dst.cols(), r, "transpose shape mismatch");
+    if src.is_transposed() {
+        dst.copy_from(src.t());
+        return;
+    }
     const B: usize = 32;
     for i0 in (0..r).step_by(B) {
         let imax = (i0 + B).min(r);
@@ -54,7 +61,13 @@ mod tests {
                     assert_eq!(t.at(j, i), a.at(i, j));
                 }
             }
+            // A transposed view transposes back to its source.
+            assert_eq!(transpose(a.as_ref().t()), a);
         }
+        let wide = numbered(4, 100);
+        assert_eq!(transpose(wide.as_ref().t()), wide);
+        let v = wide.as_ref().subview(1, 2, 3, 90);
+        assert_eq!(transpose(v.t()), v.to_owned());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! ABFT behavior at the gemm layer: fault-free transparency (bitwise
 //! identity and zero detections), and — under `--features fault-inject` —
 //! detection plus bitwise-exact in-place repair of injected single-bit
-//! flips in the packed panels and the output tiles.
+//! flips in the packed panels and the output tiles — with each operand
+//! plain and as the transposed view (`MatRef::t`) of its stored transpose.
 //!
 //! Sessions are process-global, so every test serializes on one mutex.
 
@@ -30,6 +31,11 @@ fn rand_mat<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Mat<T> {
     })
 }
 
+/// Transposed storage of `m`: pass `.as_ref().t()` for the same operand.
+fn stored_t<T: Scalar>(m: &Mat<T>) -> Mat<T> {
+    m.as_ref().t().to_owned()
+}
+
 fn assert_bitwise_eq<T: Scalar>(got: &Mat<T>, want: &Mat<T>, ctx: &str) {
     for i in 0..want.rows() {
         for j in 0..want.cols() {
@@ -44,9 +50,10 @@ fn assert_bitwise_eq<T: Scalar>(got: &Mat<T>, want: &Mat<T>, ctx: &str) {
     }
 }
 
-/// Plain gemm, then the fused-operand path with a 2-term A list against a
-/// B list of each arity in `b_arities`: checked ≡ unchecked bitwise, zero
-/// detections.
+/// Plain gemm (each side plain or transposed), then the fused-operand
+/// path with a 2-term A list against a B list of each arity in
+/// `b_arities` (both sides plain, then both transposed): checked ≡
+/// unchecked plain bitwise, zero detections.
 fn check_fault_free_identity<T: Scalar>(
     m: usize,
     k: usize,
@@ -67,50 +74,67 @@ fn check_fault_free_identity<T: Scalar>(
         plain.as_mut(),
     );
 
-    let session = Arc::new(AbftSession::default());
-    let mut checked = c0.clone();
-    {
-        let _g = abft::scoped(session.clone());
-        gemm_st(
-            T::from_f64(1.25),
-            a.as_ref(),
-            b.as_ref(),
-            beta,
-            checked.as_mut(),
-        );
-    }
-    assert_bitwise_eq(&checked, &plain, &format!("plain ({m},{k},{n})"));
+    let (at, bt) = (stored_t(&a), stored_t(&b));
+    for (av, bv, tag) in [
+        (a.as_ref(), b.as_ref(), ""),
+        (at.as_ref().t(), b.as_ref(), " Aᵀ"),
+        (a.as_ref(), bt.as_ref().t(), " Bᵀ"),
+        (at.as_ref().t(), bt.as_ref().t(), " AᵀBᵀ"),
+    ] {
+        let session = Arc::new(AbftSession::default());
+        let mut checked = c0.clone();
+        {
+            let _g = abft::scoped(session.clone());
+            gemm_st(T::from_f64(1.25), av, bv, beta, checked.as_mut());
+        }
+        assert_bitwise_eq(&checked, &plain, &format!("plain ({m},{k},{n}){tag}"));
 
-    let counts = session.stats.snapshot();
-    assert!(counts.checks > 0, "no checks ran ({m},{k},{n})");
-    assert_eq!(counts.detected, 0, "false positive ({m},{k},{n})");
-    assert_eq!(counts.repaired + counts.unrepaired, 0);
+        let counts = session.stats.snapshot();
+        assert!(counts.checks > 0, "no checks ran ({m},{k},{n}){tag}");
+        assert_eq!(counts.detected, 0, "false positive ({m},{k},{n}){tag}");
+        assert_eq!(counts.repaired + counts.unrepaired, 0);
+    }
 
     let a2 = rand_mat::<T>(m, k, 21);
-    let a_terms = [
-        (T::from_f64(0.5), a.as_ref()),
-        (T::from_f64(-1.5), a2.as_ref()),
+    let (a_st, a2_st) = (stored_t(&a), stored_t(&a2));
+    let a_coeffs = [T::from_f64(0.5), T::from_f64(-1.5)];
+    let a_terms = [(a_coeffs[0], a.as_ref()), (a_coeffs[1], a2.as_ref())];
+    let a_terms_t = [
+        (a_coeffs[0], a_st.as_ref().t()),
+        (a_coeffs[1], a2_st.as_ref().t()),
     ];
     for &arity in b_arities {
         let b_srcs: Vec<Mat<T>> = (0..arity as u64).map(|t| rand_mat(k, n, 22 + t)).collect();
+        let b_st: Vec<Mat<T>> = b_srcs.iter().map(stored_t).collect();
+        let b_coeff = |t: usize| T::from_f64([2.0, 0.25, -0.75][t % 3]);
         let b_terms: Vec<_> = b_srcs
             .iter()
             .enumerate()
-            .map(|(t, s)| (T::from_f64([2.0, 0.25, -0.75][t % 3]), s.as_ref()))
+            .map(|(t, s)| (b_coeff(t), s.as_ref()))
+            .collect();
+        let b_terms_t: Vec<_> = b_st
+            .iter()
+            .enumerate()
+            .map(|(t, s)| (b_coeff(t), s.as_ref().t()))
             .collect();
         let mut plain_f = c0.clone();
         gemm_combined_st(T::ONE, &a_terms, &b_terms, beta, plain_f.as_mut());
-        let session_f = Arc::new(AbftSession::default());
-        let mut checked_f = c0.clone();
-        {
-            let _g = abft::scoped(session_f.clone());
-            gemm_combined_st(T::ONE, &a_terms, &b_terms, beta, checked_f.as_mut());
+        for (a_side, b_side, tag) in [
+            (&a_terms[..], &b_terms[..], ""),
+            (&a_terms_t[..], &b_terms_t[..], " AᵀBᵀ"),
+        ] {
+            let session_f = Arc::new(AbftSession::default());
+            let mut checked_f = c0.clone();
+            {
+                let _g = abft::scoped(session_f.clone());
+                gemm_combined_st(T::ONE, a_side, b_side, beta, checked_f.as_mut());
+            }
+            let ctx = format!("fused ({m},{k},{n}) B arity {arity}{tag}");
+            assert_bitwise_eq(&checked_f, &plain_f, &ctx);
+            let counts_f = session_f.stats.snapshot();
+            assert!(counts_f.checks > 0, "{ctx}");
+            assert_eq!(counts_f.detected, 0, "false positive: {ctx}");
         }
-        let ctx = format!("fused ({m},{k},{n}) B arity {arity}");
-        assert_bitwise_eq(&checked_f, &plain_f, &ctx);
-        let counts_f = session_f.stats.snapshot();
-        assert!(counts_f.checks > 0, "{ctx}");
-        assert_eq!(counts_f.detected, 0, "false positive: {ctx}");
     }
 }
 
@@ -220,7 +244,9 @@ mod injected {
     use apa_gemm::abft::sdc::{self, FlipSpec, FlipTarget};
 
     /// Run one plain gemm with a flip armed at (`target`, `index`, `bit`)
-    /// and assert it is detected and repaired bitwise-exactly.
+    /// and assert it is detected and repaired bitwise-exactly — once on
+    /// plain operands, once on transposed views of stored transposes
+    /// (the packed panels are the same, so is the flipped element).
     fn drill_plain<T: Scalar>(
         m: usize,
         k: usize,
@@ -243,22 +269,28 @@ mod injected {
             want.as_mut(),
         );
 
-        let session = Arc::new(AbftSession::default());
-        let mut got = c0.clone();
-        let fired_before = sdc::injected();
-        {
-            let _s = abft::scoped(session.clone());
-            sdc::arm(FlipSpec { target, index, bit });
-            gemm_st(T::from_f64(1.5), a.as_ref(), b.as_ref(), beta, got.as_mut());
+        let (at, bt) = (stored_t(&a), stored_t(&b));
+        for (av, bv, tag) in [
+            (a.as_ref(), b.as_ref(), ""),
+            (at.as_ref().t(), bt.as_ref().t(), " AᵀBᵀ"),
+        ] {
+            let session = Arc::new(AbftSession::default());
+            let mut got = c0.clone();
+            let fired_before = sdc::injected();
+            {
+                let _s = abft::scoped(session.clone());
+                sdc::arm(FlipSpec { target, index, bit });
+                gemm_st(T::from_f64(1.5), av, bv, beta, got.as_mut());
+            }
+            sdc::disarm();
+            assert_eq!(sdc::injected(), fired_before + 1, "flip did not fire");
+            let counts = session.stats.snapshot();
+            let ctx = format!("{target:?} idx {index} bit {bit} ({m},{k},{n}){tag}");
+            assert!(counts.detected > 0, "undetected: {ctx}");
+            assert!(counts.repaired > 0, "unrepaired: {ctx}");
+            assert_eq!(counts.unrepaired, 0, "repair failed: {ctx}");
+            assert_bitwise_eq(&got, &want, &ctx);
         }
-        sdc::disarm();
-        assert_eq!(sdc::injected(), fired_before + 1, "flip did not fire");
-        let counts = session.stats.snapshot();
-        let ctx = format!("{target:?} idx {index} bit {bit} ({m},{k},{n})");
-        assert!(counts.detected > 0, "undetected: {ctx}");
-        assert!(counts.repaired > 0, "unrepaired: {ctx}");
-        assert_eq!(counts.unrepaired, 0, "repair failed: {ctx}");
-        assert_bitwise_eq(&got, &want, &ctx);
     }
 
     #[test]
@@ -307,25 +339,37 @@ mod injected {
         let b2 = rand_mat::<f32>(k, n, 64);
         let a_terms = [(0.75f32, a1.as_ref()), (-1.25f32, a2.as_ref())];
         let b_terms = [(1.5f32, b1.as_ref()), (0.5f32, b2.as_ref())];
-        for target in [FlipTarget::PackA, FlipTarget::PackB, FlipTarget::Output] {
-            let mut want = Mat::<f32>::zeros(m, n);
-            gemm_combined_st(1.0, &a_terms, &b_terms, 0.0, want.as_mut());
-            let session = Arc::new(AbftSession::default());
-            let mut got = Mat::<f32>::zeros(m, n);
-            {
-                let _s = abft::scoped(session.clone());
-                sdc::arm(FlipSpec {
-                    target,
-                    index: 42,
-                    bit: 30,
-                });
-                gemm_combined_st(1.0, &a_terms, &b_terms, 0.0, got.as_mut());
+        let st = [&a1, &a2, &b1, &b2].map(stored_t);
+        let a_terms_t = [
+            (0.75f32, st[0].as_ref().t()),
+            (-1.25f32, st[1].as_ref().t()),
+        ];
+        let b_terms_t = [(1.5f32, st[2].as_ref().t()), (0.5f32, st[3].as_ref().t())];
+        let mut want = Mat::<f32>::zeros(m, n);
+        gemm_combined_st(1.0, &a_terms, &b_terms, 0.0, want.as_mut());
+        for (a_side, b_side, tag) in [(&a_terms, &b_terms, ""), (&a_terms_t, &b_terms_t, " AᵀBᵀ")]
+        {
+            for target in [FlipTarget::PackA, FlipTarget::PackB, FlipTarget::Output] {
+                let session = Arc::new(AbftSession::default());
+                let mut got = Mat::<f32>::zeros(m, n);
+                {
+                    let _s = abft::scoped(session.clone());
+                    sdc::arm(FlipSpec {
+                        target,
+                        index: 42,
+                        bit: 30,
+                    });
+                    gemm_combined_st(1.0, a_side, b_side, 0.0, got.as_mut());
+                }
+                sdc::disarm();
+                let counts = session.stats.snapshot();
+                assert!(counts.detected > 0, "fused undetected: {target:?}{tag}");
+                assert!(
+                    counts.repaired > 0 && counts.unrepaired == 0,
+                    "{target:?}{tag}"
+                );
+                assert_bitwise_eq(&got, &want, &format!("fused {target:?}{tag}"));
             }
-            sdc::disarm();
-            let counts = session.stats.snapshot();
-            assert!(counts.detected > 0, "fused undetected: {target:?}");
-            assert!(counts.repaired > 0 && counts.unrepaired == 0, "{target:?}");
-            assert_bitwise_eq(&got, &want, &format!("fused {target:?}"));
         }
     }
 

@@ -4,7 +4,9 @@
 //! (a plain matrix, packed by the copy sweeps) to 4-term combinations —
 //! drawn independently for A and B — across ragged shapes that exercise
 //! full tiles, edge tiles and single-row/column slivers of every tier's
-//! MR×NR geometry.
+//! MR×NR geometry — and every operand orientation: each side is passed
+//! either plain or as the transposed view (`MatRef::t`) of its stored
+//! transpose, which must pack to the very same panels.
 //!
 //! Bitwise (not tolerance-based) agreement is the contract that makes
 //! runtime dispatch invisible: results must not depend on which CPU the
@@ -14,7 +16,7 @@
 
 use apa_gemm::{
     available_tiers, gemm_combined_st_with_spec, gemm_st_with_spec, spec_for_tier, KernelTier, Mat,
-    Scratch,
+    MatRef, Scalar, Scratch,
 };
 
 /// Ragged (m, n, k) triples: smaller than one tile, exactly one tile,
@@ -38,6 +40,26 @@ const SHAPES: [(usize, usize, usize); 12] = [
 /// Term coefficients by position; a list of arity 1 is the unit list.
 const A_COEFFS: [f64; 4] = [1.0, -0.5, 0.25, 2.0];
 const B_COEFFS: [f64; 4] = [1.0, 2.0, -1.5, 0.125];
+
+/// The first `arity` terms over `srcs`, each source passed as the `.t()`
+/// view of its stored transpose when `t_view`.
+fn terms<'a, T: Scalar>(
+    coeffs: &[f64; 4],
+    srcs: &'a [Mat<T>],
+    arity: usize,
+    t_view: bool,
+) -> Vec<(T, MatRef<'a, T>)> {
+    (0..arity)
+        .map(|t| {
+            let v = if t_view {
+                srcs[t].as_ref().t()
+            } else {
+                srcs[t].as_ref()
+            };
+            (T::from_f64(coeffs[t]), v)
+        })
+        .collect()
+}
 
 macro_rules! dispatch_matrix_for {
     ($ty:ty, $name:ident) => {
@@ -64,14 +86,15 @@ macro_rules! dispatch_matrix_for {
                             })
                         })
                         .collect();
+                    // The same operands stored transposed, passed as `.t()` views.
+                    let stored_t = |srcs: &[Mat<$ty>]| -> Vec<Mat<$ty>> {
+                        srcs.iter().map(|s| s.as_ref().t().to_owned()).collect()
+                    };
+                    let (a_stored_t, b_stored_t) = (stored_t(&a_srcs), stored_t(&b_srcs));
                     let init = Mat::<$ty>::from_fn(m, n, |i, j| ((i + j) % 9) as $ty * 0.3 - 1.0);
                     for (a_arity, b_arity) in (1..=4).flat_map(|x| (1..=4).map(move |y| (x, y))) {
-                        let a_terms: Vec<_> = (0..a_arity)
-                            .map(|t| (A_COEFFS[t] as $ty, a_srcs[t].as_ref()))
-                            .collect();
-                        let b_terms: Vec<_> = (0..b_arity)
-                            .map(|t| (B_COEFFS[t] as $ty, b_srcs[t].as_ref()))
-                            .collect();
+                        let a_terms = terms(&A_COEFFS, &a_srcs, a_arity, false);
+                        let b_terms = terms(&B_COEFFS, &b_srcs, b_arity, false);
                         for beta in [0.0 as $ty, 1.0] {
                             let mut want = init.clone();
                             gemm_combined_st_with_spec(
@@ -83,23 +106,39 @@ macro_rules! dispatch_matrix_for {
                                 want.as_mut(),
                                 &mut scratch,
                             );
-                            let mut got = init.clone();
-                            gemm_combined_st_with_spec(
-                                &spec,
-                                1.25,
-                                &a_terms,
-                                &b_terms,
-                                beta,
-                                got.as_mut(),
-                                &mut scratch,
-                            );
-                            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-                                assert_eq!(
-                                    g.to_bits(),
-                                    w.to_bits(),
-                                    "tier {tier:?} diverges from scalar at ({m},{n},{k}) \
-                                     arity {a_arity}x{b_arity} β={beta}"
+                            for (a_t, b_t) in
+                                [(false, false), (true, false), (false, true), (true, true)]
+                            {
+                                let a_side = if a_t {
+                                    terms(&A_COEFFS, &a_stored_t, a_arity, true)
+                                } else {
+                                    a_terms.clone()
+                                };
+                                let b_side = if b_t {
+                                    terms(&B_COEFFS, &b_stored_t, b_arity, true)
+                                } else {
+                                    b_terms.clone()
+                                };
+                                let mut got = init.clone();
+                                gemm_combined_st_with_spec(
+                                    &spec,
+                                    1.25,
+                                    &a_side,
+                                    &b_side,
+                                    beta,
+                                    got.as_mut(),
+                                    &mut scratch,
                                 );
+                                for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                                    assert_eq!(
+                                        g.to_bits(),
+                                        w.to_bits(),
+                                        "tier {tier:?} diverges from scalar at ({m},{n},{k}) \
+                                         arity {a_arity}x{b_arity} β={beta} A{} B{}",
+                                        if a_t { "ᵀ" } else { "" },
+                                        if b_t { "ᵀ" } else { "" },
+                                    );
+                                }
                             }
                         }
                     }

@@ -2,8 +2,9 @@
 //! multithreaded driver is **bitwise identical** to the single-threaded
 //! blocked kernel — any operand arity from the unit list (a plain matrix)
 //! to 4-term combinations, drawn independently per side, f32 and f64,
-//! ragged shapes, any thread count — and the sequential path stays
-//! entirely outside the pool's claim machinery.
+//! ragged shapes, any thread count, either side passed as the transposed
+//! view (`MatRef::t`) of its stored transpose — and the sequential path
+//! stays entirely outside the pool's claim machinery.
 //!
 //! The proptests force multi-cell grids with small explicit block sizes
 //! (via the `parallel::hooks` test seam); the public entry points use the
@@ -77,6 +78,20 @@ fn terms<'a, T: Scalar>(coeffs: &[f64; 4], srcs: &'a [Mat<T>]) -> Vec<(T, MatRef
         .collect()
 }
 
+/// The same sources stored transposed, to be passed as [`t_terms`] views.
+fn stored_t<T: Scalar>(srcs: &[Mat<T>]) -> Vec<Mat<T>> {
+    srcs.iter().map(|s| s.as_ref().t().to_owned()).collect()
+}
+
+/// [`terms`] over stored transposes, as `.t()` views: the same operand.
+fn t_terms<'a, T: Scalar>(coeffs: &[f64; 4], stored: &'a [Mat<T>]) -> Vec<(T, MatRef<'a, T>)> {
+    stored
+        .iter()
+        .zip(coeffs)
+        .map(|(s, &c)| (T::from_f64(c), s.as_ref().t()))
+        .collect()
+}
+
 /// The unit list of a plain operand.
 fn unit<T: Scalar>(m: &Mat<T>) -> [(T, MatRef<'_, T>); 1] {
     [(T::ONE, m.as_ref())]
@@ -89,20 +104,25 @@ proptest! {
     fn f32_parallel_is_bitwise_st(
         m in 1usize..90, k in 1usize..90, n in 1usize..90,
         a_arity in 1usize..=4, b_arity in 1usize..=4,
-        threads in 1usize..=8, seed in 0u64..1_000
+        threads in 1usize..=8, seed in 0u64..1_000, orient in 0usize..4
     ) {
+        let (a_t, b_t) = (orient & 1 != 0, orient & 2 != 0);
         let a_srcs = sources::<f32>(m, k, a_arity, seed);
         let b_srcs = sources::<f32>(k, n, b_arity, seed ^ 0xABCD);
         let (a_terms, b_terms) = (terms(&A_COEFFS, &a_srcs), terms(&B_COEFFS, &b_srcs));
+        let (a_st, b_st) = (stored_t(&a_srcs), stored_t(&b_srcs));
+        let a_side = if a_t { t_terms(&A_COEFFS, &a_st) } else { a_terms.clone() };
+        let b_side = if b_t { t_terms(&B_COEFFS, &b_st) } else { b_terms.clone() };
         let c0 = rand_mat::<f32>(m, n, seed ^ 0x1234);
         let (mut seq, mut par) = (c0.clone(), c0.clone());
         hooks::gemm_st_with_blocks(1.5f32, &a_terms, &b_terms, -0.5, seq.as_mut(), SMALL);
-        hooks::gemm_2d_with_blocks(1.5f32, &a_terms, &b_terms, -0.5, par.as_mut(), threads, SMALL)
+        hooks::gemm_2d_with_blocks(1.5f32, &a_side, &b_side, -0.5, par.as_mut(), threads, SMALL)
             .unwrap();
         for i in 0..m {
             for j in 0..n {
                 prop_assert_eq!(par.at(i, j).to_bits(), seq.at(i, j).to_bits(),
-                    "({},{},{}) arity {}x{} t={} C[{},{}]", m, k, n, a_arity, b_arity, threads, i, j);
+                    "({},{},{}) arity {}x{} t={} Aᵀ={} Bᵀ={} C[{},{}]",
+                    m, k, n, a_arity, b_arity, threads, a_t, b_t, i, j);
             }
         }
     }
@@ -111,19 +131,24 @@ proptest! {
     fn f64_parallel_is_bitwise_st(
         m in 1usize..70, k in 1usize..70, n in 1usize..70,
         a_arity in 1usize..=4, b_arity in 1usize..=4,
-        threads in 1usize..=8, seed in 0u64..1_000
+        threads in 1usize..=8, seed in 0u64..1_000, orient in 0usize..4
     ) {
+        let (a_t, b_t) = (orient & 1 != 0, orient & 2 != 0);
         let a_srcs = sources::<f64>(m, k, a_arity, seed);
         let b_srcs = sources::<f64>(k, n, b_arity, seed ^ 0xBEEF);
         let (a_terms, b_terms) = (terms(&A_COEFFS, &a_srcs), terms(&B_COEFFS, &b_srcs));
+        let (a_st, b_st) = (stored_t(&a_srcs), stored_t(&b_srcs));
+        let a_side = if a_t { t_terms(&A_COEFFS, &a_st) } else { a_terms.clone() };
+        let b_side = if b_t { t_terms(&B_COEFFS, &b_st) } else { b_terms.clone() };
         let (mut seq, mut par) = (Mat::<f64>::zeros(m, n), Mat::<f64>::zeros(m, n));
         hooks::gemm_st_with_blocks(2.0f64, &a_terms, &b_terms, 0.0, seq.as_mut(), SMALL);
-        hooks::gemm_2d_with_blocks(2.0f64, &a_terms, &b_terms, 0.0, par.as_mut(), threads, SMALL)
+        hooks::gemm_2d_with_blocks(2.0f64, &a_side, &b_side, 0.0, par.as_mut(), threads, SMALL)
             .unwrap();
         for i in 0..m {
             for j in 0..n {
                 prop_assert_eq!(par.at(i, j).to_bits(), seq.at(i, j).to_bits(),
-                    "({},{},{}) arity {}x{} t={} C[{},{}]", m, k, n, a_arity, b_arity, threads, i, j);
+                    "({},{},{}) arity {}x{} t={} Aᵀ={} Bᵀ={} C[{},{}]",
+                    m, k, n, a_arity, b_arity, threads, a_t, b_t, i, j);
             }
         }
     }
@@ -137,17 +162,19 @@ fn public_entry_points_are_bitwise_across_thread_counts() {
     let b = rand_mat::<f32>(75, 110, 10);
     let mut seq = Mat::<f32>::zeros(130, 110);
     gemm_st(1.0, a.as_ref(), b.as_ref(), 0.0, seq.as_mut());
-    for threads in [1usize, 2, 3, 4, 6, 8] {
-        let mut par = Mat::<f32>::zeros(130, 110);
-        gemm(
-            1.0,
-            a.as_ref(),
-            b.as_ref(),
-            0.0,
-            par.as_mut(),
-            Par::Threads(threads),
-        );
-        assert_bitwise(&par, &seq, &format!("threads={threads}"));
+    // Xᵀ·B and A·Wᵀ shapes: the transposed views of stored transposes.
+    let (at, bt) = (a.as_ref().t().to_owned(), b.as_ref().t().to_owned());
+    for threads in 1usize..=8 {
+        for (av, bv, tag) in [
+            (a.as_ref(), b.as_ref(), ""),
+            (at.as_ref().t(), b.as_ref(), " Aᵀ"),
+            (a.as_ref(), bt.as_ref().t(), " Bᵀ"),
+            (at.as_ref().t(), bt.as_ref().t(), " AᵀBᵀ"),
+        ] {
+            let mut par = Mat::<f32>::zeros(130, 110);
+            gemm(1.0, av, bv, 0.0, par.as_mut(), Par::Threads(threads));
+            assert_bitwise(&par, &seq, &format!("threads={threads}{tag}"));
+        }
     }
 }
 

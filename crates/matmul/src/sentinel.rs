@@ -193,6 +193,9 @@ fn splitmix(state: &mut u64) -> u64 {
 /// Count the non-finite entries of `c` (the standalone scan used on calls
 /// where the Freivalds probe is not sampled).
 pub fn scan_nonfinite<T: Scalar>(c: MatRef<'_, T>) -> usize {
+    // The count does not depend on the order: scan a transposed view's
+    // storage as the plain view it transposes.
+    let c = if c.is_transposed() { c.t() } else { c };
     let mut count = 0usize;
     for i in 0..c.rows() {
         for &v in c.row(i) {
@@ -202,6 +205,29 @@ pub fn scan_nonfinite<T: Scalar>(c: MatRef<'_, T>) -> usize {
         }
     }
     count
+}
+
+/// `out ← M·x` in f64, each `out[i]` summed from 0 in column order. A
+/// transposed `M` is swept a contiguous column at a time; every `out[i]`
+/// still adds its terms in the same order, so the projection — and the
+/// verdict — is bitwise the one for the materialized transpose.
+fn project<T: Scalar>(mat: MatRef<'_, T>, x: &[f64], out: &mut [f64]) {
+    if mat.is_transposed() {
+        out.fill(0.0);
+        for (j, &xj) in x.iter().enumerate() {
+            for (o, &v) in out.iter_mut().zip(mat.col(j)) {
+                *o += v.to_f64() * xj;
+            }
+        }
+        return;
+    }
+    for (i, o) in out.iter_mut().enumerate() {
+        let mut acc = 0.0f64;
+        for (j, &v) in mat.row(i).iter().enumerate() {
+            acc += v.to_f64() * x[j];
+        }
+        *o = acc;
+    }
 }
 
 /// Freivalds-style residual probe with a fused non-finite scan.
@@ -233,38 +259,32 @@ pub fn check_product<T: Scalar>(
         };
     }
 
-    // C·x, with the non-finite scan fused into the same pass over C.
+    // C·x, with the non-finite scan fused into the same pass over C (a
+    // transposed C takes the column-wise projection and a separate scan).
     let mut nonfinite = 0usize;
-    for i in 0..m {
-        let mut acc = 0.0f64;
-        for (j, &v) in c.row(i).iter().enumerate() {
-            let v = v.to_f64();
-            if !v.is_finite() {
-                nonfinite += 1;
+    if c.is_transposed() {
+        project(c, &scratch.x[..n], &mut scratch.cx[..m]);
+        nonfinite = scan_nonfinite(c);
+    } else {
+        for i in 0..m {
+            let mut acc = 0.0f64;
+            for (j, &v) in c.row(i).iter().enumerate() {
+                let v = v.to_f64();
+                if !v.is_finite() {
+                    nonfinite += 1;
+                }
+                acc += v * scratch.x[j];
             }
-            acc += v * scratch.x[j];
+            scratch.cx[i] = acc;
         }
-        scratch.cx[i] = acc;
     }
     if nonfinite > 0 {
         return Verdict::NonFinite { count: nonfinite };
     }
 
     // B·x, then A·(B·x) — the f64 reference projection.
-    for i in 0..k {
-        let mut acc = 0.0f64;
-        for (j, &v) in b.row(i).iter().enumerate() {
-            acc += v.to_f64() * scratch.x[j];
-        }
-        scratch.bx[i] = acc;
-    }
-    for i in 0..m {
-        let mut acc = 0.0f64;
-        for (j, &v) in a.row(i).iter().enumerate() {
-            acc += v.to_f64() * scratch.bx[j];
-        }
-        scratch.abx[i] = acc;
-    }
+    project(b, &scratch.x[..n], &mut scratch.bx[..k]);
+    project(a, &scratch.bx[..k], &mut scratch.abx[..m]);
 
     let mut num = 0.0f64;
     let mut den = 0.0f64;
@@ -338,6 +358,45 @@ mod tests {
         let v = check_product(a.as_ref(), b.as_ref(), c.as_ref(), 1e-3, 7, &mut scratch);
         assert_eq!(v, Verdict::NonFinite { count: 2 });
         assert_eq!(scan_nonfinite(c.as_ref()), 2);
+    }
+
+    #[test]
+    fn transposed_operands_give_the_same_verdict() {
+        // The probe of `Xᵀ·dZ` / `dZ·Wᵀ` on transposed views must be the
+        // probe of the materialized transposes, observed residual included.
+        let a = probe_mat(40, 30, 12);
+        let b = probe_mat(30, 35, 13);
+        let (a_st, b_st) = (a.as_ref().t().to_owned(), b.as_ref().t().to_owned());
+        let mut c = matmul_naive(a.as_ref(), b.as_ref());
+        let mut scratch = ProbeScratch::new();
+        // 0: clean, 1: one scaled entry, 2: plus a NaN and an ∞.
+        for corrupt in 0..3 {
+            match corrupt {
+                1 => c.set(3, 4, c.at(3, 4) * 1e3),
+                2 => {
+                    c.set(7, 0, f32::NAN);
+                    c.set(39, 34, f32::INFINITY);
+                }
+                _ => {}
+            }
+            let want = check_product(a.as_ref(), b.as_ref(), c.as_ref(), 1e-4, 9, &mut scratch);
+            assert_eq!(want.is_healthy(), corrupt == 0);
+            // C as a transposed view too (the probe takes any view).
+            let c_st = c.as_ref().t().to_owned();
+            assert_eq!(
+                scan_nonfinite(c_st.as_ref().t()),
+                scan_nonfinite(c.as_ref())
+            );
+            for (av, bv, cv) in [
+                (a_st.as_ref().t(), b.as_ref(), c.as_ref()),
+                (a.as_ref(), b_st.as_ref().t(), c.as_ref()),
+                (a_st.as_ref().t(), b_st.as_ref().t(), c.as_ref()),
+                (a.as_ref(), b.as_ref(), c_st.as_ref().t()),
+            ] {
+                let got = check_product(av, bv, cv, 1e-4, 9, &mut scratch);
+                assert_eq!(got, want, "corrupt={corrupt}");
+            }
+        }
     }
 
     #[test]

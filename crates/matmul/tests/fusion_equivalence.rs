@@ -136,6 +136,45 @@ proptest! {
         prop_assert!(err < 1e-13, "epilogue fusion drifted: {} ({strategy:?}, {threads}t)", err);
     }
 
+    /// A transposed operand is a view the packers (fused combinations),
+    /// `combine` (`Never`, CSE temps, recursion) and the peel/pad rims read
+    /// in place: bini322 on `.t()` views of stored transposes is bitwise
+    /// bini322 on the plain operands — under `Auto` and `Never`, with and
+    /// without CSE (whose temps mix plain and transposed terms), one or two
+    /// steps, divisible and peeled/padded shapes, cached and uncached.
+    #[test]
+    fn transposed_views_match_materialized_transposes(
+        mult in 1usize..4, m_rim in 0usize..3, k_rim in 0usize..3, n_rim in 0usize..3,
+        steps in 1u32..3, flags in 0u32..64, seed in 0u64..1000
+    ) {
+        let flag = |bit: u32| flags & (1 << bit) != 0;
+        let (a_t, b_t, never, cse, pad, cached) =
+            (flag(0), flag(1), flag(2), flag(3), flag(4), flag(5));
+        // Multiples of bini322's ⟨3,2,2⟩ (and of its square at two steps)
+        // plus a rim of 0..2 that the peel or the pad must handle.
+        let d = if steps == 2 { (9, 4, 4) } else { (3, 2, 2) };
+        let (m, k, n) = (d.0 * mult + m_rim, d.1 * mult * 3 + k_rim, d.2 * mult * 3 + n_rim);
+        let a = rand_mat(m, k, seed, |x| x as f32);
+        let b = rand_mat(k, n, seed + 7, |x| x as f32);
+        let (a_st, b_st) = (a.as_ref().t().to_owned(), b.as_ref().t().to_owned());
+        let av = if a_t { a_st.as_ref().t() } else { a.as_ref() };
+        let bv = if b_t { b_st.as_ref().t() } else { b.as_ref() };
+        let mm = ApaMatmul::new(catalog::bini322())
+            .steps(steps)
+            .cse(cse)
+            .peel_mode(if pad { PeelMode::Pad } else { PeelMode::Dynamic })
+            .fusion(if never { FusionPolicy::Never } else { FusionPolicy::Auto });
+        let mut want = Mat::<f32>::zeros(m, n);
+        mm.multiply_into_uncached(a.as_ref(), b.as_ref(), want.as_mut());
+        let mut got = Mat::<f32>::zeros(m, n);
+        if cached {
+            mm.multiply_into(av, bv, got.as_mut());
+        } else {
+            mm.multiply_into_uncached(av, bv, got.as_mut());
+        }
+        assert_bitwise_f32(&got, &want, "transposed views vs plain operands")?;
+    }
+
     /// Strassen's output map has no all-fanout-1 block, so nothing
     /// epilogue-fuses and `Auto` differs from `Never` only by the (exact)
     /// pack fusion: the two policies must agree bitwise — cached,

@@ -6,11 +6,21 @@
 //!
 //! The three matmuls (`X·W`, `Xᵀ·dZ`, `dZ·Wᵀ`) all route through the
 //! layer's backend — exactly the multiplications the paper replaces with
-//! APA operators in both propagation directions (§4.2).
+//! APA operators in both propagation directions (§4.2). `Xᵀ` and `Wᵀ` are
+//! zero-copy transposed views ([`MatRef::t`]) that the gemm packers read
+//! in place, as a BLAS `sgemm` reads its `trans` flags. Every buffer a
+//! step writes — the activation, dW, db and dX — belongs to the layer and
+//! is reused across steps, and the SGD update runs on the FMA-dispatched
+//! [`apa_gemm::combine`], so a steady-state training step
+//! ([`crate::net::Mlp::train_batch`]) is its multiplies plus the bias,
+//! ReLU and loss passes: no transpose, no allocation.
 
 use crate::backend::Backend;
-use crate::tensor::{add_bias_rows, axpy, col_sums, relu_backward_inplace};
-use apa_gemm::{transpose_into, Mat, MatRef};
+use crate::tensor::{add_bias_rows, col_sums, relu_backward_inplace};
+use apa_gemm::{combine, Mat, MatRef};
+
+/// A layer's parameters and their pending gradients, `(W, b, dW, db)`.
+pub(crate) type ParamsAndGrads<'a> = (&'a mut Mat<f32>, &'a mut [f32], &'a Mat<f32>, &'a [f32]);
 
 /// Activation applied after the affine map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,19 +38,24 @@ pub struct Dense {
     pub b: Vec<f32>,
     pub activation: Activation,
     backend: Backend,
-    // Cached from the last forward pass (buffers are reused across steps
-    // at a fixed batch size, so steady-state training doesn't reallocate
-    // them):
-    input: Option<Mat<f32>>,
-    pre_activation: Option<Mat<f32>>,
-    // Backward-pass scratch, likewise reused across steps: dZ plus the
-    // materialized Xᵀ/Wᵀ operands of the gradient multiplications.
-    dz_buf: Mat<f32>,
-    xt_buf: Mat<f32>,
-    wt_buf: Mat<f32>,
-    // Last computed gradients:
-    pub grad_w: Option<Mat<f32>>,
-    pub grad_b: Option<Vec<f32>>,
+    // Layer-owned buffers, reused across steps at a fixed batch size:
+    /// `act(X·W + b)` of the last training forward pass. ReLU clamps `Z`
+    /// in place, and `A ≤ 0` exactly where `Z ≤ 0`, so the backward mask
+    /// is read off this buffer and `Z` is never kept.
+    out: Mat<f32>,
+    /// Copy of the last input, taken only by the public [`Self::forward`]
+    /// (the network hands each layer its input instead, and its forward
+    /// pass empties this).
+    input: Mat<f32>,
+    /// dZ of the public [`Self::backward`] (the network masks the upstream
+    /// gradient buffer in place instead).
+    dz: Mat<f32>,
+    /// dX of the last backward pass that formed it.
+    dx: Mat<f32>,
+    grad_w: Mat<f32>,
+    grad_b: Vec<f32>,
+    /// `grad_w`/`grad_b` hold gradients no update has consumed yet.
+    has_grads: bool,
 }
 
 impl Dense {
@@ -69,13 +84,13 @@ impl Dense {
             b: vec![0.0; outputs],
             activation,
             backend,
-            input: None,
-            pre_activation: None,
-            dz_buf: Mat::zeros(0, 0),
-            xt_buf: Mat::zeros(0, 0),
-            wt_buf: Mat::zeros(0, 0),
-            grad_w: None,
-            grad_b: None,
+            out: Mat::zeros(0, 0),
+            input: Mat::zeros(0, 0),
+            dz: Mat::zeros(0, 0),
+            dx: Mat::zeros(0, 0),
+            grad_w: Mat::zeros(0, 0),
+            grad_b: Vec::new(),
+            has_grads: false,
         }
     }
 
@@ -105,37 +120,51 @@ impl Dense {
         self.backend = backend;
     }
 
-    /// Forward pass; caches `X` and `Z` for the backward pass. The cached
-    /// buffers from the previous step are reused in place whenever the
+    /// `dW` of the last backward pass, until an update consumes it.
+    pub fn grad_w(&self) -> Option<&Mat<f32>> {
+        self.has_grads.then_some(&self.grad_w)
+    }
+
+    /// `db` of the last backward pass, until an update consumes it.
+    pub fn grad_b(&self) -> Option<&[f32]> {
+        self.has_grads.then_some(&self.grad_b[..])
+    }
+
+    /// Forward pass; caches `X` and `A` for the backward pass and returns
+    /// a copy of `A`. The layer's buffers are reused in place whenever the
     /// shapes still fit.
     pub fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
-        assert_eq!(x.cols(), self.inputs(), "input width mismatch");
-        let mut z = self
-            .pre_activation
-            .take()
-            .unwrap_or_else(|| Mat::zeros(0, 0));
-        z.resize(x.rows(), self.outputs());
-        self.backend
-            .matmul_into(x.as_ref(), self.w.as_ref(), z.as_mut());
-        add_bias_rows(&mut z, &self.b);
-        let a = match self.activation {
-            Activation::Relu => {
-                let mut a = z.clone();
-                for v in a.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-                a
-            }
-            Activation::Identity => z.clone(),
-        };
-        let mut xin = self.input.take().unwrap_or_else(|| Mat::zeros(0, 0));
-        xin.resize(x.rows(), x.cols());
-        xin.as_mut().copy_from(x.as_ref());
-        self.input = Some(xin);
-        self.pre_activation = Some(z);
-        a
+        // `forward_train` drops the cached input; keep this call's copy
+        // (in the same buffer) aside meanwhile.
+        let mut input = std::mem::replace(&mut self.input, Mat::zeros(0, 0));
+        input.resize(x.rows(), x.cols());
+        input.as_mut().copy_from(x.as_ref());
+        self.forward_train(x.as_ref());
+        self.input = input;
+        self.out.clone()
+    }
+
+    /// The training forward pass into the layer's activation buffer
+    /// ([`Self::output`]); the caller keeps `x` alive for the backward
+    /// pass. The inference body, so bitwise equal to it.
+    pub(crate) fn forward_train(&mut self, x: MatRef<'_, f32>) {
+        // An input copied by an earlier public `forward` is stale from
+        // here on: drop it, so a public `backward` now panics instead of
+        // forming dW from it.
+        self.input = Mat::zeros(0, 0);
+        let mut out = std::mem::replace(&mut self.out, Mat::zeros(0, 0));
+        self.forward_inference_into(x, &mut out);
+        self.out = out;
+    }
+
+    /// The activation of the last training forward pass.
+    pub(crate) fn output(&self) -> &Mat<f32> {
+        &self.out
+    }
+
+    /// The dX buffer, which the layer below masks in place as its dZ.
+    pub(crate) fn input_grad_mut(&mut self) -> &mut Mat<f32> {
+        &mut self.dx
     }
 
     /// Inference-only forward: no caching, no clone of the input.
@@ -174,56 +203,68 @@ impl Dense {
         }
     }
 
-    /// Backward pass from `dA` (gradient w.r.t. this layer's output);
-    /// stores `dW`/`db` and returns `dX`.
+    /// Backward pass from `dA` (gradient w.r.t. this layer's output) of
+    /// the last [`Self::forward`]; stores `dW`/`db` and returns `dX`.
+    ///
+    /// # Panics
+    /// Unless the layer's last forward pass was [`Self::forward`] at
+    /// `grad_out`'s batch size: a network's training pass
+    /// ([`crate::net::Mlp::forward`], [`crate::net::Mlp::train_batch`])
+    /// keeps no per-layer input, so it cannot be followed by a layer-level
+    /// `backward` (use [`crate::net::Mlp::backward_only`]).
     pub fn backward(&mut self, grad_out: &Mat<f32>) -> Mat<f32> {
-        let Self {
-            w,
-            activation,
-            backend,
-            input,
-            pre_activation,
-            dz_buf,
-            xt_buf,
-            wt_buf,
-            grad_w,
-            grad_b,
-            ..
-        } = self;
-        let x = input
-            .as_ref()
-            .expect("backward() requires a prior forward()");
-        let z = pre_activation.as_ref().unwrap();
-        dz_buf.resize(grad_out.rows(), grad_out.cols());
-        dz_buf.as_mut().copy_from(grad_out.as_ref());
-        if *activation == Activation::Relu {
-            relu_backward_inplace(dz_buf, z);
-        }
-        // dW = Xᵀ·dZ, db = column sums, dX = dZ·Wᵀ — all through the
-        // layer's backend, exactly the gradient multiplications the paper
-        // replaces with APA operators. The transposes are materialized into
-        // the layer's reusable scratch so steady-state steps don't
-        // reallocate them (the backend's own intermediates are likewise
-        // reused via its workspace cache).
-        xt_buf.resize(x.cols(), x.rows());
-        transpose_into(x.as_ref(), xt_buf.as_mut());
-        let dw = backend.matmul(xt_buf.as_ref(), dz_buf.as_ref());
-        let db = col_sums(dz_buf.as_ref());
-        wt_buf.resize(w.cols(), w.rows());
-        transpose_into(w.as_ref(), wt_buf.as_mut());
-        let dx = backend.matmul(dz_buf.as_ref(), wt_buf.as_ref());
-        *grad_w = Some(dw);
-        *grad_b = Some(db);
-        dx
+        // Both buffers are the layer's own; lend them out for the call.
+        let input = std::mem::replace(&mut self.input, Mat::zeros(0, 0));
+        let mut dz = std::mem::replace(&mut self.dz, Mat::zeros(0, 0));
+        dz.resize(grad_out.rows(), grad_out.cols());
+        dz.as_mut().copy_from(grad_out.as_ref());
+        self.backward_into(input.as_ref(), &mut dz, true);
+        (self.input, self.dz) = (input, dz);
+        self.dx.clone()
     }
 
-    /// SGD step: `W ← W − lr·dW`, `b ← b − lr·db`.
-    pub fn apply_sgd(&mut self, lr: f32) {
-        if let Some(dw) = self.grad_w.take() {
-            axpy(-lr, &dw, &mut self.w);
+    /// The backward pass given the forward input `x` and `dA` in `dz`,
+    /// which becomes dZ in place (the ReLU mask). `dW = Xᵀ·dZ`, `db` and —
+    /// when `want_dx`, i.e. unless this is the bottom layer — `dX = dZ·Wᵀ`
+    /// land in the layer's buffers; `Xᵀ`/`Wᵀ` are transposed views.
+    pub(crate) fn backward_into(&mut self, x: MatRef<'_, f32>, dz: &mut Mat<f32>, want_dx: bool) {
+        assert_eq!(
+            (x.rows(), self.out.rows()),
+            (dz.rows(), dz.rows()),
+            "backward() requires a prior forward() at this batch size"
+        );
+        if self.activation == Activation::Relu {
+            relu_backward_inplace(dz, &self.out);
         }
-        if let Some(db) = self.grad_b.take() {
-            for (b, &g) in self.b.iter_mut().zip(&db) {
+        self.grad_w.resize(self.inputs(), self.outputs());
+        self.backend
+            .matmul_into(x.t(), dz.as_ref(), self.grad_w.as_mut());
+        col_sums(dz.as_ref(), &mut self.grad_b);
+        if want_dx {
+            self.dx.resize(dz.rows(), self.inputs());
+            self.backend
+                .matmul_into(dz.as_ref(), self.w.as_ref().t(), self.dx.as_mut());
+        }
+        self.has_grads = true;
+    }
+
+    /// Consume the pending gradients: `(W, b, dW, db)` for an update to
+    /// apply in place, or `None` when no backward pass ran since the last
+    /// update.
+    pub(crate) fn take_grads(&mut self) -> Option<ParamsAndGrads<'_>> {
+        if !std::mem::take(&mut self.has_grads) {
+            return None;
+        }
+        Some((&mut self.w, &mut self.b, &self.grad_w, &self.grad_b))
+    }
+
+    /// SGD step: `W ← W − lr·dW`, `b ← b − lr·db`. The weight update is
+    /// `combine`'s accumulate arm — `w = (−lr)·dw + w` as one fused
+    /// multiply-add per element, vectorized under the FMA dispatch.
+    pub fn apply_sgd(&mut self, lr: f32) {
+        if let Some((w, b, dw, db)) = self.take_grads() {
+            combine(w.as_mut(), true, &[(-lr, dw.as_ref())]);
+            for (b, &g) in b.iter_mut().zip(db) {
                 *b -= lr * g;
             }
         }
@@ -268,7 +309,7 @@ mod tests {
         let y = l.forward(&x);
         let ones = Mat::from_fn(y.rows(), y.cols(), |_, _| 1.0);
         l.backward(&ones);
-        let analytic = l.grad_w.clone().unwrap();
+        let analytic = l.grad_w().unwrap().clone();
 
         let eps = 1e-3f32;
         for (wi, wj) in [(0, 0), (1, 1), (2, 0)] {
@@ -312,10 +353,23 @@ mod tests {
         let g = Mat::from_fn(1, 2, |_, _| 1.0);
         l.backward(&g);
         let before = l.w.at(0, 0);
-        let dw00 = l.grad_w.as_ref().unwrap().at(0, 0);
+        let dw00 = l.grad_w().unwrap().at(0, 0);
         l.apply_sgd(0.1);
         assert!((l.w.at(0, 0) - (before - 0.1 * dw00)).abs() < 1e-6);
-        assert!(l.grad_w.is_none(), "gradients consumed by the step");
+        assert!(l.grad_w().is_none(), "gradients consumed by the step");
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a prior forward()")]
+    fn backward_after_a_network_forward_panics() {
+        // A public forward caches x1; the network's training pass on x2
+        // must not leave it there for a backward to form dW from.
+        let mut l = layer(3, 2, Activation::Relu);
+        let x1 = Mat::from_fn(4, 3, |i, j| (i + j) as f32);
+        let x2 = Mat::from_fn(4, 3, |i, j| (i * j) as f32 - 1.0);
+        let _ = l.forward(&x1);
+        l.forward_train(x2.as_ref());
+        l.backward(&Mat::from_fn(4, 2, |_, _| 1.0));
     }
 
     #[test]

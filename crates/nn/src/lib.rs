@@ -16,7 +16,7 @@
 //! * [`optimizer`] — momentum SGD + weight decay;
 //! * [`checkpoint`] — versioned, checksummed, atomically written training
 //!   checkpoints and the crash-safe [`CheckpointedTrainer`] resume loop;
-//! * [`tensor`] — small dense helpers (transpose, bias, reductions).
+//! * [`tensor`] — small dense helpers (bias, reductions, the ReLU mask).
 
 pub mod backend;
 pub mod checkpoint;

@@ -4,8 +4,16 @@ use apa_gemm::Mat;
 
 /// Row-wise softmax (stable: shifts by the row max).
 pub fn softmax_rows(logits: &Mat<f32>) -> Mat<f32> {
+    let mut out = Mat::zeros(0, 0);
+    softmax_rows_into(logits, &mut out);
+    out
+}
+
+/// [`softmax_rows`] into a reused buffer (resized in place; every element
+/// is written).
+fn softmax_rows_into(logits: &Mat<f32>, out: &mut Mat<f32>) {
     let (r, c) = (logits.rows(), logits.cols());
-    let mut out = Mat::zeros(r, c);
+    out.resize(r, c);
     for i in 0..r {
         let row = &logits.as_slice()[i * c..(i + 1) * c];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -21,16 +29,27 @@ pub fn softmax_rows(logits: &Mat<f32>) -> Mat<f32> {
             *o *= inv;
         }
     }
-    out
 }
 
 /// Mean cross-entropy of softmax(logits) against integer labels, plus the
 /// gradient w.r.t. the logits: `(softmax − onehot) / batch`.
 pub fn softmax_cross_entropy(logits: &Mat<f32>, labels: &[u8]) -> (f32, Mat<f32>) {
+    let mut grad = Mat::zeros(0, 0);
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with the gradient written into a reused
+/// buffer — the training step's loss pass.
+pub(crate) fn softmax_cross_entropy_into(
+    logits: &Mat<f32>,
+    labels: &[u8],
+    probs: &mut Mat<f32>,
+) -> f32 {
     let batch = logits.rows();
     assert_eq!(batch, labels.len(), "label count mismatch");
     let classes = logits.cols();
-    let mut probs = softmax_rows(logits);
+    softmax_rows_into(logits, probs);
     let mut loss = 0.0f64;
     let inv_batch = 1.0 / batch as f32;
     for (i, &label) in labels.iter().enumerate() {
@@ -44,7 +63,7 @@ pub fn softmax_cross_entropy(logits: &Mat<f32>, labels: &[u8]) -> (f32, Mat<f32>
             *v *= inv_batch;
         }
     }
-    ((loss / batch as f64) as f32, probs)
+    (loss / batch as f64) as f32
 }
 
 /// Classification accuracy of logits (argmax) against labels.

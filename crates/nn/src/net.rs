@@ -5,7 +5,7 @@ use crate::backend::Backend;
 use crate::checkpoint::{CheckpointError, LayerState, TrainState};
 use crate::data::Dataset;
 use crate::layer::{Activation, Dense};
-use crate::loss::{accuracy, softmax_cross_entropy};
+use crate::loss::{accuracy, softmax_cross_entropy_into};
 use apa_gemm::{Mat, MatRef};
 
 /// Base seed for the per-epoch shuffle: every epoch shuffles with
@@ -65,6 +65,40 @@ pub struct Mlp {
     /// (see [`Self::with_fallback`]).
     fallback: Option<Backend>,
     degraded_batches: u64,
+    /// The loss gradient w.r.t. the logits, reused across steps; the top
+    /// layer masks it in place as its dZ.
+    loss_grad: Mat<f32>,
+    /// Copy of the input of the last [`Self::forward`], for a following
+    /// [`Self::backward_only`] ([`Self::train_batch`] reads its argument).
+    input: Mat<f32>,
+}
+
+/// The training forward pass: each layer reads the activation buffer of
+/// the one below (the first reads `x`); the logits end up in the top
+/// layer's.
+pub(crate) fn forward_layers(layers: &mut [Dense], x: MatRef<'_, f32>) {
+    for l in 0..layers.len() {
+        let (below, rest) = layers.split_at_mut(l);
+        let input = below.last().map_or(x, |prev| prev.output().as_ref());
+        rest[0].forward_train(input);
+    }
+}
+
+/// Backpropagate `loss_grad` (dA of the top layer) through `layers`,
+/// whose forward pass read `x`. Each layer masks the gradient buffer of
+/// the one above in place as its dZ and stores dW/db; the bottom layer's
+/// dX — a gradient w.r.t. the data — is never formed.
+pub(crate) fn backprop(layers: &mut [Dense], x: MatRef<'_, f32>, loss_grad: &mut Mat<f32>) {
+    for l in (0..layers.len()).rev() {
+        let (below, rest) = layers.split_at_mut(l);
+        let (layer, above) = rest.split_first_mut().expect("l < len");
+        let input = below.last().map_or(x, |prev| prev.output().as_ref());
+        let dz = match above.first_mut() {
+            Some(next) => next.input_grad_mut(),
+            None => &mut *loss_grad,
+        };
+        layer.backward_into(input, dz, l > 0);
+    }
 }
 
 impl Mlp {
@@ -99,6 +133,8 @@ impl Mlp {
             layers,
             fallback: None,
             degraded_batches: 0,
+            loss_grad: Mat::zeros(0, 0),
+            input: Mat::zeros(0, 0),
         }
     }
 
@@ -174,13 +210,18 @@ impl Mlp {
         w
     }
 
-    /// Training-mode forward through all layers (caches activations).
+    /// Training-mode forward through all layers (caches the input and the
+    /// activations); returns a copy of the logits.
     pub fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
-        }
-        cur
+        self.input.resize(x.rows(), x.cols());
+        self.input.as_mut().copy_from(x.as_ref());
+        forward_layers(&mut self.layers, self.input.as_ref());
+        self.logits().clone()
+    }
+
+    /// The logits of the last training forward pass.
+    fn logits(&self) -> &Mat<f32> {
+        self.layers.last().expect("at least one layer").output()
     }
 
     /// Inference-mode forward (no caches).
@@ -238,24 +279,48 @@ impl Mlp {
         }
     }
 
-    /// Backpropagate from the loss gradient, leaving the gradients stored
-    /// on each layer (for an external [`crate::optimizer::Optimizer`]).
+    /// Backpropagate from the loss gradient of the last [`Self::forward`],
+    /// leaving the gradients stored on each layer (for an external
+    /// [`crate::optimizer::Optimizer`]). Panics unless the network's last
+    /// forward pass was [`Self::forward`] at `grad_logits`' batch size.
     pub fn backward_only(&mut self, grad_logits: &Mat<f32>) {
-        let mut grad = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
+        assert_eq!(
+            self.input.rows(),
+            grad_logits.rows(),
+            "backward_only() requires a prior forward() at this batch size"
+        );
+        self.loss_grad
+            .resize(grad_logits.rows(), grad_logits.cols());
+        self.loss_grad.as_mut().copy_from(grad_logits.as_ref());
+        backprop(&mut self.layers, self.input.as_ref(), &mut self.loss_grad);
     }
 
     /// Backpropagate from the loss gradient and apply plain SGD.
     pub fn backward_and_step(&mut self, grad_logits: &Mat<f32>, lr: f32) {
         self.backward_only(grad_logits);
+        self.apply_sgd(lr);
+    }
+
+    fn apply_sgd(&mut self, lr: f32) {
         for layer in &mut self.layers {
             layer.apply_sgd(lr);
         }
     }
 
+    /// Forward pass and loss on `x`, leaving the loss gradient in
+    /// `loss_grad`; returns the loss.
+    fn forward_loss(&mut self, x: MatRef<'_, f32>, labels: &[u8]) -> f32 {
+        // The input of an earlier `forward` no longer matches the layers'
+        // activations: drop it, so a `backward_only` now panics.
+        self.input = Mat::zeros(0, 0);
+        forward_layers(&mut self.layers, x);
+        let logits = self.layers.last().expect("at least one layer").output();
+        softmax_cross_entropy_into(logits, labels, &mut self.loss_grad)
+    }
+
     /// One SGD step on a single batch; returns (loss, batch accuracy).
+    /// Runs entirely in buffers the network owns, so at a fixed batch size
+    /// a steady-state step performs no heap allocation.
     ///
     /// With a fallback installed ([`Self::with_fallback`]), the step is
     /// health-checked at two points: after the loss (non-finite loss,
@@ -264,30 +329,25 @@ impl Mlp {
     /// batch on the fallback backend **before** any weight is touched, so
     /// the parameters never absorb a poisoned update.
     pub fn train_batch(&mut self, x: &Mat<f32>, labels: &[u8], lr: f32) -> (f32, f64) {
-        let logits = self.forward(x);
-        let (loss, grad) = softmax_cross_entropy(&logits, labels);
+        let loss = self.forward_loss(x.as_ref(), labels);
         if self.fallback.is_some()
-            && (!loss.is_finite() || !finite_mat(&logits) || !finite_mat(&grad))
+            && (!loss.is_finite() || !finite_mat(self.logits()) || !finite_mat(&self.loss_grad))
         {
             return self.redo_batch_on_fallback(x, labels, lr);
         }
-        let acc = accuracy(&logits, labels);
-        self.backward_only(&grad);
+        let acc = accuracy(self.logits(), labels);
+        backprop(&mut self.layers, x.as_ref(), &mut self.loss_grad);
         if self.fallback.is_some() && !self.grads_finite() {
             return self.redo_batch_on_fallback(x, labels, lr);
         }
-        for layer in &mut self.layers {
-            layer.apply_sgd(lr);
-        }
+        self.apply_sgd(lr);
         (loss, acc)
     }
 
     fn grads_finite(&self) -> bool {
         self.layers.iter().all(|l| {
-            l.grad_w.as_ref().is_none_or(finite_mat)
-                && l.grad_b
-                    .as_ref()
-                    .is_none_or(|g| g.iter().all(|v| v.is_finite()))
+            l.grad_w().is_none_or(finite_mat)
+                && l.grad_b().is_none_or(|g| g.iter().all(|v| v.is_finite()))
         })
     }
 
@@ -300,10 +360,10 @@ impl Mlp {
         for layer in &mut self.layers {
             layer.set_backend(fallback.clone());
         }
-        let logits = self.forward(x);
-        let (loss, grad) = softmax_cross_entropy(&logits, labels);
-        let acc = accuracy(&logits, labels);
-        self.backward_and_step(&grad, lr);
+        let loss = self.forward_loss(x.as_ref(), labels);
+        let acc = accuracy(self.logits(), labels);
+        backprop(&mut self.layers, x.as_ref(), &mut self.loss_grad);
+        self.apply_sgd(lr);
         for (layer, backend) in self.layers.iter_mut().zip(originals) {
             layer.set_backend(backend);
         }
@@ -423,6 +483,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "backward_only() requires a prior forward()")]
+    fn backward_only_after_train_batch_panics() {
+        // `forward` caches x; a `train_batch` on other data runs in
+        // between, so its activations no longer match that input.
+        let data = toy_dataset(40);
+        let mut net = toy_mlp();
+        let (x, labels) = data.gather(&(0..20).collect::<Vec<_>>());
+        let (y, _) = data.gather(&(20..40).collect::<Vec<_>>());
+        let _ = net.forward(&x);
+        net.train_batch(&y, &labels, 0.1);
+        net.backward_only(&Mat::zeros(20, 2));
+    }
+
+    #[test]
     fn training_reduces_loss_and_learns_blobs() {
         let data = toy_dataset(200);
         let mut net = toy_mlp();
@@ -521,9 +595,10 @@ mod tests {
 
     #[test]
     fn fallback_rerun_recovers_poisoned_batch_exactly() {
-        // Each batch issues 6 backend calls (2 forward, 4 backward), so
-        // call 7 poisons a *forward* product of batch 1 (caught by the
-        // non-finite loss check) and call 10 poisons a *weight gradient*
+        // Each batch issues 5 backend calls (2 forward; dW, dX of the top
+        // layer; dW of the bottom one, whose dX is never formed), so call
+        // 6 poisons the *logits* product of batch 1 (caught by the
+        // non-finite loss check) and call 9 poisons a *weight gradient*
         // of batch 1 (caught by the gradient check). Either way the batch
         // must be re-run on the exact fallback before any weight update,
         // leaving the trajectory bitwise identical to a fault-free run.
@@ -535,7 +610,7 @@ mod tests {
         }
         let acc_clean = clean.evaluate(&data, 50);
 
-        for poison_call in [7u64, 10u64] {
+        for poison_call in [6u64, 9u64] {
             let faulty: Backend = std::sync::Arc::new(FaultyBackend {
                 inner: classical(1),
                 poison_call,

@@ -86,23 +86,22 @@ impl Optimizer {
     pub fn step(&mut self, net: &mut Mlp) {
         assert_eq!(net.layers.len(), self.vel_w.len(), "optimizer/net mismatch");
         for (li, layer) in net.layers.iter_mut().enumerate() {
-            let Some(gw) = layer.grad_w.take() else {
+            let Some((weights, bias, gw, gb)) = layer.take_grads() else {
                 continue;
             };
-            let gb = layer.grad_b.take().unwrap_or_default();
             let vw = &mut self.vel_w[li];
             let (mu, wd, lr) = (self.cfg.momentum, self.cfg.weight_decay, self.cfg.lr);
             for ((v, &g), w) in vw
                 .as_mut_slice()
                 .iter_mut()
                 .zip(gw.as_slice())
-                .zip(layer.w.as_mut_slice())
+                .zip(weights.as_mut_slice())
             {
                 *v = mu * *v + (g + wd * *w);
                 *w -= lr * *v;
             }
             let vb = &mut self.vel_b[li];
-            for ((v, &g), b) in vb.iter_mut().zip(&gb).zip(layer.b.iter_mut()) {
+            for ((v, &g), b) in vb.iter_mut().zip(gb).zip(bias.iter_mut()) {
                 *v = mu * *v + g;
                 *b -= lr * *v;
             }
@@ -230,8 +229,8 @@ mod tests {
         let logits = net.forward(&x);
         let (_, grad) = softmax_cross_entropy(&logits, &labels);
         net.backward_only(&grad);
-        assert!(net.layers[0].grad_w.is_some());
+        assert!(net.layers[0].grad_w().is_some());
         opt.step(&mut net);
-        assert!(net.layers[0].grad_w.is_none());
+        assert!(net.layers[0].grad_w().is_none());
     }
 }

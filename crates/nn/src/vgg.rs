@@ -12,7 +12,8 @@
 
 use crate::backend::Backend;
 use crate::layer::{Activation, Dense};
-use crate::loss::softmax_cross_entropy;
+use crate::loss::softmax_cross_entropy_into;
+use crate::net::{backprop, forward_layers};
 use apa_gemm::Mat;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -27,6 +28,8 @@ pub struct Vgg19Fc {
     pub fc: [Dense; 3],
     widths: [usize; 4],
     scale: usize,
+    /// Loss gradient of the last step, reused.
+    loss_grad: Mat<f32>,
 }
 
 impl Vgg19Fc {
@@ -62,7 +65,12 @@ impl Vgg19Fc {
                 seed + 2,
             ),
         ];
-        Self { fc, widths, scale }
+        Self {
+            fc,
+            widths,
+            scale,
+            loss_grad: Mat::zeros(0, 0),
+        }
     }
 
     pub fn widths(&self) -> [usize; 4] {
@@ -90,16 +98,14 @@ impl Vgg19Fc {
     }
 
     /// One training step (forward + loss + backward + SGD) over the head;
-    /// returns wall-clock seconds — the paper's per-batch metric.
+    /// returns wall-clock seconds — the paper's per-batch metric. The
+    /// [`crate::net::Mlp::train_batch`] step: layer-owned buffers, no
+    /// gradient w.r.t. the input features.
     pub fn train_batch_timed(&mut self, x: &Mat<f32>, labels: &[u8], lr: f32) -> f64 {
         let t0 = Instant::now();
-        let a1 = self.fc[0].forward(x);
-        let a2 = self.fc[1].forward(&a1);
-        let logits = self.fc[2].forward(&a2);
-        let (_, grad) = softmax_cross_entropy(&logits, labels);
-        let g2 = self.fc[2].backward(&grad);
-        let g1 = self.fc[1].backward(&g2);
-        let _ = self.fc[0].backward(&g1);
+        forward_layers(&mut self.fc, x.as_ref());
+        softmax_cross_entropy_into(self.fc[2].output(), labels, &mut self.loss_grad);
+        backprop(&mut self.fc, x.as_ref(), &mut self.loss_grad);
         for l in &mut self.fc {
             l.apply_sgd(lr);
         }

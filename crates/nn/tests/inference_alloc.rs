@@ -1,10 +1,13 @@
-//! Zero-allocation invariant for the serving-side inference path.
+//! Zero-allocation invariants for the serving-side inference path and
+//! the steady-state training step.
 //!
 //! Installs [`apa_gemm::CountingAlloc`] as the global allocator, warms
 //! [`Mlp::predict_into`]'s scratch and the backends' workspace caches with
 //! a couple of calls, then asserts that further inference passes at the
 //! same batch size perform **zero** heap allocations — the contract the
-//! `apa-serve` lane workers rely on for per-request latency.
+//! `apa-serve` lane workers rely on for per-request latency. The same
+//! holds for [`Mlp::train_batch`]: its multiplies write layer-owned
+//! buffers and read transposed views, so a warm step allocates nothing.
 
 use apa_gemm::{thread_allocation_counters, Mat};
 use apa_nn::{classical, guarded, planned, Backend, InferenceScratch, Mlp};
@@ -105,4 +108,39 @@ fn warmed_backends_are_allocation_free_from_the_first_multiply() {
             });
         });
     }
+}
+
+fn assert_warm_training_is_allocation_free(net: &mut Mlp, batch: usize, what: &str) {
+    let x = probe(batch, net.widths()[0], 5);
+    let classes = net.widths()[net.widths().len() - 1];
+    let labels: Vec<u8> = (0..batch).map(|i| (i * 7 % classes) as u8).collect();
+    // Two warm-up steps size every layer buffer, the loss gradient, the
+    // backend workspaces and the thread-local pack buffers.
+    net.train_batch(&x, &labels, 0.05);
+    net.train_batch(&x, &labels, 0.05);
+
+    let before = thread_allocation_counters();
+    let steps = 3;
+    for _ in 0..steps {
+        net.train_batch(&x, &labels, 0.05);
+    }
+    let delta = thread_allocation_counters().since(before);
+    assert_eq!(
+        delta.calls, 0,
+        "{what}: {} allocations ({} bytes) across {steps} warm training steps",
+        delta.calls, delta.bytes
+    );
+}
+
+#[test]
+fn warm_training_step_does_not_allocate() {
+    let _serial = serial();
+    let mut net = Mlp::new(&[24, 32, 32, 10], vec![classical(1); 3], 17);
+    assert_warm_training_is_allocation_free(&mut net, 16, "classical 24-32-32-10");
+    // Every layer guarded: sentinel probes, ABFT checksums and the ladder
+    // on the forward, dW (transposed A) and dX (transposed B) products,
+    // with 3 ∤ batch so the peel runs.
+    let hidden: Backend = guarded(apa_core::catalog::bini322(), 1);
+    let mut net = Mlp::new(&[24, 30, 30, 10], vec![hidden; 3], 19);
+    assert_warm_training_is_allocation_free(&mut net, 20, "guarded-bini322 24-30-30-10");
 }

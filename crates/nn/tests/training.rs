@@ -103,11 +103,12 @@ fn mnist_recovers_from_mid_epoch_fault() {
     let acc_clean = net_clean.evaluate(&test, 200);
     assert!(acc_clean > 0.7, "fault-free baseline accuracy {acc_clean}");
 
-    // 10 batches/epoch × 6 backend calls/batch = 60 calls per epoch; call
-    // 93 strikes a gradient multiplication midway through epoch 2.
+    // 10 batches/epoch × 5 backend calls/batch (the bottom layer's dX is
+    // never formed) = 50 calls per epoch; call 78 strikes the top layer's
+    // dX — a gradient multiplication — midway through epoch 2.
     let faulty: Backend = std::sync::Arc::new(FaultyBackend {
         inner: classical(1),
-        poison_call: 93,
+        poison_call: 78,
         calls: std::sync::atomic::AtomicU64::new(0),
     });
     let mut net_faulted =
@@ -159,11 +160,83 @@ fn gradients_flow_through_every_layer() {
     net.backward_only(&grad);
     for (i, layer) in net.layers.iter().enumerate() {
         let gw = layer
-            .grad_w
-            .as_ref()
+            .grad_w()
             .unwrap_or_else(|| panic!("layer {i} missing grad"));
         let norm: f64 = gw.as_slice().iter().map(|v| (*v as f64).powi(2)).sum();
         assert!(norm > 0.0, "layer {i} has zero gradient");
         assert!(norm.is_finite(), "layer {i} gradient exploded");
+    }
+}
+
+/// A backend that implements only `matmul_into` (and its name), like an
+/// outside instrumentation wrapper: results are the inner backend's.
+struct Passthrough(Backend);
+
+impl MatmulBackend for Passthrough {
+    fn matmul_into(
+        &self,
+        a: apa_gemm::MatRef<'_, f32>,
+        b: apa_gemm::MatRef<'_, f32>,
+        c: apa_gemm::MatMut<'_, f32>,
+    ) {
+        self.0.matmul_into(a, b, c);
+    }
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+}
+
+#[test]
+fn public_layer_chain_is_bitwise_train_batch() {
+    // The twin contract: stepping a network through the public pieces —
+    // `Dense::forward` per layer, `softmax_cross_entropy`,
+    // `Dense::backward` per layer (bottom layer's dX included),
+    // `Dense::apply_sgd` — on a wrapped backend gives the losses and final
+    // weights of `Mlp::train_batch` on the bare one, bit for bit. Batch 20
+    // and widths 47-64-10 keep 3 ∤ m on every product, so bini322 peels.
+    let (batch, widths) = (20usize, [47usize, 64, 10]);
+    let batches: Vec<(apa_gemm::Mat<f32>, Vec<u8>)> = (0..3)
+        .map(|s| {
+            let x = apa_gemm::Mat::from_fn(batch, widths[0], |i, j| {
+                (((i * 31 + j * 17 + s * 7) % 23) as f32 - 11.0) * 0.09
+            });
+            let labels = (0..batch)
+                .map(|i| ((i * 3 + s) % widths[2]) as u8)
+                .collect();
+            (x, labels)
+        })
+        .collect();
+    let lr = 0.1;
+    for what in ["classical(1)", "guarded(bini322, 1)"] {
+        let make = || -> Backend {
+            match what {
+                "classical(1)" => classical(1),
+                _ => guarded(catalog::bini322(), 1),
+            }
+        };
+        let bare = make();
+        let wrapped: Backend = std::sync::Arc::new(Passthrough(make()));
+        let mut plain = Mlp::new(&widths, vec![bare; 2], 0x7717);
+        let mut twin = Mlp::new(&widths, vec![wrapped; 2], 0x7717);
+        for step in 0..6 {
+            let (x, labels) = &batches[step % batches.len()];
+            let (loss, _) = plain.train_batch(x, labels, lr);
+            let mut cur = x.clone();
+            for layer in twin.layers.iter_mut() {
+                cur = layer.forward(&cur);
+            }
+            let (twin_loss, mut grad) = softmax_cross_entropy(&cur, labels);
+            for layer in twin.layers.iter_mut().rev() {
+                grad = layer.backward(&grad);
+            }
+            for layer in twin.layers.iter_mut() {
+                layer.apply_sgd(lr);
+            }
+            assert_eq!(loss.to_bits(), twin_loss.to_bits(), "{what} step {step}");
+        }
+        for (l, (p, t)) in plain.layers.iter().zip(&twin.layers).enumerate() {
+            assert!(p.w == t.w && p.b == t.b, "{what}: layer {l} weights differ");
+        }
     }
 }
