@@ -136,29 +136,27 @@ fn fingerprint(es: usize) -> String {
     )
 }
 
-fn tune_dir() -> Option<PathBuf> {
-    // APA_PLAN_DIR is the unified persistence root (block tunes live under
-    // `blocks/`, compiled plans under `plans/` — see `apa-planner`).
-    if let Ok(dir) = std::env::var("APA_PLAN_DIR") {
-        if !dir.is_empty() {
-            return Some(PathBuf::from(dir).join("blocks"));
-        }
+/// Root directory of one persistent store: `$APA_PLAN_DIR/<sub>` (the
+/// unified persistence root: block tunes under `blocks/`, compiled plans
+/// under `plans/` — see `apa-planner`), falling back to
+/// `$XDG_CACHE_HOME/<name>`, `$HOME/.cache/<name>`, then the system temp
+/// dir's `<name>`.
+pub fn cache_dir(sub: &str, name: &str) -> PathBuf {
+    let var = |key: &str| std::env::var(key).ok().filter(|v| !v.is_empty());
+    if let Some(dir) = var("APA_PLAN_DIR") {
+        return PathBuf::from(dir).join(sub);
     }
-    if let Ok(xdg) = std::env::var("XDG_CACHE_HOME") {
-        if !xdg.is_empty() {
-            return Some(PathBuf::from(xdg).join("apa-gemm"));
-        }
+    if let Some(xdg) = var("XDG_CACHE_HOME") {
+        return PathBuf::from(xdg).join(name);
     }
-    if let Ok(home) = std::env::var("HOME") {
-        if !home.is_empty() {
-            return Some(PathBuf::from(home).join(".cache").join("apa-gemm"));
-        }
+    if let Some(home) = var("HOME") {
+        return PathBuf::from(home).join(".cache").join(name);
     }
-    Some(std::env::temp_dir().join("apa-gemm"))
+    std::env::temp_dir().join(name)
 }
 
-fn tune_path(es: usize) -> Option<PathBuf> {
-    tune_dir().map(|d| d.join(format!("blocks-{}.conf", fingerprint(es))))
+fn tune_path(es: usize) -> PathBuf {
+    cache_dir("blocks", "apa-gemm").join(format!("blocks-{}.conf", fingerprint(es)))
 }
 
 fn parse_blocks(text: &str) -> Option<BlockSizes> {
@@ -188,12 +186,12 @@ fn parse_blocks(text: &str) -> Option<BlockSizes> {
 }
 
 fn load_persisted(es: usize) -> Option<BlockSizes> {
-    let text = std::fs::read_to_string(tune_path(es)?).ok()?;
+    let text = std::fs::read_to_string(tune_path(es)).ok()?;
     parse_blocks(&text)
 }
 
 fn persist(es: usize, bs: BlockSizes) {
-    let Some(path) = tune_path(es) else { return };
+    let path = tune_path(es);
     let Some(dir) = path.parent() else { return };
     if std::fs::create_dir_all(dir).is_err() {
         return;

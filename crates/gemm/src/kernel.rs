@@ -23,12 +23,10 @@
 //! Only the tile footprint (MR×NR) and therefore the packed-panel layout
 //! differ.
 //!
-//! Environment overrides, read at first use:
-//!
-//! * `APA_FORCE_SCALAR_KERNEL` — any value except `0` or empty forces the
-//!   scalar tier (keeps the fallback path exercised on big iron);
-//! * `APA_KERNEL_TIER` — `scalar` | `avx2` | `avx512` | `auto`; a request
-//!   the CPU cannot honor falls back to the best available tier.
+//! Environment override, read at first use: `APA_KERNEL_TIER` —
+//! `scalar` | `avx2` | `avx512` | `auto`; a request the CPU cannot honor
+//! falls back to the best available tier. `scalar` is always honored,
+//! which keeps the fallback path exercised on big iron.
 
 use crate::microkernel::microkernel;
 use crate::scalar::Scalar;
@@ -187,16 +185,10 @@ fn best_available() -> KernelTier {
 }
 
 /// The tier every default-dispatch gemm in this process runs on. Resolved
-/// once from CPU detection plus the env overrides documented on the module.
+/// once from CPU detection plus the env override documented on the module.
 pub fn selected_tier() -> KernelTier {
     static SELECTED: OnceLock<KernelTier> = OnceLock::new();
     *SELECTED.get_or_init(|| {
-        if std::env::var("APA_FORCE_SCALAR_KERNEL")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-        {
-            return KernelTier::Scalar;
-        }
         let best = best_available();
         match std::env::var("APA_KERNEL_TIER")
             .ok()
@@ -273,7 +265,7 @@ pub fn kernel_spec<T: Scalar>() -> KernelSpec<T> {
 /// packers, combine kernels) may run inside their
 /// `#[target_feature(enable = "avx2,fma")]` twins. True only when a SIMD
 /// tier is selected *and* avx2+fma are really present — so forcing the
-/// scalar tier (`APA_FORCE_SCALAR_KERNEL`) keeps the whole portable path
+/// scalar tier (`APA_KERNEL_TIER=scalar`) keeps the whole portable path
 /// exercised end to end. Numerics are identical either way: `mul_add` is
 /// IEEE-754 fused whether it lowers to an FMA instruction or a libm call.
 pub(crate) fn hardware_fma_enabled() -> bool {

@@ -64,8 +64,8 @@ pub use blocked::{
     Scratch,
 };
 pub use blocktune::{
-    block_report, block_sizes, probe_bandwidth_bytes, probe_parallel_gflops, CacheHierarchy,
-    TuneSource,
+    block_report, block_sizes, cache_dir, probe_bandwidth_bytes, probe_parallel_gflops,
+    CacheHierarchy, TuneSource,
 };
 pub use counting_alloc::{
     allocation_counters, thread_allocation_counters, AllocationCounters, CountingAlloc,

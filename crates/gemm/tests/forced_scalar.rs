@@ -1,4 +1,4 @@
-//! `APA_FORCE_SCALAR_KERNEL` must pin dispatch to the portable scalar
+//! `APA_KERNEL_TIER=scalar` must pin dispatch to the portable scalar
 //! tier — the escape hatch for masked/buggy SIMD and the lever
 //! `scripts/tier1.sh` uses to run the whole suite through the scalar
 //! path. Lives in its own integration-test binary because tier selection
@@ -12,7 +12,7 @@ use apa_gemm::{gemm_st, kernel_spec, matmul_naive, selected_tier, KernelTier, Ma
 fn force_scalar_env_pins_dispatch_and_stays_correct() {
     // Set before the first dispatch query anywhere in this process; this
     // is the only test in this binary, so nothing has raced dispatch.
-    std::env::set_var("APA_FORCE_SCALAR_KERNEL", "1");
+    std::env::set_var("APA_KERNEL_TIER", "scalar");
 
     assert_eq!(selected_tier(), KernelTier::Scalar);
     let spec = kernel_spec::<f32>();

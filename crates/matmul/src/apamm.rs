@@ -1,4 +1,4 @@
-//! The top-level convenience API: a configured APA multiplier.
+//! The one way to run a multiplication: a configured APA multiplier.
 //!
 //! ```
 //! use apa_core::catalog;
@@ -15,27 +15,28 @@
 //! assert_eq!(c.rows(), 64);
 //! ```
 //!
-//! [`ApaMatmul::multiply_into`] executes out of an internal
-//! [`Workspace`] cache keyed on `(element type, shape, strategy, threads,
-//! peel)`: the first call per configuration allocates, every later call is
+//! An [`ApaMatmul`] holds one compiled plan per recursion level: `s`
+//! copies of one rule ([`ApaMatmul::new`]`.steps(s)`), or a different rule
+//! per level ([`ApaMatmul::chain`], the paper's §6 non-stationary
+//! combination).
+//!
+//! [`ApaMatmul::multiply_into`] executes out of an internal workspace
+//! cache keyed on `(element type, shape, strategy, threads, peel, fusion)`:
+//! the first call per configuration allocates, every later call is
 //! heap-allocation-free. Training loops that multiply a handful of fixed
 //! shapes thousands of times (the paper's MLP workloads) hit the cache on
-//! every step. [`ApaMatmul::multiply_into_uncached`] keeps the
-//! allocate-per-call behavior for ablations, and
-//! [`ApaMatmul::make_workspace`] / [`ApaMatmul::multiply_into_with`] hand
-//! the workspace to callers who want to manage it themselves.
+//! every step. A clone starts with an empty cache, so it runs its first
+//! multiply on a fresh workspace.
 //!
 //! The classical baseline is the same type at recursion depth 0
 //! ([`ApaMatmul::classical`]): one gemm call per multiply, no cache.
 
 use crate::error::{check_operands, MatmulError};
-use crate::exec::{run_level, with_uniform_chain};
-use crate::peel::{
-    fast_matmul_any_into, fast_matmul_chain_any_into, fast_matmul_chain_any_into_ws, PeelMode,
-};
+use crate::exec::run_level;
+use crate::peel::{run_chain, PeelMode};
 use crate::plan::ExecPlan;
 use crate::schedule::{FusionPolicy, Strategy};
-use crate::workspace::{LevelWs, Workspace};
+use crate::workspace::{ExecConfig, LevelWs, Workspace};
 use apa_core::{brent, catalog, error_model, BilinearAlgorithm, Dims};
 use apa_gemm::{Mat, MatMut, MatRef, Scalar};
 use std::any::{Any, TypeId};
@@ -76,25 +77,60 @@ struct CacheEntry {
     ws: Box<dyn Any + Send>,
 }
 
-/// A bilinear rule bound to an execution configuration (λ, recursion depth,
-/// parallel strategy, thread count, peel mode). Cheap to clone; the plan is
-/// compiled once per λ change. Holds a workspace cache so repeated
-/// [`Self::multiply_into`] calls on the same shapes don't allocate.
-pub struct ApaMatmul {
+/// A validated rule: the algorithm and its approximation order σ (None =
+/// exact rule), kept for λ re-derivation.
+#[derive(Clone)]
+struct Rule {
     alg: BilinearAlgorithm,
-    plan: ExecPlan,
+    sigma: Option<u32>,
+}
+
+impl Rule {
+    fn new(alg: BilinearAlgorithm) -> Self {
+        let sigma = match brent::validate(&alg) {
+            Ok(report) => report.sigma,
+            Err(e) => panic!("invalid algorithm {}: {e}", alg.name),
+        };
+        Rule { alg, sigma }
+    }
+
+    /// λ at the theoretical single-precision optimum for a `steps`-deep
+    /// recursion (0 for exact rules).
+    fn default_lambda(&self, steps: u32) -> f64 {
+        match self.sigma {
+            Some(sigma) => error_model::optimal_lambda(
+                sigma,
+                self.alg.phi(),
+                error_model::D_SINGLE,
+                steps.max(1),
+            ),
+            None => 0.0,
+        }
+    }
+}
+
+/// A rule per recursion level bound to an execution configuration (λ,
+/// recursion depth, parallel strategy, thread count, peel mode, fusion).
+/// Cheap to clone; the plans are compiled once per configuration change.
+/// Holds a workspace cache so repeated [`Self::multiply_into`] calls on
+/// the same shapes don't allocate.
+pub struct ApaMatmul {
+    /// The configured rules: `[alg]` repeated at every level for
+    /// [`Self::new`], one per level for [`Self::chain`].
+    rules: Vec<Rule>,
+    /// `rules` is a fixed chain ([`Self::chain`]): level `i` runs
+    /// `rules[i]` and `steps` may not exceed the chain.
+    fixed_chain: bool,
+    /// The compiled plan of every level, `max(steps, 1)` of them: level 0
+    /// stays compiled at depth 0 so [`Self::plan`] always has one.
+    plans: Vec<ExecPlan>,
     steps: u32,
-    strategy: Strategy,
-    threads: usize,
-    peel: PeelMode,
-    fusion: FusionPolicy,
+    config: ExecConfig,
     /// Run the [`crate::cse`] addition-elimination pass on every compile.
     cse: bool,
-    /// σ from validation (None = exact rule); cached for λ re-derivation.
-    sigma: Option<u32>,
-    /// Set once the user pins λ via [`Self::lambda`]; suppresses automatic
-    /// re-derivation when `steps` changes.
-    explicit_lambda: bool,
+    /// λ pinned via [`Self::lambda`]; `None` derives each level's λ from
+    /// its rule and the recursion depth.
+    pinned_lambda: Option<f64>,
     /// Interior-mutable workspace cache; stale entries (after a config
     /// change) simply stop matching and age out.
     cache: Mutex<Vec<CacheEntry>>,
@@ -106,16 +142,13 @@ pub struct ApaMatmul {
 impl Clone for ApaMatmul {
     fn clone(&self) -> Self {
         Self {
-            alg: self.alg.clone(),
-            plan: self.plan.clone(),
+            rules: self.rules.clone(),
+            fixed_chain: self.fixed_chain,
+            plans: self.plans.clone(),
             steps: self.steps,
-            strategy: self.strategy,
-            threads: self.threads,
-            peel: self.peel,
-            fusion: self.fusion,
+            config: self.config,
             cse: self.cse,
-            sigma: self.sigma,
-            explicit_lambda: self.explicit_lambda,
+            pinned_lambda: self.pinned_lambda,
             // Workspaces are cheap to rebuild; clones start cold.
             cache: Mutex::new(Vec::new()),
             cache_cap: AtomicUsize::new(self.cache_cap.load(Ordering::Relaxed)),
@@ -125,14 +158,15 @@ impl Clone for ApaMatmul {
 
 impl std::fmt::Debug for ApaMatmul {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let rules: Vec<&str> = self.rules.iter().map(|r| r.alg.name.as_str()).collect();
         f.debug_struct("ApaMatmul")
-            .field("alg", &self.alg.name)
-            .field("lambda", &self.plan.lambda)
+            .field("rules", &rules)
+            .field("lambda", &self.current_lambda())
             .field("steps", &self.steps)
-            .field("strategy", &self.strategy)
-            .field("threads", &self.threads)
-            .field("peel", &self.peel)
-            .field("fusion", &self.fusion)
+            .field("strategy", &self.config.strategy)
+            .field("threads", &self.config.threads)
+            .field("peel", &self.config.peel)
+            .field("fusion", &self.config.fusion)
             .field("cse", &self.cse)
             .field("cached_workspaces", &self.cached_workspaces())
             .finish()
@@ -144,26 +178,39 @@ impl ApaMatmul {
     /// precision optimum (0 for exact rules), one recursive step, hybrid
     /// strategy, one thread, dynamic peeling.
     pub fn new(alg: BilinearAlgorithm) -> Self {
-        let sigma = match brent::validate(&alg) {
-            Ok(report) => report.sigma,
-            Err(e) => panic!("invalid algorithm {}: {e}", alg.name),
-        };
-        let lambda = Self::default_lambda(&alg, sigma, 1);
-        let plan = Self::compile_plan(&alg, lambda, false);
-        Self {
-            alg,
-            plan,
-            steps: 1,
-            strategy: Strategy::Hybrid,
-            threads: 1,
-            peel: PeelMode::Dynamic,
-            fusion: FusionPolicy::Auto,
+        Self::with_rules(vec![Rule::new(alg)], false, 1)
+    }
+
+    /// A non-stationary multiplier (the paper's §6 extension — "a
+    /// combination of two or three different algorithms across recursive
+    /// steps"): `algs[0]` splits the top level, `algs[1]` each sub-product,
+    /// and so on. Each level gets its own λ at the theoretical optimum for
+    /// the chain length. [`Self::steps`] keeps the top levels.
+    pub fn chain(algs: Vec<BilinearAlgorithm>) -> Self {
+        assert!(!algs.is_empty(), "a chain needs at least one rule");
+        let steps = algs.len() as u32;
+        Self::with_rules(algs.into_iter().map(Rule::new).collect(), true, steps)
+    }
+
+    fn with_rules(rules: Vec<Rule>, fixed_chain: bool, steps: u32) -> Self {
+        let mut mm = Self {
+            rules,
+            fixed_chain,
+            plans: Vec::new(),
+            steps,
+            config: ExecConfig {
+                strategy: Strategy::Hybrid,
+                threads: 1,
+                peel: PeelMode::Dynamic,
+                fusion: FusionPolicy::Auto,
+            },
             cse: false,
-            sigma,
-            explicit_lambda: false,
+            pinned_lambda: None,
             cache: Mutex::new(Vec::new()),
             cache_cap: AtomicUsize::new(WS_CACHE_CAP),
-        }
+        };
+        mm.compile();
+        mm
     }
 
     /// The classical baseline — the paper's "custom classical operator
@@ -177,72 +224,82 @@ impl ApaMatmul {
         Self::new(alg).steps(0)
     }
 
-    fn default_lambda(alg: &BilinearAlgorithm, sigma: Option<u32>, steps: u32) -> f64 {
-        match sigma {
-            Some(sigma) => {
-                error_model::optimal_lambda(sigma, alg.phi(), error_model::D_SINGLE, steps.max(1))
-            }
-            None => 0.0,
+    /// Recompile every level's plan — the single compile path, so every
+    /// builder that changes λ, depth or the CSE rewrite reapplies all three.
+    /// Level `i` runs its rule at the pinned λ, or at the rule's optimum
+    /// for the current depth; a repeated rule compiles once.
+    fn compile(&mut self) {
+        let levels = self.steps.max(1) as usize;
+        let mut plans: Vec<ExecPlan> = Vec::with_capacity(levels);
+        for level in 0..levels {
+            let plan = if level > 0 && !self.fixed_chain {
+                plans[0].clone()
+            } else {
+                let rule = &self.rules[level];
+                let lambda = self
+                    .pinned_lambda
+                    .unwrap_or_else(|| rule.default_lambda(self.steps));
+                let mut plan = ExecPlan::compile(&rule.alg, lambda);
+                if self.cse {
+                    crate::cse::apply(&mut plan);
+                }
+                plan
+            };
+            plans.push(plan);
         }
+        self.plans = plans;
     }
 
-    /// Compile `alg` at `lambda`, running the CSE pass when enabled — the
-    /// single compile path, so every recompile site (λ pin, step change)
-    /// reapplies the configured rewrite.
-    fn compile_plan(alg: &BilinearAlgorithm, lambda: f64, cse: bool) -> ExecPlan {
-        let mut plan = ExecPlan::compile(alg, lambda);
-        if cse {
-            crate::cse::apply(&mut plan);
-        }
-        plan
-    }
-
-    /// Override λ (recompiles the plan). A pinned λ is kept verbatim even
-    /// if the step count changes afterwards.
+    /// Override λ at every level (recompiles the plans). A pinned λ is kept
+    /// verbatim even if the step count changes afterwards.
     pub fn lambda(mut self, lambda: f64) -> Self {
-        self.plan = Self::compile_plan(&self.alg, lambda, self.cse);
-        self.explicit_lambda = true;
+        self.pinned_lambda = Some(lambda);
+        self.compile();
         self
     }
 
-    /// Set recursion depth (the paper uses 1 everywhere). Unless λ was
-    /// pinned with [`Self::lambda`], the plan is recompiled at the optimal
-    /// λ for the new depth — deeper recursion multiplies the roundoff
-    /// parameter (error ∝ 2^(−dσ/(σ+sφ)), §2.3), so the 1-step optimum
-    /// would amplify f32 roundoff catastrophically at s ≥ 2.
+    /// Set recursion depth (the paper uses 1 everywhere); on a chain, keep
+    /// its top `steps` levels (panics if `steps` exceeds the chain). Unless
+    /// λ was pinned with [`Self::lambda`], every level is recompiled at the
+    /// optimal λ for the new depth — deeper recursion multiplies the
+    /// roundoff parameter (error ∝ 2^(−dσ/(σ+sφ)), §2.3), so the 1-step
+    /// optimum would amplify f32 roundoff catastrophically at s ≥ 2.
     pub fn steps(mut self, steps: u32) -> Self {
+        assert!(
+            !self.fixed_chain || steps as usize <= self.rules.len(),
+            "{steps} steps exceed the {}-level chain",
+            self.rules.len()
+        );
         self.steps = steps;
-        if !self.explicit_lambda {
-            let lambda = Self::default_lambda(&self.alg, self.sigma, steps);
-            self.plan = Self::compile_plan(&self.alg, lambda, self.cse);
-        }
+        self.compile();
         self
     }
 
-    /// Enable the addition-minimizing CSE rewrite (see [`crate::cse`]):
-    /// repeated two-term subexpressions in the rule's U/V/W combination
-    /// trees materialize once as shared temporaries. Off by default — the
-    /// unrewritten plan is the bitwise reference. Recompiles the plan.
+    /// Enable the addition-minimizing CSE rewrite (see [`crate::cse`]) at
+    /// every level: repeated two-term subexpressions in the rule's U/V/W
+    /// combination trees materialize once as shared temporaries. Off by
+    /// default — the unrewritten plan is the bitwise reference. Recompiles
+    /// the plans.
     pub fn cse(mut self, on: bool) -> Self {
         if self.cse != on {
             self.cse = on;
-            self.plan = Self::compile_plan(&self.alg, self.plan.lambda, on);
+            self.compile();
         }
         self
     }
 
     pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
+        self.config.strategy = strategy;
         self
     }
 
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.config.threads = threads.max(1);
         self
     }
 
     pub fn peel_mode(mut self, peel: PeelMode) -> Self {
-        self.peel = peel;
+        self.config.peel = peel;
         self
     }
 
@@ -250,24 +307,26 @@ impl ApaMatmul {
     /// leaves (see [`FusionPolicy`]). Changing the policy invalidates
     /// cached workspaces by key — stale entries stop matching and age out.
     pub fn fusion(mut self, fusion: FusionPolicy) -> Self {
-        self.fusion = fusion;
+        self.config.fusion = fusion;
         self
     }
 
+    /// The rule at the top recursion level.
     pub fn algorithm(&self) -> &BilinearAlgorithm {
-        &self.alg
+        &self.rules[0].alg
     }
 
+    /// λ of the top level's plan.
     pub fn current_lambda(&self) -> f64 {
-        self.plan.lambda
+        self.plans[0].lambda
     }
 
     pub fn current_threads(&self) -> usize {
-        self.threads
+        self.config.threads
     }
 
     pub fn current_strategy(&self) -> Strategy {
-        self.strategy
+        self.config.strategy
     }
 
     pub fn current_steps(&self) -> u32 {
@@ -275,11 +334,11 @@ impl ApaMatmul {
     }
 
     pub fn current_peel(&self) -> PeelMode {
-        self.peel
+        self.config.peel
     }
 
     pub fn current_fusion(&self) -> FusionPolicy {
-        self.fusion
+        self.config.fusion
     }
 
     /// Whether the CSE rewrite is enabled (see [`Self::cse`]).
@@ -287,21 +346,28 @@ impl ApaMatmul {
         self.cse
     }
 
-    /// Approximation order σ from Brent validation (None for exact rules).
+    /// Approximation order σ of the top level's rule, from Brent
+    /// validation (None for exact rules).
     pub fn sigma(&self) -> Option<u32> {
-        self.sigma
+        self.rules[0].sigma
     }
 
+    /// The top level's compiled plan.
     pub fn plan(&self) -> &ExecPlan {
-        &self.plan
+        &self.plans[0]
+    }
+
+    /// The plans that execute, one per recursion level (empty at depth 0).
+    fn levels(&self) -> &[ExecPlan] {
+        &self.plans[..self.steps as usize]
     }
 
     /// `C ← Â·B̂` into caller-provided storage (any shapes with matching
     /// inner dimension). Executes out of the internal workspace cache:
     /// after the first call per `(type, shape)` the steady state performs
-    /// zero heap allocations. Results are bitwise identical to
-    /// [`Self::multiply_into_uncached`]. Panics on mismatched operand
-    /// shapes — [`Self::try_multiply_into`] is the non-panicking variant.
+    /// zero heap allocations, bitwise identical to a cold clone's first
+    /// call. Panics on mismatched operand shapes —
+    /// [`Self::try_multiply_into`] is the non-panicking variant.
     pub fn multiply_into<T: Scalar>(&self, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
         self.try_multiply_into(a, b, c)
             .unwrap_or_else(|e| panic!("ApaMatmul::multiply_into: {e}"));
@@ -326,7 +392,7 @@ impl ApaMatmul {
         )?;
         match catch_unwind(AssertUnwindSafe(|| self.multiply_into_unchecked(a, b, c))) {
             Ok(()) => Ok(()),
-            Err(payload) => Err(classify_lane_panic(payload, self.threads)),
+            Err(payload) => Err(classify_lane_panic(payload, self.config.threads)),
         }
     }
 
@@ -338,69 +404,53 @@ impl ApaMatmul {
         b: MatRef<'_, T>,
         c: MatMut<'_, T>,
     ) {
+        let ExecConfig {
+            strategy, threads, ..
+        } = self.config;
         if self.steps == 0 {
             // Depth 0 is one gemm call: nothing to cache, so no lock.
             let mut leaf = LevelWs::leaf();
-            run_level::<T, &ExecPlan>(&[], a, b, c, self.strategy, self.threads, &mut leaf);
+            run_level::<T, &ExecPlan>(&[], a, b, c, strategy, threads, &mut leaf);
             return;
         }
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        with_uniform_chain(&self.plan, self.steps, |chain| {
-            let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            let found = cache.iter().position(|e| {
-                e.type_id == TypeId::of::<T>()
-                    && e.ws.downcast_ref::<Workspace<T>>().is_some_and(|w| {
-                        w.matches(
-                            chain,
-                            m,
-                            k,
-                            n,
-                            self.strategy,
-                            self.threads,
-                            self.peel,
-                            self.fusion,
-                        )
-                    })
-            });
-            let idx = match found {
-                Some(i) => i,
-                None => {
-                    if cache.len() >= self.cache_cap.load(Ordering::Relaxed) {
-                        cache.remove(0);
-                    }
-                    let ws = Workspace::<T>::for_chain(
-                        chain,
-                        m,
-                        k,
-                        n,
-                        self.strategy,
-                        self.threads,
-                        self.peel,
-                        self.fusion,
-                    );
-                    cache.push(CacheEntry {
-                        type_id: TypeId::of::<T>(),
-                        ws: Box::new(ws),
-                    });
-                    cache.len() - 1
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let idx = match self.cached::<T>(&cache, m, k, n) {
+            Some(i) => i,
+            None => {
+                if cache.len() >= self.cache_cap.load(Ordering::Relaxed) {
+                    cache.remove(0);
                 }
-            };
-            let ws = cache[idx]
-                .ws
-                .downcast_mut::<Workspace<T>>()
-                .expect("cache entry is type-keyed");
-            fast_matmul_chain_any_into_ws(
-                chain,
-                a,
-                b,
-                c,
-                self.strategy,
-                self.threads,
-                self.peel,
-                self.fusion,
-                ws,
-            );
-        });
+                let ws = Workspace::<T>::for_chain(self.levels(), m, k, n, self.config);
+                cache.push(CacheEntry {
+                    type_id: TypeId::of::<T>(),
+                    ws: Box::new(ws),
+                });
+                cache.len() - 1
+            }
+        };
+        let ws = cache[idx]
+            .ws
+            .downcast_mut::<Workspace<T>>()
+            .expect("cache entry is type-keyed");
+        run_chain(self.levels(), a, b, c, ws);
+    }
+
+    /// Index of the cached workspace sized for an `m×k·k×n` product of `T`
+    /// under the current levels and configuration.
+    fn cached<T: Scalar>(
+        &self,
+        cache: &[CacheEntry],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Option<usize> {
+        cache.iter().position(|e| {
+            e.type_id == TypeId::of::<T>()
+                && e.ws
+                    .downcast_ref::<Workspace<T>>()
+                    .is_some_and(|w| w.matches(self.levels(), m, k, n, self.config))
+        })
     }
 
     /// Pre-build the workspace cache for a set of `(m, k, n)` shapes so
@@ -410,7 +460,7 @@ impl ApaMatmul {
     /// [`WS_CACHE_CAP`] shapes does not make the warm-up evict itself.
     ///
     /// Each shape is multiplied twice on zeroed operands: the first pass
-    /// builds the cached [`Workspace`], the second settles the calling
+    /// builds the cached workspace, the second settles the calling
     /// thread's thread-local gemm pack buffers at their high-water mark.
     /// Pack buffers are per-thread, so serving lanes must call this on the
     /// thread that will run the real multiplies.
@@ -423,31 +473,15 @@ impl ApaMatmul {
             }
             todo.push(s);
         }
-        with_uniform_chain(&self.plan, self.steps, |chain| {
+        {
             let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
             let missing = todo
                 .iter()
-                .filter(|&&(m, k, n)| {
-                    !cache.iter().any(|e| {
-                        e.type_id == TypeId::of::<T>()
-                            && e.ws.downcast_ref::<Workspace<T>>().is_some_and(|w| {
-                                w.matches(
-                                    chain,
-                                    m,
-                                    k,
-                                    n,
-                                    self.strategy,
-                                    self.threads,
-                                    self.peel,
-                                    self.fusion,
-                                )
-                            })
-                    })
-                })
+                .filter(|&&(m, k, n)| self.cached::<T>(&cache, m, k, n).is_none())
                 .count();
             self.cache_cap
                 .fetch_max(cache.len() + missing, Ordering::Relaxed);
-        });
+        }
         for &(m, k, n) in &todo {
             let a = Mat::<T>::zeros(m, k);
             let b = Mat::<T>::zeros(k, n);
@@ -455,77 +489,6 @@ impl ApaMatmul {
             self.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
             self.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
         }
-    }
-
-    /// The pre-workspace behavior: allocate every intermediate buffer on
-    /// this call and free it on return. Kept for ablation benchmarks and
-    /// for one-shot shapes not worth caching. Panics on mismatched operand
-    /// shapes, release builds included.
-    pub fn multiply_into_uncached<T: Scalar>(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-    ) {
-        check_operands(
-            (a.rows(), a.cols()),
-            (b.rows(), b.cols()),
-            (c.rows(), c.cols()),
-        )
-        .unwrap_or_else(|e| panic!("ApaMatmul::multiply_into_uncached: {e}"));
-        fast_matmul_any_into(
-            &self.plan,
-            a,
-            b,
-            c,
-            self.steps,
-            self.strategy,
-            self.threads,
-            self.peel,
-            self.fusion,
-        );
-    }
-
-    /// Build a caller-owned workspace for an `m×k · k×n` product under
-    /// this multiplier's configuration, for use with
-    /// [`Self::multiply_into_with`].
-    pub fn make_workspace<T: Scalar>(&self, m: usize, k: usize, n: usize) -> Workspace<T> {
-        Workspace::for_plan(
-            &self.plan,
-            m,
-            k,
-            n,
-            self.steps,
-            self.strategy,
-            self.threads,
-            self.peel,
-            self.fusion,
-        )
-    }
-
-    /// `C ← Â·B̂` out of a caller-owned workspace (bypasses the internal
-    /// cache — no lock, no lookup). Panics if `ws` was built for a
-    /// different shape or configuration.
-    pub fn multiply_into_with<T: Scalar>(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-        ws: &mut Workspace<T>,
-    ) {
-        with_uniform_chain(&self.plan, self.steps, |chain| {
-            fast_matmul_chain_any_into_ws(
-                chain,
-                a,
-                b,
-                c,
-                self.strategy,
-                self.threads,
-                self.peel,
-                self.fusion,
-                ws,
-            )
-        });
     }
 
     /// Number of workspaces currently held by the internal cache.
@@ -536,156 +499,7 @@ impl ApaMatmul {
             .len()
     }
 
-    /// Drop all cached workspaces (e.g. to release memory between phases).
-    pub fn clear_workspace_cache(&self) {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
-
     /// Allocate and return `Ĉ = Â·B̂`.
-    pub fn multiply<T: Scalar>(&self, a: MatRef<'_, T>, b: MatRef<'_, T>) -> Mat<T> {
-        let mut c = Mat::zeros(a.rows(), b.cols());
-        self.multiply_into(a, b, c.as_mut());
-        c
-    }
-}
-
-/// A non-stationary multiplier: a *chain* of algorithms, one per recursion
-/// level (the paper's §6 extension — "a combination of two or three
-/// different algorithms across recursive steps"). Each level gets its own
-/// λ at the theoretical optimum for the chain length.
-#[derive(Clone, Debug)]
-pub struct ApaChain {
-    plans: Vec<ExecPlan>,
-    strategy: Strategy,
-    threads: usize,
-    peel: PeelMode,
-    fusion: FusionPolicy,
-}
-
-impl ApaChain {
-    /// Build from the level-ordered algorithms (`algs[0]` splits the top).
-    pub fn new(algs: Vec<BilinearAlgorithm>) -> Self {
-        let steps = algs.len().max(1) as u32;
-        let plans = algs
-            .into_iter()
-            .map(|alg| {
-                let sigma = brent::validate(&alg)
-                    .unwrap_or_else(|e| panic!("invalid algorithm {}: {e}", alg.name))
-                    .sigma;
-                let lambda = ApaMatmul::default_lambda(&alg, sigma, steps);
-                ExecPlan::compile(&alg, lambda)
-            })
-            .collect();
-        Self {
-            plans,
-            strategy: Strategy::Hybrid,
-            threads: 1,
-            peel: PeelMode::Dynamic,
-            fusion: FusionPolicy::Auto,
-        }
-    }
-
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    pub fn peel_mode(mut self, peel: PeelMode) -> Self {
-        self.peel = peel;
-        self
-    }
-
-    /// Choose how the engine fuses the framework's additions into the gemm
-    /// leaves (see [`FusionPolicy`]).
-    pub fn fusion(mut self, fusion: FusionPolicy) -> Self {
-        self.fusion = fusion;
-        self
-    }
-
-    /// Level count.
-    pub fn depth(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Panics on mismatched operand shapes (release builds included);
-    /// [`Self::try_multiply_into`] is the non-panicking variant.
-    pub fn multiply_into<T: Scalar>(&self, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
-        self.try_multiply_into(a, b, c)
-            .unwrap_or_else(|e| panic!("ApaChain::multiply_into: {e}"));
-    }
-
-    /// [`Self::multiply_into`] returning a typed [`MatmulError`] on
-    /// mismatched operand shapes instead of panicking.
-    pub fn try_multiply_into<T: Scalar>(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-    ) -> Result<(), MatmulError> {
-        check_operands(
-            (a.rows(), a.cols()),
-            (b.rows(), b.cols()),
-            (c.rows(), c.cols()),
-        )?;
-        // The Borrow-generic engine takes the owned plans directly — no
-        // per-call Vec<&ExecPlan> is built anymore.
-        fast_matmul_chain_any_into(
-            &self.plans,
-            a,
-            b,
-            c,
-            self.strategy,
-            self.threads,
-            self.peel,
-            self.fusion,
-        );
-        Ok(())
-    }
-
-    /// Build a reusable workspace for this chain on an `m×k · k×n`
-    /// product, for [`Self::multiply_into_with`].
-    pub fn make_workspace<T: Scalar>(&self, m: usize, k: usize, n: usize) -> Workspace<T> {
-        Workspace::for_chain(
-            &self.plans,
-            m,
-            k,
-            n,
-            self.strategy,
-            self.threads,
-            self.peel,
-            self.fusion,
-        )
-    }
-
-    /// Workspace-backed [`Self::multiply_into`].
-    pub fn multiply_into_with<T: Scalar>(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-        ws: &mut Workspace<T>,
-    ) {
-        fast_matmul_chain_any_into_ws(
-            &self.plans,
-            a,
-            b,
-            c,
-            self.strategy,
-            self.threads,
-            self.peel,
-            self.fusion,
-            ws,
-        );
-    }
-
     pub fn multiply<T: Scalar>(&self, a: MatRef<'_, T>, b: MatRef<'_, T>) -> Mat<T> {
         let mut c = Mat::zeros(a.rows(), b.cols());
         self.multiply_into(a, b, c.as_mut());
@@ -772,8 +586,9 @@ mod tests {
 
     #[test]
     fn chain_multiplier_is_accurate() {
-        let chain = ApaChain::new(vec![catalog::bini322(), catalog::strassen()]);
-        assert_eq!(chain.depth(), 2);
+        let chain = ApaMatmul::chain(vec![catalog::bini322(), catalog::strassen()]);
+        assert_eq!(chain.current_steps(), 2);
+        assert_eq!(chain.algorithm().name, "bini322");
         let a = rand_mat(36, 28, 5);
         let b = rand_mat(28, 24, 6);
         let got = chain.multiply(a.as_ref(), b.as_ref());
@@ -782,15 +597,44 @@ mod tests {
         // two-level chain with φ = 1 at level 0: bound 2^(−23/3) ≈ 5e-3.
         assert!(err < 2e-2, "chain err {err}");
 
-        // Workspace-backed path agrees bitwise.
-        let mut ws = chain.make_workspace::<f32>(36, 28, 24);
-        let mut c_ws = Mat::zeros(36, 24);
-        chain.multiply_into_with(a.as_ref(), b.as_ref(), c_ws.as_mut(), &mut ws);
+        // The warm workspace agrees bitwise with the cold first call.
+        let mut c_warm = Mat::zeros(36, 24);
+        chain.multiply_into(a.as_ref(), b.as_ref(), c_warm.as_mut());
+        assert_eq!(chain.cached_workspaces(), 1);
         for i in 0..36 {
             for j in 0..24 {
-                assert_eq!(got.at(i, j).to_bits(), c_ws.at(i, j).to_bits());
+                assert_eq!(got.at(i, j).to_bits(), c_warm.at(i, j).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn chain_steps_keep_the_top_levels() {
+        let chain = ApaMatmul::chain(vec![catalog::bini322(), catalog::strassen()]);
+        // Each level's λ is its rule's optimum at the chain length.
+        let bini2 = ApaMatmul::new(catalog::bini322()).steps(2);
+        assert_eq!(chain.current_lambda(), bini2.current_lambda());
+        assert_eq!(chain.levels()[1].lambda, 0.0);
+        // One step keeps bini322, re-derived as a one-rule multiplier.
+        let top = chain.clone().steps(1);
+        let bini1 = ApaMatmul::new(catalog::bini322());
+        assert_eq!(top.current_lambda(), bini1.current_lambda());
+        let a = rand_mat(30, 20, 13);
+        let b = rand_mat(20, 22, 14);
+        let (x, y) = (
+            top.multiply(a.as_ref(), b.as_ref()),
+            bini1.multiply(a.as_ref(), b.as_ref()),
+        );
+        for i in 0..30 {
+            for j in 0..22 {
+                assert_eq!(x.at(i, j).to_bits(), y.at(i, j).to_bits());
+            }
+        }
+        // A pinned λ applies to every level.
+        let pinned = chain.clone().lambda(1e-3);
+        assert!(pinned.levels().iter().all(|p| p.lambda == 1e-3));
+        let deeper = std::panic::catch_unwind(|| chain.clone().steps(3));
+        assert!(deeper.is_err(), "3 steps exceed a 2-level chain");
     }
 
     #[test]
@@ -816,8 +660,6 @@ mod tests {
         let mut c64 = Mat::<f64>::zeros(32, 32);
         mm.multiply_into(a64.as_ref(), b64.as_ref(), c64.as_mut());
         assert_eq!(mm.cached_workspaces(), 3);
-        mm.clear_workspace_cache();
-        assert_eq!(mm.cached_workspaces(), 0);
         // Clones start with an empty cache.
         assert_eq!(mm.clone().cached_workspaces(), 0);
     }
@@ -834,7 +676,9 @@ mod tests {
         let mut c_uncached = Mat::zeros(37, 33);
         for _ in 0..3 {
             mm.multiply_into(a.as_ref(), b.as_ref(), c_cached.as_mut());
-            mm.multiply_into_uncached(a.as_ref(), b.as_ref(), c_uncached.as_mut());
+            // A cold clone runs on a workspace built for this one call.
+            mm.clone()
+                .multiply_into(a.as_ref(), b.as_ref(), c_uncached.as_mut());
             for i in 0..37 {
                 for j in 0..33 {
                     assert_eq!(

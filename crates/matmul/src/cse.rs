@@ -198,8 +198,9 @@ pub fn apply(plan: &mut ExecPlan) -> CseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::fast_matmul;
+    use crate::peel::{multiply_cold, PeelMode};
     use crate::schedule::{FusionPolicy, Strategy};
+    use crate::workspace::ExecConfig;
     use apa_core::catalog;
     use apa_gemm::{matmul_naive, Mat};
 
@@ -279,9 +280,14 @@ mod tests {
             let expect = matmul_naive(a.as_ref(), b.as_ref());
             for strategy in [Strategy::Seq, Strategy::Hybrid, Strategy::Bfs] {
                 for fusion in [FusionPolicy::Auto, FusionPolicy::Never] {
-                    let got =
-                        fast_matmul(&cse_plan, a.as_ref(), b.as_ref(), 1, strategy, 3, fusion);
-                    let base = fast_matmul(&plan, a.as_ref(), b.as_ref(), 1, strategy, 3, fusion);
+                    let config = ExecConfig {
+                        strategy,
+                        threads: 3,
+                        peel: PeelMode::Dynamic,
+                        fusion,
+                    };
+                    let got = multiply_cold(&[&cse_plan], a.as_ref(), b.as_ref(), config);
+                    let base = multiply_cold(&[&plan], a.as_ref(), b.as_ref(), config);
                     let err = got.rel_frobenius_error(&expect);
                     let base_err = base.rel_frobenius_error(&expect);
                     // CSE only re-associates additions: its error vs the
@@ -303,15 +309,13 @@ mod tests {
         apply(&mut plan);
         let a = rand_mat(32, 32, 9);
         let b = rand_mat(32, 32, 10);
-        let got = fast_matmul(
-            &plan,
-            a.as_ref(),
-            b.as_ref(),
-            2,
-            Strategy::Seq,
-            1,
-            FusionPolicy::Auto,
-        );
+        let config = ExecConfig {
+            strategy: Strategy::Seq,
+            threads: 1,
+            peel: PeelMode::Dynamic,
+            fusion: FusionPolicy::Auto,
+        };
+        let got = multiply_cold(&[&plan; 2], a.as_ref(), b.as_ref(), config);
         let expect = matmul_naive(a.as_ref(), b.as_ref());
         assert!(got.rel_frobenius_error(&expect) < 1e-12);
     }

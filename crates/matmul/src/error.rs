@@ -4,9 +4,10 @@
 //! algorithm's single-precision result and C the classical double-precision
 //! reference — exactly the paper's §2.3 protocol.
 
-use crate::peel::{fast_matmul_any_into, PeelMode};
+use crate::peel::{run_chain, PeelMode};
 use crate::plan::ExecPlan;
 use crate::schedule::{FusionPolicy, Strategy};
+use crate::workspace::{ExecConfig, Workspace};
 use apa_core::BilinearAlgorithm;
 use apa_gemm::{matmul, Mat};
 
@@ -121,18 +122,16 @@ pub fn measure_error(alg: &BilinearAlgorithm, lambda: f64, n: usize, steps: u32,
     let a = uniform_mat_f32(n, n, seed);
     let b = uniform_mat_f32(n, n, seed.wrapping_add(1));
 
+    let chain = vec![&plan; steps as usize];
+    let config = ExecConfig {
+        strategy: Strategy::Seq,
+        threads: 1,
+        peel: PeelMode::Dynamic,
+        fusion: FusionPolicy::Auto,
+    };
+    let mut ws = Workspace::for_chain(&chain, n, n, n, config);
     let mut c_hat = Mat::<f32>::zeros(n, n);
-    fast_matmul_any_into(
-        &plan,
-        a.as_ref(),
-        b.as_ref(),
-        c_hat.as_mut(),
-        steps,
-        Strategy::Seq,
-        1,
-        PeelMode::Dynamic,
-        FusionPolicy::Auto,
-    );
+    run_chain(&chain, a.as_ref(), b.as_ref(), c_hat.as_mut(), &mut ws);
 
     // f64 classical reference (blocked kernel, double precision).
     let a64 = Mat::<f64>::from_fn(n, n, |i, j| a.at(i, j) as f64);

@@ -47,98 +47,25 @@
 //! [`FusionPolicy::Never`] runs the fully materialized path above,
 //! unchanged — the bitwise sentinel the property tests compare against.
 //!
-//! Every buffer the engine touches lives in a [`LevelWs`] tree: the
-//! public entry points here build a transient one per call, while the
-//! `*_ws` entry points in [`crate::peel`] (and [`crate::ApaMatmul`]'s
-//! internal cache) reuse a warm [`crate::Workspace`] so the steady state
-//! performs **zero heap allocations** — both paths execute the identical
-//! code and produce bitwise-identical results.
+//! Every buffer the engine touches lives in a [`LevelWs`] tree, part of a
+//! workspace that [`crate::ApaMatmul`] caches per shape, so the steady
+//! state performs **zero heap allocations**; a fresh workspace and a
+//! reused one produce bitwise-identical results.
 
 use crate::plan::{Combo, ExecPlan};
 use crate::schedule::{effective_strategy, FusionPolicy, Strategy};
-use crate::workspace::{build_level, combo_needs_buffer, FusionSpec, LaneWs, LevelWs};
+use crate::workspace::{combo_needs_buffer, FusionSpec, LaneWs, LevelWs};
 use apa_gemm::{combine_par, gemm, gemm_combined, pool, Mat, MatMut, MatRef, Par, Scalar};
 use std::borrow::Borrow;
-
-/// Recursion chains up to this depth are staged on the stack; deeper
-/// chains (never seen in practice — step counts are 1–3) fall back to a
-/// heap `Vec`.
-pub(crate) const MAX_INLINE_STEPS: usize = 16;
 
 /// Combination/output term lists up to this arity are staged on the
 /// stack. The largest catalog rule (`fast444`, rank 49) has combos of at
 /// most ~16 terms; the fallback `Vec` keeps arbitrary plans correct.
 pub(crate) const MAX_INLINE_TERMS: usize = 24;
 
-/// Run `f` on the uniform chain `[plan; steps]` without allocating for
-/// typical step counts.
-pub(crate) fn with_uniform_chain<R>(
-    plan: &ExecPlan,
-    steps: u32,
-    f: impl FnOnce(&[&ExecPlan]) -> R,
-) -> R {
-    let steps = steps as usize;
-    if steps <= MAX_INLINE_STEPS {
-        let buf = [plan; MAX_INLINE_STEPS];
-        f(&buf[..steps])
-    } else {
-        let chain: Vec<&ExecPlan> = (0..steps).map(|_| plan).collect();
-        f(&chain)
-    }
-}
-
-/// `C ← Â·B̂` by the compiled plan. Dimensions must be divisible by the
-/// rule's base dims (use [`crate::peel`] for arbitrary shapes).
-#[allow(clippy::too_many_arguments)]
-pub fn fast_matmul_into<T: Scalar>(
-    plan: &ExecPlan,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: MatMut<'_, T>,
-    steps: u32,
-    strategy: Strategy,
-    threads: usize,
-    fusion: FusionPolicy,
-) {
-    with_uniform_chain(plan, steps, |chain| {
-        fast_matmul_chain_into(chain, a, b, c, strategy, threads, fusion)
-    })
-}
-
-/// Non-stationary execution (the paper's §6 extension): apply a *chain* of
-/// possibly different rules, one per recursion level — `chain[0]` splits
-/// the top level, `chain[1]` each sub-product, and so on. An empty chain
-/// (or an indivisible level) falls back to classical gemm. Uniform
-/// recursion is the special case `chain = [plan; steps]`, which is exactly
-/// what [`fast_matmul_into`] builds.
-///
-/// Accepts both `&[ExecPlan]` and `&[&ExecPlan]` chains. This entry point
-/// allocates a fresh buffer tree per call; pair it with a
-/// [`crate::Workspace`] via [`crate::fast_matmul_chain_any_into_ws`] for
-/// allocation-free reuse.
-pub fn fast_matmul_chain_into<T: Scalar, P: Borrow<ExecPlan> + Sync>(
-    chain: &[P],
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: MatMut<'_, T>,
-    strategy: Strategy,
-    threads: usize,
-    fusion: FusionPolicy,
-) {
-    let mut level = build_level(
-        chain,
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        strategy,
-        threads,
-        fusion,
-    );
-    run_level(chain, a, b, c, strategy, threads, &mut level);
-}
-
-/// Execute `chain` against a buffer tree sized by
-/// [`build_level`](crate::workspace) for the same `(chain, shape,
+/// Execute `chain` (one plan per recursion level; an empty chain or an
+/// indivisible level falls back to classical gemm) against a buffer tree
+/// sized by [`build_level`](crate::workspace) for the same `(chain, shape,
 /// strategy, threads)`.
 pub(crate) fn run_level<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     chain: &[P],
@@ -694,24 +621,10 @@ fn write_outputs<T: Scalar>(
     }
 }
 
-/// Convenience: allocate and return `Ĉ = Â·B̂`.
-pub fn fast_matmul<T: Scalar>(
-    plan: &ExecPlan,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    steps: u32,
-    strategy: Strategy,
-    threads: usize,
-    fusion: FusionPolicy,
-) -> Mat<T> {
-    let mut c = Mat::zeros(a.rows(), b.cols());
-    fast_matmul_into(plan, a, b, c.as_mut(), steps, strategy, threads, fusion);
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::build_level;
     use apa_core::catalog;
     use apa_gemm::matmul_naive;
 
@@ -723,6 +636,23 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 32) as u32 as f64 / (1u64 << 31) as f64) - 1.0
         })
+    }
+
+    /// Run `chain` without peeling out of a buffer tree built for this
+    /// call.
+    fn run<T: Scalar, P: Borrow<ExecPlan> + Sync>(
+        chain: &[P],
+        a: MatRef<'_, T>,
+        b: MatRef<'_, T>,
+        strategy: Strategy,
+        threads: usize,
+        fusion: FusionPolicy,
+    ) -> Mat<T> {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut level = build_level(chain, m, k, n, strategy, threads, fusion);
+        let mut c = Mat::zeros(m, n);
+        run_level(chain, a, b, c.as_mut(), strategy, threads, &mut level);
+        c
     }
 
     fn check_fusion(
@@ -740,7 +670,7 @@ mod tests {
         let a = rand_mat(m, k, 1);
         let b = rand_mat(k, n, 2);
         let plan = ExecPlan::compile(&alg, lambda);
-        let got = fast_matmul(&plan, a.as_ref(), b.as_ref(), 1, strategy, threads, fusion);
+        let got = run(&[&plan], a.as_ref(), b.as_ref(), strategy, threads, fusion);
         let expect = matmul_naive(a.as_ref(), b.as_ref());
         let err = got.rel_frobenius_error(&expect);
         assert!(
@@ -816,11 +746,10 @@ mod tests {
         let plan = ExecPlan::compile(&alg, 0.0);
         let a = rand_mat(32, 32, 7);
         let b = rand_mat(32, 32, 8);
-        let got = fast_matmul(
-            &plan,
+        let got = run(
+            &[&plan; 2],
             a.as_ref(),
             b.as_ref(),
-            2,
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
@@ -836,11 +765,10 @@ mod tests {
         let plan = ExecPlan::compile(&alg, 2.0_f64.powi(-18));
         let a = rand_mat(27, 12, 9);
         let b = rand_mat(12, 12, 10);
-        let got = fast_matmul(
-            &plan,
+        let got = run(
+            &[&plan; 2],
             a.as_ref(),
             b.as_ref(),
-            2,
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
@@ -856,11 +784,10 @@ mod tests {
         let plan = ExecPlan::compile(&alg, 0.0);
         let a = rand_mat(7, 9, 11);
         let b = rand_mat(9, 5, 12);
-        let got = fast_matmul(
-            &plan,
+        let got = run(
+            &[&plan],
             a.as_ref(),
             b.as_ref(),
-            1,
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
@@ -875,11 +802,10 @@ mod tests {
         let plan = ExecPlan::compile(&alg, 0.5); // huge λ — must not matter
         let a = rand_mat(6, 4, 13);
         let b = rand_mat(4, 4, 14);
-        let got = fast_matmul(
-            &plan,
+        let got = run(
+            &[&plan; 0],
             a.as_ref(),
             b.as_ref(),
-            0,
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
@@ -896,12 +822,10 @@ mod tests {
         let strassen = ExecPlan::compile(&catalog::strassen(), 0.0);
         let a = rand_mat(30, 20, 50);
         let b = rand_mat(20, 20, 51);
-        let mut c = Mat::zeros(30, 20);
-        fast_matmul_chain_into(
+        let c = run(
             &[&bini, &strassen],
             a.as_ref(),
             b.as_ref(),
-            c.as_mut(),
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
@@ -912,20 +836,18 @@ mod tests {
 
     #[test]
     fn chain_accepts_owned_plans() {
-        // The Borrow-generic chain API takes &[ExecPlan] directly — this is
-        // what lets ApaChain avoid rebuilding a Vec<&ExecPlan> per call.
+        // The Borrow-generic engine takes &[ExecPlan] directly — this is
+        // how ApaMatmul runs the plans it owns without a per-call list.
         let chain = [
             ExecPlan::compile(&catalog::strassen(), 0.0),
             ExecPlan::compile(&catalog::strassen(), 0.0),
         ];
         let a = rand_mat(16, 16, 60);
         let b = rand_mat(16, 16, 61);
-        let mut c = Mat::zeros(16, 16);
-        fast_matmul_chain_into(
+        let c = run(
             &chain,
             a.as_ref(),
             b.as_ref(),
-            c.as_mut(),
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
@@ -944,12 +866,10 @@ mod tests {
         let b = rand_mat(8, 8, 53);
         let expect = matmul_naive(a.as_ref(), b.as_ref());
         for chain in [vec![&strassen, &bini], vec![&bini, &strassen]] {
-            let mut c = Mat::zeros(8, 8);
-            fast_matmul_chain_into(
+            let c = run(
                 &chain,
                 a.as_ref(),
                 b.as_ref(),
-                c.as_mut(),
                 Strategy::Seq,
                 1,
                 FusionPolicy::Auto,
@@ -962,12 +882,10 @@ mod tests {
     fn empty_chain_is_gemm() {
         let a = rand_mat(9, 7, 54);
         let b = rand_mat(7, 5, 55);
-        let mut c = Mat::zeros(9, 5);
-        fast_matmul_chain_into::<f64, &ExecPlan>(
-            &[],
+        let c = run(
+            &[] as &[&ExecPlan],
             a.as_ref(),
             b.as_ref(),
-            c.as_mut(),
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
@@ -983,11 +901,10 @@ mod tests {
         let plan = ExecPlan::compile(&alg, lambda);
         let a = Mat::<f32>::from_fn(30, 20, |i, j| ((i * 31 + j * 17) % 13) as f32 * 0.1 - 0.6);
         let b = Mat::<f32>::from_fn(20, 20, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.1 - 0.5);
-        let got = fast_matmul(
-            &plan,
+        let got = run(
+            &[&plan],
             a.as_ref(),
             b.as_ref(),
-            1,
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
@@ -1031,8 +948,7 @@ mod tests {
             let (m, k, n) = (d.m * 4, d.k * 4, d.n * 4);
             let a = rand_mat(m, k, 21);
             let b = rand_mat(k, n, 22);
-            let run =
-                |fusion| fast_matmul(&plan, a.as_ref(), b.as_ref(), 1, Strategy::Seq, 1, fusion);
+            let run = |fusion| run(&[&plan], a.as_ref(), b.as_ref(), Strategy::Seq, 1, fusion);
             let auto = run(FusionPolicy::Auto);
             let never = run(FusionPolicy::Never);
             let mask = crate::workspace::fused_block_mask(
@@ -1069,7 +985,7 @@ mod tests {
             (Strategy::Bfs, 3),
         ] {
             for fusion in [FusionPolicy::Auto, FusionPolicy::Never] {
-                let got = fast_matmul(&plan, a.as_ref(), b.as_ref(), 1, strategy, threads, fusion);
+                let got = run(&[&plan], a.as_ref(), b.as_ref(), strategy, threads, fusion);
                 let err = got.rel_frobenius_error(&expect);
                 assert!(
                     err < 1e-13,
@@ -1088,20 +1004,18 @@ mod tests {
         let plan = ExecPlan::compile(&catalog::classical(Dims::new(3, 3, 3)), 0.0);
         let a = rand_mat(27, 27, 41);
         let b = rand_mat(27, 27, 42);
-        let seq = fast_matmul(
-            &plan,
+        let seq = run(
+            &[&plan],
             a.as_ref(),
             b.as_ref(),
-            1,
             Strategy::Seq,
             1,
             FusionPolicy::Auto,
         );
-        let hybrid = fast_matmul(
-            &plan,
+        let hybrid = run(
+            &[&plan],
             a.as_ref(),
             b.as_ref(),
-            1,
             Strategy::Hybrid,
             3,
             FusionPolicy::Auto,

@@ -7,18 +7,19 @@
 //!
 //! * [`plan`] — compile a rule at a concrete λ into numeric coefficient
 //!   lists with the write-once output orientation;
-//! * [`exec`] — one-step / recursive execution with gemm leaves;
+//! * `exec` — one-step / recursive execution with gemm leaves;
 //! * [`schedule`] — the DFS / BFS / **Hybrid** parallel strategies of the
 //!   paper's §3.2 (Fig. 2);
 //! * [`peel`] — dynamic peeling and zero padding for arbitrary shapes;
-//! * [`workspace`] — preallocated, reusable buffer arenas so steady-state
+//! * `workspace` — preallocated, reusable buffer arenas so steady-state
 //!   multiplications perform zero heap allocations;
 //! * [`tune`] — the 5-powers-of-2 λ auto-tuner of the paper's Fig. 1;
 //! * [`error`] — relative-Frobenius error measurement against the f64
 //!   classical reference;
-//! * [`apamm`] — the configured [`ApaMatmul`] front end; the classical
-//!   baseline is the same type at recursion depth 0
-//!   ([`ApaMatmul::classical`]);
+//! * [`apamm`] — [`ApaMatmul`], the one way to run a multiplication: a
+//!   rule (or a chain of rules, one per recursion level) compiled per
+//!   level and executed out of a cached workspace; the classical baseline
+//!   is the same type at recursion depth 0 ([`ApaMatmul::classical`]);
 //! * [`sentinel`] — the numerical-health sentinel: a fused non-finite
 //!   scan plus a sampled Freivalds residual probe checked against the
 //!   error-model budget;
@@ -31,7 +32,7 @@
 pub mod apamm;
 pub mod cse;
 pub mod error;
-pub mod exec;
+mod exec;
 pub mod fallback;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
@@ -41,20 +42,16 @@ pub mod schedule;
 pub mod sentinel;
 pub mod stats;
 pub mod tune;
-pub mod workspace;
+mod workspace;
 
-pub use apamm::{ApaChain, ApaMatmul};
+pub use apamm::ApaMatmul;
 pub use cse::{plan_additions, CseReport};
 pub use error::{measure_error, MatmulError};
-pub use exec::{fast_matmul, fast_matmul_chain_into, fast_matmul_into};
 pub use fallback::{
     DegradePolicy, GuardedApaMatmul, GuardedState, QualityOverride, RestoreError, RungKind,
     ShapeEntry,
 };
-pub use peel::{
-    fast_matmul_any_into, fast_matmul_any_into_ws, fast_matmul_chain_any_into,
-    fast_matmul_chain_any_into_ws, PeelMode,
-};
+pub use peel::PeelMode;
 pub use plan::{Combo, ExecPlan};
 pub use schedule::{
     bfs_schedule, effective_strategy, hybrid_schedule, FusionPolicy, HybridSchedule, Strategy,
@@ -62,9 +59,5 @@ pub use schedule::{
 pub use sentinel::{
     check_product, scan_nonfinite, AbftMode, ProbeScratch, SentinelConfig, Verdict,
 };
-pub use stats::{
-    modeled_bytes_moved, profile_one_step, profile_one_step_with_workspace, ExecProfile,
-    HealthStats,
-};
+pub use stats::{modeled_bytes_moved, profile_one_step, ExecProfile, HealthStats};
 pub use tune::{tune_lambda, TunedLambda};
-pub use workspace::{LevelKey, Workspace, WsKey};

@@ -11,15 +11,12 @@
 //!   buffers, run the fast rule, copy the result back. Simpler arithmetic
 //!   but three buffer copies and wasted flops on the border.
 //!
-//! Each entry point comes in two flavors: the plain one allocates its
-//! buffers per call, the `*_ws` one executes out of a caller-owned
-//! [`Workspace`] (core buffer tree *and* pad buffers) so warm calls touch
-//! the heap not at all. Both run the same engine and produce bitwise
-//! identical results.
+//! [`run_chain`] is the engine's one entry point: it executes a chain of
+//! plans on operands of any shape out of a [`Workspace`] (core buffer tree
+//! *and* pad buffers), so warm calls touch the heap not at all.
 
-use crate::exec::{run_level, with_uniform_chain};
+use crate::exec::run_level;
 use crate::plan::ExecPlan;
-use crate::schedule::{FusionPolicy, Strategy};
 use crate::workspace::{chain_divisor, PadBufs, Workspace};
 use apa_gemm::{gemm, MatMut, MatRef, Par, Scalar};
 use serde::Serialize;
@@ -34,91 +31,28 @@ pub enum PeelMode {
     Pad,
 }
 
-/// `C ← Â·B̂` for arbitrary shapes.
-#[allow(clippy::too_many_arguments)]
-pub fn fast_matmul_any_into<T: Scalar>(
-    plan: &ExecPlan,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: MatMut<'_, T>,
-    steps: u32,
-    strategy: Strategy,
-    threads: usize,
-    mode: PeelMode,
-    fusion: FusionPolicy,
-) {
-    // steps = 0 yields an empty chain, i.e. plain gemm.
-    with_uniform_chain(plan, steps, |chain| {
-        fast_matmul_chain_any_into(chain, a, b, c, strategy, threads, mode, fusion)
-    })
-}
-
-/// [`fast_matmul_any_into`] executing out of a preallocated [`Workspace`]
-/// built by [`Workspace::for_plan`] for the same configuration.
-#[allow(clippy::too_many_arguments)]
-pub fn fast_matmul_any_into_ws<T: Scalar>(
-    plan: &ExecPlan,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: MatMut<'_, T>,
-    steps: u32,
-    strategy: Strategy,
-    threads: usize,
-    mode: PeelMode,
-    fusion: FusionPolicy,
-    ws: &mut Workspace<T>,
-) {
-    with_uniform_chain(plan, steps, |chain| {
-        fast_matmul_chain_any_into_ws(chain, a, b, c, strategy, threads, mode, fusion, ws)
-    })
-}
-
-/// Non-stationary variant of [`fast_matmul_any_into`]: arbitrary shapes
-/// with a chain of rules (one per recursion level). The peel divisor is
-/// the elementwise product of the chain's base dims.
-#[allow(clippy::too_many_arguments)]
-pub fn fast_matmul_chain_any_into<T: Scalar, P: Borrow<ExecPlan> + Sync>(
+/// `C ← Â·B̂` for arbitrary shapes by a chain of rules, one per recursion
+/// level (`chain[0]` splits the top; an empty chain is plain gemm), under
+/// the configuration `ws` was built for. The peel divisor is the
+/// elementwise product of the chain's base dims. Panics if `ws` was sized
+/// for a different shape or chain structure.
+pub(crate) fn run_chain<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     chain: &[P],
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     c: MatMut<'_, T>,
-    strategy: Strategy,
-    threads: usize,
-    mode: PeelMode,
-    fusion: FusionPolicy,
-) {
-    // A transient workspace: the allocate-per-call flavor is the `_ws`
-    // body over buffers that live for this one call.
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut ws = Workspace::for_chain(chain, m, k, n, strategy, threads, mode, fusion);
-    fast_matmul_chain_any_into_ws(chain, a, b, c, strategy, threads, mode, fusion, &mut ws);
-}
-
-/// Workspace-backed variant of [`fast_matmul_chain_any_into`]. Panics if
-/// `ws` was sized for a different configuration (shape, chain structure,
-/// strategy, threads or peel mode) — build one with
-/// [`Workspace::for_chain`] using the exact same arguments.
-#[allow(clippy::too_many_arguments)]
-pub fn fast_matmul_chain_any_into_ws<T: Scalar, P: Borrow<ExecPlan> + Sync>(
-    chain: &[P],
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    c: MatMut<'_, T>,
-    strategy: Strategy,
-    threads: usize,
-    mode: PeelMode,
-    fusion: FusionPolicy,
     ws: &mut Workspace<T>,
 ) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(k, b.rows(), "inner dimensions must match");
     assert_eq!((m, n), (c.rows(), c.cols()), "C shape mismatch");
+    let config = ws.key.config;
     assert!(
-        ws.matches(chain, m, k, n, strategy, threads, mode, fusion),
-        "workspace was built for {:?}, called with ({m}×{k}×{n}, {strategy:?}, {threads} threads, {mode:?}, {fusion:?})",
-        ws.key()
+        ws.matches(chain, m, k, n, config),
+        "workspace was built for {:?}, called with {m}×{k}×{n}",
+        ws.key
     );
-    ws.note_run();
+    let (strategy, threads) = (config.strategy, config.threads);
     let Workspace { root, pad, .. } = ws;
 
     let (dm, dk, dn) = chain_divisor(chain);
@@ -127,7 +61,7 @@ pub fn fast_matmul_chain_any_into_ws<T: Scalar, P: Borrow<ExecPlan> + Sync>(
         return;
     }
 
-    match mode {
+    match config.peel {
         PeelMode::Dynamic => peel_dynamic(a, b, c, threads, (dm, dk, dn), |ac, bc, cc| {
             run_level(chain, ac, bc, cc, strategy, threads, root)
         }),
@@ -140,6 +74,22 @@ pub fn fast_matmul_chain_any_into_ws<T: Scalar, P: Borrow<ExecPlan> + Sync>(
             });
         }
     }
+}
+
+/// `Â·B̂` out of a workspace built for just this call: the allocate-per-
+/// call reference the engine's unit tests compare against.
+#[cfg(test)]
+pub(crate) fn multiply_cold<T: Scalar, P: Borrow<ExecPlan> + Sync>(
+    chain: &[P],
+    a: MatRef<'_, T>,
+    b: MatRef<'_, T>,
+    config: crate::workspace::ExecConfig,
+) -> apa_gemm::Mat<T> {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut ws = Workspace::for_chain(chain, m, k, n, config);
+    let mut c = apa_gemm::Mat::zeros(m, n);
+    run_chain(chain, a, b, c.as_mut(), &mut ws);
+    c
 }
 
 /// Split into (core | rim), run `core` on the divisible core and classical
@@ -225,6 +175,8 @@ fn run_padded<T: Scalar>(
 mod tests {
     use super::*;
     use crate::plan::ExecPlan;
+    use crate::schedule::{FusionPolicy, Strategy};
+    use crate::workspace::ExecConfig;
     use apa_core::catalog;
     use apa_gemm::{matmul_naive, Mat};
 
@@ -236,6 +188,19 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 32) as u32 as f64 / (1u64 << 31) as f64) - 1.0
         })
+    }
+
+    fn cfg(strategy: Strategy, threads: usize, peel: PeelMode, fusion: FusionPolicy) -> ExecConfig {
+        ExecConfig {
+            strategy,
+            threads,
+            peel,
+            fusion,
+        }
+    }
+
+    fn seq(peel: PeelMode, fusion: FusionPolicy) -> ExecConfig {
+        cfg(Strategy::Seq, 1, peel, fusion)
     }
 
     fn check(alg_name: &str, m: usize, k: usize, n: usize, mode: PeelMode, tol: f64) {
@@ -250,42 +215,19 @@ mod tests {
         let b = rand_mat(k, n, 22);
         let expect = matmul_naive(a.as_ref(), b.as_ref());
         for fusion in [FusionPolicy::Auto, FusionPolicy::Never] {
-            let mut c = Mat::zeros(m, n);
-            fast_matmul_any_into(
-                &plan,
-                a.as_ref(),
-                b.as_ref(),
-                c.as_mut(),
-                1,
-                Strategy::Seq,
-                1,
-                mode,
-                fusion,
-            );
+            let c = multiply_cold(&[&plan], a.as_ref(), b.as_ref(), seq(mode, fusion));
             let err = c.rel_frobenius_error(&expect);
             assert!(
                 err < tol,
                 "{alg_name} {mode:?} {fusion:?} ({m},{k},{n}): err {err}"
             );
 
-            // The workspace-backed path must agree bitwise, warm or cold,
+            // A reused workspace must agree bitwise with the fresh one,
             // under the same fusion policy.
-            let mut ws =
-                Workspace::<f64>::for_plan(&plan, m, k, n, 1, Strategy::Seq, 1, mode, fusion);
+            let mut ws = Workspace::<f64>::for_chain(&[&plan], m, k, n, seq(mode, fusion));
             for _ in 0..2 {
                 let mut c_ws = Mat::zeros(m, n);
-                fast_matmul_any_into_ws(
-                    &plan,
-                    a.as_ref(),
-                    b.as_ref(),
-                    c_ws.as_mut(),
-                    1,
-                    Strategy::Seq,
-                    1,
-                    mode,
-                    fusion,
-                    &mut ws,
-                );
+                run_chain(&[&plan], a.as_ref(), b.as_ref(), c_ws.as_mut(), &mut ws);
                 for i in 0..m {
                     for j in 0..n {
                         assert_eq!(
@@ -296,7 +238,6 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(ws.runs(), 2);
         }
     }
 
@@ -346,21 +287,14 @@ mod tests {
     fn two_step_divisor_is_respected() {
         // steps = 2 with Strassen: needs divisibility by 4; 18 is not,
         // so peel must kick in and still be correct.
-        let alg = catalog::strassen();
-        let plan = ExecPlan::compile(&alg, 0.0);
+        let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
         let a = rand_mat(18, 18, 30);
         let b = rand_mat(18, 18, 31);
-        let mut c = Mat::zeros(18, 18);
-        fast_matmul_any_into(
-            &plan,
+        let c = multiply_cold(
+            &[&plan; 2],
             a.as_ref(),
             b.as_ref(),
-            c.as_mut(),
-            2,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
+            seq(PeelMode::Dynamic, FusionPolicy::Auto),
         );
         let expect = matmul_naive(a.as_ref(), b.as_ref());
         assert!(c.rel_frobenius_error(&expect) < 1e-12);
@@ -374,17 +308,12 @@ mod tests {
         let strassen = ExecPlan::compile(&catalog::strassen(), 0.0);
         let a = rand_mat(25, 13, 60);
         let b = rand_mat(13, 17, 61);
-        let mut c = Mat::zeros(25, 17);
         for mode in [PeelMode::Dynamic, PeelMode::Pad] {
-            fast_matmul_chain_any_into(
+            let c = multiply_cold(
                 &[&bini, &strassen],
                 a.as_ref(),
                 b.as_ref(),
-                c.as_mut(),
-                Strategy::Seq,
-                1,
-                mode,
-                FusionPolicy::Auto,
+                seq(mode, FusionPolicy::Auto),
             );
             let expect = matmul_naive(a.as_ref(), b.as_ref());
             assert!(c.rel_frobenius_error(&expect) < 1e-5, "{mode:?}");
@@ -393,67 +322,27 @@ mod tests {
 
     #[test]
     fn parallel_peeling_matches() {
-        let alg = catalog::bini322();
-        let plan = ExecPlan::compile(&alg, 2.0_f64.powi(-26));
+        let plan = ExecPlan::compile(&catalog::bini322(), 2.0_f64.powi(-26));
         let a = rand_mat(25, 13, 40);
         let b = rand_mat(13, 17, 41);
-        let mut seq = Mat::zeros(25, 17);
-        let mut par = Mat::zeros(25, 17);
-        fast_matmul_any_into(
-            &plan,
-            a.as_ref(),
-            b.as_ref(),
-            seq.as_mut(),
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
-        );
-        fast_matmul_any_into(
-            &plan,
-            a.as_ref(),
-            b.as_ref(),
-            par.as_mut(),
-            1,
-            Strategy::Hybrid,
-            3,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
-        );
+        let run = |strategy, threads| {
+            let config = cfg(strategy, threads, PeelMode::Dynamic, FusionPolicy::Auto);
+            multiply_cold(&[&plan], a.as_ref(), b.as_ref(), config)
+        };
+        let (seq, par) = (run(Strategy::Seq, 1), run(Strategy::Hybrid, 3));
         assert!(par.rel_frobenius_error(&seq) < 1e-12);
     }
 
     #[test]
     fn workspace_mismatch_panics() {
         let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
-        let mut ws = Workspace::<f64>::for_plan(
-            &plan,
-            16,
-            16,
-            16,
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
-        );
+        let config = seq(PeelMode::Dynamic, FusionPolicy::Auto);
+        let mut ws = Workspace::<f64>::for_chain(&[&plan], 16, 16, 16, config);
         let a = rand_mat(18, 16, 70);
         let b = rand_mat(16, 16, 71);
         let mut c = Mat::zeros(18, 16);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fast_matmul_any_into_ws(
-                &plan,
-                a.as_ref(),
-                b.as_ref(),
-                c.as_mut(),
-                1,
-                Strategy::Seq,
-                1,
-                PeelMode::Dynamic,
-                FusionPolicy::Auto,
-                &mut ws,
-            )
+            run_chain(&[&plan], a.as_ref(), b.as_ref(), c.as_mut(), &mut ws)
         }));
         assert!(err.is_err(), "shape mismatch must not execute");
     }

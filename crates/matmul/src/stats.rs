@@ -8,14 +8,12 @@
 //! mult/add split next to the `apa-core::analysis` model's prediction.
 //!
 //! The profile also reports the engine's *execution* facts: which strategy
-//! actually ran after [`effective_strategy`] coercion, how many bytes of
-//! intermediate buffers the run allocated ([`ExecProfile::alloc_bytes`],
-//! zero when a warm [`Workspace`] was supplied), and how often that
-//! workspace had been reused.
+//! actually ran after [`effective_strategy`] coercion and how many bytes of
+//! intermediate buffers the run allocated ([`ExecProfile::alloc_bytes`]).
 
 use crate::plan::{Combo, ExecPlan};
 use crate::schedule::{effective_strategy, FusionPolicy, Strategy};
-use crate::workspace::{build_level, combo_pack_fusable, LevelWs, Workspace};
+use crate::workspace::{build_level, combo_pack_fusable, LevelWs};
 use apa_gemm::{combine, gemm_combined_st, Mat, MatRef, Scalar};
 use std::time::Instant;
 
@@ -41,12 +39,8 @@ pub struct ExecProfile {
     /// Thread count that actually executed.
     pub effective_threads: usize,
     /// Heap bytes allocated for intermediate buffers (products and
-    /// combination scratch) during this run. Zero when executing out of a
-    /// warm [`Workspace`].
+    /// combination scratch) during this run.
     pub alloc_bytes: u64,
-    /// How many times the supplied workspace had been used *before* this
-    /// run (0 for the allocate-per-call path).
-    pub workspace_reuses: u64,
     /// Multi-term operand combinations folded into the gemm pack sweep
     /// instead of being materialized into an `S`/`T` buffer.
     pub fused_packs: usize,
@@ -163,8 +157,7 @@ impl HealthStats {
 
 /// Sequential, instrumented one-step execution. Dimensions must divide the
 /// plan's base dims. Returns the product and the profile. Buffers are
-/// allocated for this call; [`profile_one_step_with_workspace`] is the
-/// reusing variant.
+/// allocated for this call.
 pub fn profile_one_step<T: Scalar>(
     plan: &ExecPlan,
     a: MatRef<'_, T>,
@@ -177,38 +170,6 @@ pub fn profile_one_step<T: Scalar>(
     let mut profile = base_profile();
     profile.alloc_bytes = (level.elems() * std::mem::size_of::<T>()) as u64;
     let c = instrumented_one_step(plan, a, b, &mut level, &mut profile);
-    (c, profile)
-}
-
-/// [`profile_one_step`] executing out of a caller-owned [`Workspace`]
-/// (built with `Strategy::Seq`, one thread, for exactly `m×k·k×n`).
-/// `alloc_bytes` is 0 and `workspace_reuses` counts the prior runs.
-pub fn profile_one_step_with_workspace<T: Scalar>(
-    plan: &ExecPlan,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    ws: &mut Workspace<T>,
-) -> (Mat<T>, ExecProfile) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    check_dims(plan, m, k, n, b.rows());
-    assert!(
-        ws.matches(
-            &[plan],
-            m,
-            k,
-            n,
-            Strategy::Seq,
-            1,
-            ws.key().peel,
-            ws.key().fusion
-        ),
-        "workspace was built for {:?}, profiling ({m}×{k}×{n}, Seq, 1 thread)",
-        ws.key()
-    );
-    let mut profile = base_profile();
-    profile.workspace_reuses = ws.runs();
-    ws.note_run();
-    let c = instrumented_one_step(plan, a, b, &mut ws.root, &mut profile);
     (c, profile)
 }
 
@@ -534,7 +495,6 @@ fn stage<'v, T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peel::PeelMode;
     use apa_core::catalog;
     use apa_gemm::matmul_naive;
 
@@ -569,39 +529,6 @@ mod tests {
         assert_eq!(profile.requested_strategy, Some(Strategy::Seq));
         assert_eq!(profile.effective_strategy, Some(Strategy::Seq));
         assert_eq!(profile.effective_threads, 1);
-        assert_eq!(profile.workspace_reuses, 0);
-    }
-
-    #[test]
-    fn workspace_profile_reports_reuse_and_no_allocation() {
-        let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
-        let a = probe(64, 1);
-        let b = probe(64, 2);
-        let (fresh, _) = profile_one_step(&plan, a.as_ref(), b.as_ref(), FusionPolicy::Never);
-        let mut ws = Workspace::<f64>::for_plan(
-            &plan,
-            64,
-            64,
-            64,
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Never,
-        );
-        for round in 0..3u64 {
-            let (c, profile) =
-                profile_one_step_with_workspace(&plan, a.as_ref(), b.as_ref(), &mut ws);
-            assert_eq!(profile.alloc_bytes, 0);
-            assert_eq!(profile.workspace_reuses, round);
-            assert_eq!(profile.gemm_calls, 7);
-            // Bitwise identical to the allocate-per-call profile run.
-            for i in 0..64 {
-                for j in 0..64 {
-                    assert_eq!(c.at(i, j).to_bits(), fresh.at(i, j).to_bits());
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reusable execution workspaces: every buffer a (possibly recursive,
 //! possibly peeled) APA multiplication needs, allocated **once** per
-//! `(chain shape, operand shape, strategy, threads, peel mode)` and reused
-//! across calls.
+//! `(chain shape, operand shape, strategy, threads, peel mode, fusion)` and
+//! reused across calls.
 //!
 //! The paper's training workloads call the same multiplication shape
 //! thousands of times (three matmuls per layer per step, fixed batch and
@@ -18,11 +18,10 @@
 //!   sub-products always execute sequentially, so children carry one lane);
 //! * for [`PeelMode::Pad`]: the three padded operand buffers.
 //!
-//! Total footprint per level ≈ `r·bm·bn + lanes·(bm·bk + bk·bn)` elements;
-//! see [`Workspace::footprint_bytes`]. Combined with the thread-local gemm
-//! pack cache in `apa-gemm`, a warm workspace makes repeated
-//! multiplications allocation-free (pinned by the `zero_alloc` integration
-//! test using `apa_gemm::CountingAlloc`).
+//! [`crate::ApaMatmul`] keeps one workspace per `(element type, shape)` in
+//! its cache. Combined with the thread-local gemm pack cache in `apa-gemm`,
+//! a warm workspace makes repeated multiplications allocation-free (pinned
+//! by the `zero_alloc` integration test using `apa_gemm::CountingAlloc`).
 
 use crate::exec::divisible;
 use crate::peel::PeelMode;
@@ -125,52 +124,57 @@ pub(crate) struct PadBufs<T> {
     pub(crate) cp: Mat<T>,
 }
 
+/// How a multiplication executes: everything besides the plans and the
+/// operand shape that sizes a [`Workspace`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ExecConfig {
+    pub(crate) strategy: Strategy,
+    pub(crate) threads: usize,
+    pub(crate) peel: PeelMode,
+    pub(crate) fusion: FusionPolicy,
+}
+
 /// Shape signature of one chain level, used to validate reuse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LevelKey {
+struct LevelKey {
     /// The rule's base dims `(m, k, n)`.
-    pub base: (usize, usize, usize),
-    pub rank: usize,
+    base: (usize, usize, usize),
+    rank: usize,
     /// Whether any A-side / B-side combination materializes at this level.
-    pub need_s: bool,
-    pub need_t: bool,
+    need_s: bool,
+    need_t: bool,
     /// CSE temp buffer counts `(a, b, w)`. Only the *counts* matter for
     /// sharing: the executor reads temp term lists from the caller's plan
     /// (like the output weights), so the buffers are shape-compatible
     /// whenever the counts match.
-    pub temps: (usize, usize, usize),
+    temps: (usize, usize, usize),
     /// FNV-1a digest of the epilogue-fusion structure (0 when nothing
     /// fuses at this level). The product-buffer layout depends on which
     /// products fuse, so two plans may share a workspace only when they
     /// fuse the same products into the same blocks; the digest makes that
     /// check allocation-free (structurally different plans collide with
     /// probability ~2⁻⁶⁴).
-    pub epilogue: u64,
+    epilogue: u64,
 }
 
 /// Everything a [`Workspace`] was sized for. Two calls may share a
 /// workspace iff their keys are equal.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WsKey {
-    pub levels: Vec<LevelKey>,
-    pub m: usize,
-    pub k: usize,
-    pub n: usize,
-    pub strategy: Strategy,
-    pub threads: usize,
-    pub peel: PeelMode,
-    pub fusion: FusionPolicy,
+#[derive(Debug)]
+pub(crate) struct WsKey {
+    levels: Vec<LevelKey>,
+    m: usize,
+    k: usize,
+    n: usize,
+    pub(crate) config: ExecConfig,
 }
 
-/// A preallocated arena for one multiplication configuration. Build with
-/// [`Workspace::for_chain`] (or [`crate::ApaMatmul::make_workspace`]) and
-/// pass to the `*_ws` execution entry points; results are bitwise
-/// identical to the allocate-per-call paths.
-pub struct Workspace<T: Scalar> {
+/// A preallocated arena for one multiplication configuration, built by
+/// [`Workspace::for_chain`] and run by [`crate::peel::run_chain`]. A fresh
+/// workspace and a reused one produce bitwise-identical results.
+pub(crate) struct Workspace<T: Scalar> {
     pub(crate) key: WsKey,
     pub(crate) root: LevelWs<T>,
     pub(crate) pad: Option<PadBufs<T>>,
-    pub(crate) runs: u64,
 }
 
 /// Whether the executor folds this combination into the gemm pack sweep
@@ -474,56 +478,27 @@ pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
 }
 
 impl<T: Scalar> Workspace<T> {
-    /// Workspace for a uniform `steps`-deep recursion of a single plan.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_plan(
-        plan: &ExecPlan,
-        m: usize,
-        k: usize,
-        n: usize,
-        steps: u32,
-        strategy: Strategy,
-        threads: usize,
-        peel: PeelMode,
-        fusion: FusionPolicy,
-    ) -> Self {
-        crate::exec::with_uniform_chain(plan, steps, |chain| {
-            Self::for_chain(chain, m, k, n, strategy, threads, peel, fusion)
-        })
-    }
-
-    /// Workspace for a non-stationary chain (one plan per level).
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_chain<P: Borrow<ExecPlan>>(
+    /// Workspace for `chain` (one plan per recursion level, `chain[0]` at
+    /// the top) on an `m×k·k×n` product under `config`.
+    pub(crate) fn for_chain<P: Borrow<ExecPlan>>(
         chain: &[P],
         m: usize,
         k: usize,
         n: usize,
-        strategy: Strategy,
-        threads: usize,
-        peel: PeelMode,
-        fusion: FusionPolicy,
+        config: ExecConfig,
     ) -> Self {
-        // Only the root level runs the requested schedule; recursion levels
-        // always execute sequentially inside their lane.
-        let mut levels = Vec::with_capacity(chain.len());
-        for (i, plan) in chain.iter().enumerate() {
-            let (s, t) = if i == 0 {
-                (strategy, threads)
-            } else {
-                (Strategy::Seq, 1)
-            };
-            levels.push(level_key(plan.borrow(), i + 1 < chain.len(), fusion, s, t));
-        }
-        let key = WsKey {
-            levels,
-            m,
-            k,
-            n,
+        let ExecConfig {
             strategy,
             threads,
             peel,
             fusion,
+        } = config;
+        let key = WsKey {
+            levels: level_keys(chain, config).collect(),
+            m,
+            k,
+            n,
+            config,
         };
 
         let (dm, dk, dn) = chain_divisor(chain);
@@ -559,81 +534,56 @@ impl<T: Scalar> Workspace<T> {
             }
         };
 
-        Workspace {
-            key,
-            root,
-            pad,
-            runs: 0,
-        }
+        Workspace { key, root, pad }
     }
 
     /// Whether this workspace was sized for exactly this call. The
     /// comparison is allocation-free (no key is built for the candidate).
-    #[allow(clippy::too_many_arguments)]
-    pub fn matches<P: Borrow<ExecPlan>>(
+    pub(crate) fn matches<P: Borrow<ExecPlan>>(
         &self,
         chain: &[P],
         m: usize,
         k: usize,
         n: usize,
-        strategy: Strategy,
-        threads: usize,
-        peel: PeelMode,
-        fusion: FusionPolicy,
+        config: ExecConfig,
     ) -> bool {
-        self.key.m == m
-            && self.key.k == k
-            && self.key.n == n
-            && self.key.strategy == strategy
-            && self.key.threads == threads
-            && self.key.peel == peel
-            && self.key.fusion == fusion
-            && self.key.levels.len() == chain.len()
+        (self.key.m, self.key.k, self.key.n) == (m, k, n)
+            && self.key.config == config
             && self
                 .key
                 .levels
                 .iter()
-                .zip(chain)
-                .enumerate()
-                .all(|(i, (lk, plan))| {
-                    let (s, t) = if i == 0 {
-                        (strategy, threads)
-                    } else {
-                        (Strategy::Seq, 1)
-                    };
-                    *lk == level_key(plan.borrow(), i + 1 < chain.len(), fusion, s, t)
-                })
-    }
-
-    /// The configuration this workspace was built for.
-    pub fn key(&self) -> &WsKey {
-        &self.key
-    }
-
-    /// Completed runs through this workspace.
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
-    /// Runs beyond the first — i.e. how often the one-time allocation was
-    /// amortized.
-    pub fn reuses(&self) -> u64 {
-        self.runs.saturating_sub(1)
-    }
-
-    pub(crate) fn note_run(&mut self) {
-        self.runs += 1;
+                .copied()
+                .eq(level_keys(chain, config))
     }
 
     /// Bytes of matrix storage held (products + lane scratch across all
     /// levels, plus pad buffers). Per level this is
     /// `r·bm·bn + lanes·(bm·bk + bk·bn)` elements.
-    pub fn footprint_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn footprint_bytes(&self) -> usize {
         let pad = self.pad.as_ref().map_or(0, |p| {
             p.ap.rows() * p.ap.cols() + p.bp.rows() * p.bp.cols() + p.cp.rows() * p.cp.cols()
         });
         (self.root.elems() + pad) * std::mem::size_of::<T>()
     }
+}
+
+/// The [`LevelKey`] of every level of `chain`. Only the root level runs the
+/// requested schedule; recursion levels always execute sequentially inside
+/// their lane.
+fn level_keys<P: Borrow<ExecPlan>>(
+    chain: &[P],
+    config: ExecConfig,
+) -> impl Iterator<Item = LevelKey> + '_ {
+    chain.iter().enumerate().map(move |(i, plan)| {
+        let (s, t) = if i == 0 {
+            (config.strategy, config.threads)
+        } else {
+            (Strategy::Seq, 1)
+        };
+        level_key(plan.borrow(), i + 1 < chain.len(), config.fusion, s, t)
+    })
 }
 
 #[cfg(test)]
@@ -642,20 +592,25 @@ mod tests {
     use apa_core::bilinear::Dims;
     use apa_core::catalog;
 
+    fn cfg(strategy: Strategy, threads: usize, peel: PeelMode, fusion: FusionPolicy) -> ExecConfig {
+        ExecConfig {
+            strategy,
+            threads,
+            peel,
+            fusion,
+        }
+    }
+
     #[test]
     fn strassen_workspace_shapes() {
         // FusionPolicy::Never pins the fully materialized reference layout.
         let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
-        let ws = Workspace::<f64>::for_plan(
-            &plan,
+        let ws = Workspace::<f64>::for_chain(
+            &[&plan],
             64,
             64,
             64,
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Never,
+            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Never),
         );
         assert_eq!(ws.root.products.len(), 7);
         assert_eq!(
@@ -679,16 +634,12 @@ mod tests {
         // the S/T buffers vanish. Strassen epilogue-fuses nothing (every
         // block has a fan-out > 1 writer), so the products stay.
         let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
-        let ws = Workspace::<f64>::for_plan(
-            &plan,
+        let ws = Workspace::<f64>::for_chain(
+            &[&plan],
             64,
             64,
             64,
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
+            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Auto),
         );
         assert_eq!(ws.root.lanes[0].s_buf.rows(), 0);
         assert_eq!(ws.root.lanes[0].t_buf.rows(), 0);
@@ -699,16 +650,12 @@ mod tests {
     #[test]
     fn classical_plan_needs_no_combo_buffers() {
         let plan = ExecPlan::compile(&catalog::classical(Dims::new(2, 2, 2)), 0.0);
-        let ws = Workspace::<f32>::for_plan(
-            &plan,
+        let ws = Workspace::<f32>::for_chain(
+            &[&plan],
             8,
             8,
             8,
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Never,
+            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Never),
         );
         assert_eq!(ws.root.lanes[0].s_buf.rows(), 0);
         assert_eq!(ws.root.lanes[0].t_buf.rows(), 0);
@@ -721,16 +668,12 @@ mod tests {
         // every contribution lands in C from the gemm epilogue and the
         // workspace holds no matrix storage at all.
         let plan = ExecPlan::compile(&catalog::classical(Dims::new(2, 2, 2)), 0.0);
-        let ws = Workspace::<f32>::for_plan(
-            &plan,
+        let ws = Workspace::<f32>::for_chain(
+            &[&plan],
             8,
             8,
             8,
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
+            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Auto),
         );
         assert_eq!(ws.root.fusion.fused_products(), 8);
         assert!(ws.root.products.iter().all(|p| p.rows() == 0));
@@ -751,16 +694,12 @@ mod tests {
         // recursion (no single gemm to fuse into); the leaf child writes
         // the parent's product buffers and may fuse fully.
         let plan = ExecPlan::compile(&catalog::classical(Dims::new(2, 2, 2)), 0.0);
-        let ws = Workspace::<f32>::for_plan(
-            &plan,
+        let ws = Workspace::<f32>::for_chain(
+            &[&plan; 2],
             16,
             16,
             16,
-            2,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
+            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Auto),
         );
         assert_eq!(ws.root.fusion.fused_products(), 0);
         assert!(ws.root.products.iter().all(|p| p.rows() == 8));
@@ -848,13 +787,11 @@ mod tests {
             8,
             4,
             4,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
+            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Auto),
         );
-        let ok =
-            |p: &ExecPlan, f| ws.matches(&[p], 8, 4, 4, Strategy::Seq, 1, PeelMode::Dynamic, f);
+        let ok = |p: &ExecPlan, f| {
+            ws.matches(&[p], 8, 4, 4, cfg(Strategy::Seq, 1, PeelMode::Dynamic, f))
+        };
         assert!(ok(&plan_a, FusionPolicy::Auto));
         assert!(!ok(&plan_b, FusionPolicy::Auto));
         // Under Never both plans are structure-compatible (nothing fuses),
@@ -865,16 +802,12 @@ mod tests {
     #[test]
     fn recursive_workspace_carries_children() {
         let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
-        let ws = Workspace::<f64>::for_plan(
-            &plan,
+        let ws = Workspace::<f64>::for_chain(
+            &[&plan; 2],
             32,
             32,
             32,
-            2,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Never,
+            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Never),
         );
         let child = ws.root.lanes[0].child.as_ref().expect("child level");
         assert_eq!(child.products.len(), 7);
@@ -886,16 +819,12 @@ mod tests {
     fn parallel_strategies_get_one_lane_per_task() {
         let plan = ExecPlan::compile(&catalog::bini322(), 1e-4); // r = 10
         let mk = |strategy, threads| {
-            Workspace::<f32>::for_plan(
-                &plan,
+            Workspace::<f32>::for_chain(
+                &[&plan],
                 12,
                 12,
                 12,
-                1,
-                strategy,
-                threads,
-                PeelMode::Dynamic,
-                FusionPolicy::Auto,
+                cfg(strategy, threads, PeelMode::Dynamic, FusionPolicy::Auto),
             )
         };
         assert_eq!(mk(Strategy::Seq, 4).root.lanes.len(), 1);
@@ -912,16 +841,12 @@ mod tests {
     #[test]
     fn pad_mode_preallocates_padded_operands() {
         let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
-        let ws = Workspace::<f64>::for_plan(
-            &plan,
+        let ws = Workspace::<f64>::for_chain(
+            &[&plan],
             9,
             9,
             9,
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Pad,
-            FusionPolicy::Auto,
+            cfg(Strategy::Seq, 1, PeelMode::Pad, FusionPolicy::Auto),
         );
         let pad = ws.pad.as_ref().expect("pad buffers");
         assert_eq!((pad.ap.rows(), pad.ap.cols()), (10, 10));
@@ -938,13 +863,10 @@ mod tests {
             16,
             16,
             16,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
+            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Auto),
         );
         let ok = |chain: &[&ExecPlan], m, strategy, threads, peel, fusion| {
-            ws.matches(chain, m, 16, 16, strategy, threads, peel, fusion)
+            ws.matches(chain, m, 16, 16, cfg(strategy, threads, peel, fusion))
         };
         let (dyn_, auto) = (PeelMode::Dynamic, FusionPolicy::Auto);
         assert!(ok(&[&strassen], 16, Strategy::Seq, 1, dyn_, auto));
@@ -964,26 +886,5 @@ mod tests {
         // fuses — structure still compatible, so a same-shape rule may
         // share the workspace.
         assert!(ok(&[&winograd], 16, Strategy::Seq, 1, dyn_, auto));
-    }
-
-    #[test]
-    fn run_counters_track_reuse() {
-        let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
-        let mut ws = Workspace::<f64>::for_plan(
-            &plan,
-            8,
-            8,
-            8,
-            1,
-            Strategy::Seq,
-            1,
-            PeelMode::Dynamic,
-            FusionPolicy::Auto,
-        );
-        assert_eq!((ws.runs(), ws.reuses()), (0, 0));
-        ws.note_run();
-        assert_eq!((ws.runs(), ws.reuses()), (1, 0));
-        ws.note_run();
-        assert_eq!((ws.runs(), ws.reuses()), (2, 1));
     }
 }

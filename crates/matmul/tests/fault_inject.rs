@@ -167,27 +167,38 @@ fn panicked_lane_surfaces_as_a_typed_error_and_the_next_multiply_succeeds() {
     let a = probe(64, 48, 11);
     let b = probe(48, 40, 12);
     let expect = matmul_naive(a.as_ref(), b.as_ref());
-    let mm = ApaMatmul::classical().threads(2);
-    let mut c = Mat::<f32>::zeros(64, 40);
+    // The depth-0 classical multiplier (one parallel gemm) and a chain of
+    // two rules (parallel products over a recursion level) alike.
+    for (what, mm, tol) in [
+        ("classical", ApaMatmul::classical().threads(2), 1e-5),
+        (
+            "bini322 → strassen chain",
+            ApaMatmul::chain(vec![catalog::bini322(), catalog::strassen()]).threads(2),
+            2e-2,
+        ),
+    ] {
+        let mut c = Mat::<f32>::zeros(64, 40);
 
-    // Arm the one-shot lane switch directly: the next gemm lane dequeued
-    // anywhere panics mid-stripe.
-    apa_gemm::pool::lane_fault::arm_panic();
-    let err = mm
-        .try_multiply_into(a.as_ref(), b.as_ref(), c.as_mut())
-        .unwrap_err();
-    match &err {
-        MatmulError::WorkerPanicked { detail } => {
-            assert!(detail.contains("injected lane panic"), "{detail}")
+        // Arm the one-shot lane switch directly: the next gemm lane
+        // dequeued anywhere panics mid-stripe.
+        apa_gemm::pool::lane_fault::arm_panic();
+        let err = mm
+            .try_multiply_into(a.as_ref(), b.as_ref(), c.as_mut())
+            .unwrap_err();
+        match &err {
+            MatmulError::WorkerPanicked { detail } => {
+                assert!(detail.contains("injected lane panic"), "{what}: {detail}")
+            }
+            other => panic!("{what}: expected WorkerPanicked, got {other:?}"),
         }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
-    }
 
-    // The pool was rebuilt: the very next multiply on the same instance
-    // must succeed, at full quality.
-    mm.try_multiply_into(a.as_ref(), b.as_ref(), c.as_mut())
-        .unwrap();
-    assert!(c.rel_frobenius_error(&expect) < 1e-5);
+        // The pool was rebuilt: the very next multiply on the same
+        // instance must succeed, at full quality.
+        mm.try_multiply_into(a.as_ref(), b.as_ref(), c.as_mut())
+            .unwrap();
+        let err = c.rel_frobenius_error(&expect);
+        assert!(err < tol, "{what}: {err}");
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! combination and epilogue W-accumulation against the materialized
 //! reference (`FusionPolicy::Never`).
 //!
-//! The contracts under test (documented on `apa_matmul::exec`):
+//! The contracts under test (documented in `apa-matmul`'s `exec` module):
 //!
 //! * **Pack fusion is bitwise exact.** `gemm_combined` over `(coeff, src)`
 //!   term lists must equal combine-into-scratch followed by plain `gemm`,
@@ -164,13 +164,15 @@ proptest! {
             .cse(cse)
             .peel_mode(if pad { PeelMode::Pad } else { PeelMode::Dynamic })
             .fusion(if never { FusionPolicy::Never } else { FusionPolicy::Auto });
+        // `cached` runs the transposed views on the workspace the plain
+        // operands warmed; otherwise on a cold clone's fresh workspace.
         let mut want = Mat::<f32>::zeros(m, n);
-        mm.multiply_into_uncached(a.as_ref(), b.as_ref(), want.as_mut());
+        mm.multiply_into(a.as_ref(), b.as_ref(), want.as_mut());
         let mut got = Mat::<f32>::zeros(m, n);
         if cached {
             mm.multiply_into(av, bv, got.as_mut());
         } else {
-            mm.multiply_into_uncached(av, bv, got.as_mut());
+            mm.clone().multiply_into(av, bv, got.as_mut());
         }
         assert_bitwise_f32(&got, &want, "transposed views vs plain operands")?;
     }

@@ -74,6 +74,15 @@ fn warm_divisible_multiplication_does_not_allocate() {
     let b = probe(64, 64, 2);
     let mut c = Mat::zeros(64, 64);
     assert_steady_state_is_allocation_free(&mm, &a, &b, &mut c, "divisible fast444");
+
+    // A chain (one rule per level) runs out of the same workspace cache.
+    let chain = ApaMatmul::chain(vec![catalog::bini322(), catalog::strassen()])
+        .strategy(Strategy::Seq)
+        .threads(1);
+    let a = probe(48, 32, 9);
+    let b = probe(32, 40, 10);
+    let mut c = Mat::zeros(48, 40);
+    assert_steady_state_is_allocation_free(&chain, &a, &b, &mut c, "bini322 → strassen chain");
 }
 
 #[test]
@@ -102,29 +111,6 @@ fn warm_pad_mode_does_not_allocate() {
     let b = probe(29, 31, 6);
     let mut c = Mat::zeros(33, 31);
     assert_steady_state_is_allocation_free(&mm, &a, &b, &mut c, "pad-mode strassen");
-}
-
-#[test]
-fn explicit_workspace_calls_do_not_allocate() {
-    let _serial = serial();
-    let mm = ApaMatmul::new(catalog::by_name("fast442").unwrap())
-        .steps(1)
-        .strategy(Strategy::Seq)
-        .threads(1);
-    let a = probe(36, 24, 7);
-    let b = probe(24, 30, 8);
-    let mut c = Mat::zeros(36, 30);
-    let mut ws = mm.make_workspace::<f32>(36, 24, 30);
-    // Warm the thread-local pack buffers.
-    mm.multiply_into_with(a.as_ref(), b.as_ref(), c.as_mut(), &mut ws);
-
-    let before = thread_allocation_counters();
-    for _ in 0..5 {
-        mm.multiply_into_with(a.as_ref(), b.as_ref(), c.as_mut(), &mut ws);
-    }
-    let delta = thread_allocation_counters().since(before);
-    assert_eq!(delta.calls, 0, "explicit workspace path allocated");
-    assert_eq!(ws.runs(), 6);
 }
 
 /// Mirrors the (private) `WS_CACHE_CAP` in `apamm.rs` — the churn test
@@ -173,12 +159,14 @@ fn evicted_then_rebuilt_workspace_is_bit_identical_to_uncached() {
         mm.multiply_into(xa.as_ref(), xb.as_ref(), xc.as_mut());
     }
 
-    // Rebuilt-from-scratch cached call and the uncached path must both
-    // reproduce the original product bit for bit.
+    // Rebuilt-from-scratch cached call and a cold clone's first call (a
+    // workspace built for that one call) must both reproduce the original
+    // product bit for bit.
     let mut c_rebuilt = Mat::zeros(37, 33);
     mm.multiply_into(a.as_ref(), b.as_ref(), c_rebuilt.as_mut());
     let mut c_uncached = Mat::zeros(37, 33);
-    mm.multiply_into_uncached(a.as_ref(), b.as_ref(), c_uncached.as_mut());
+    mm.clone()
+        .multiply_into(a.as_ref(), b.as_ref(), c_uncached.as_mut());
     for i in 0..37 {
         for j in 0..33 {
             assert_eq!(c_first.at(i, j).to_bits(), c_rebuilt.at(i, j).to_bits());

@@ -547,10 +547,11 @@ fn measure_candidate(plan: &CompiledPlan, shape: (usize, usize, usize), dtype: D
 
 static GLOBAL: OnceLock<PlanCompiler> = OnceLock::new();
 
-/// The process-wide compiler, persisting under [`crate::plan_dir`], with
+/// The process-wide compiler, persisting under `$APA_PLAN_DIR/plans`
+/// (default `~/.cache/apa-plan`; see [`apa_gemm::cache_dir`]), with
 /// measured refinement when `APA_PLAN_TUNE=1`.
 pub fn global() -> &'static PlanCompiler {
-    GLOBAL.get_or_init(|| PlanCompiler::with_store(crate::plan_dir()))
+    GLOBAL.get_or_init(|| PlanCompiler::with_store(apa_gemm::cache_dir("plans", "apa-plan")))
 }
 
 /// Compile `req` with the [`global`] compiler.

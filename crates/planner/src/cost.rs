@@ -37,7 +37,7 @@ pub struct MachineModel {
 
 impl MachineModel {
     /// The model for the kernel tier runtime dispatch actually selected
-    /// (honours `APA_FORCE_SCALAR_KERNEL`).
+    /// (honours `APA_KERNEL_TIER`).
     pub fn detect() -> Self {
         Self::for_tier(apa_gemm::selected_tier().name())
     }

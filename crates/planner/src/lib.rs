@@ -46,28 +46,3 @@ pub use cost::MachineModel;
 pub use request::{DType, PlanRequest, Robustness};
 pub use stats::{cache_counts, cache_report};
 pub use store::{Calibration, PlanStore, PlanStoreError};
-
-use std::path::PathBuf;
-
-/// Root directory for compiled-plan persistence: `$APA_PLAN_DIR/plans`,
-/// falling back to `$XDG_CACHE_HOME/apa-plan`, `$HOME/.cache/apa-plan`,
-/// then the system temp dir. Mirrors the gemm block-tune resolution so
-/// both stores sit under one `APA_PLAN_DIR` umbrella.
-pub fn plan_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("APA_PLAN_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir).join("plans");
-        }
-    }
-    if let Ok(xdg) = std::env::var("XDG_CACHE_HOME") {
-        if !xdg.is_empty() {
-            return PathBuf::from(xdg).join("apa-plan");
-        }
-    }
-    if let Ok(home) = std::env::var("HOME") {
-        if !home.is_empty() {
-            return PathBuf::from(home).join(".cache").join("apa-plan");
-        }
-    }
-    std::env::temp_dir().join("apa-plan")
-}

@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example derive_and_chain`
 
 use apa_repro::core::{derive::DeriveTable, Dims};
-use apa_repro::matmul::ApaChain;
 use apa_repro::prelude::*;
 
 fn random(n: usize, seed: u64) -> Mat<f32> {
@@ -49,7 +48,7 @@ fn main() {
     let c_ref = classical.multiply(a.as_ref(), b.as_ref());
     let t_classical = t0.elapsed().as_secs_f64();
 
-    let chain = ApaChain::new(vec![catalog::bini322(), catalog::strassen()]);
+    let chain = ApaMatmul::chain(vec![catalog::bini322(), catalog::strassen()]);
     let t1 = std::time::Instant::now();
     let c = chain.multiply(a.as_ref(), b.as_ref());
     let t_chain = t1.elapsed().as_secs_f64();

@@ -2,36 +2,32 @@
 # Benchmark runner.
 #
 #   1. criterion micro-benchmarks: the `fusion` group (pack+epilogue
-#      fusion vs materialized on ParaDnn widths) and the `workspace`
-#      reuse group
+#      fusion vs materialized on ParaDnn widths)
 #   2. the `kernelbench` harness (ISSUE 6 acceptance evidence): per-tier
 #      gemm leaf GFLOPS + fused ParaDnn sweep under runtime dispatch,
 #      emitting BENCH_6.json. The run MUST report which kernel tier it
 #      dispatched to — asserted below, so a silent fall-through to the
 #      scalar tier on SIMD hardware fails the script instead of quietly
 #      producing slow-but-green numbers.
-#   3. the `fusionbench` harness (ISSUE 5 evidence), which emits
-#      BENCH_5.json (median GFLOP/s, workspace bytes and modeled traffic
-#      per rule x width x policy)
-#   4. the `overloadbench` drill (ISSUE 7 acceptance evidence): brownout
+#   3. the `overloadbench` drill (acceptance evidence): brownout
 #      on vs off at 2x measured capacity with the chaos schedule armed,
 #      emitting BENCH_7.json. The JSON's own criteria block is asserted
 #      below: goodput(on) >= 1.3x goodput(off) and the on-mode late
 #      fraction holds p99 inside the deadline.
-#   5. the `abftbench` harness (ISSUE 8 acceptance evidence): ABFT
+#   4. the `abftbench` harness (acceptance evidence): ABFT
 #      checksums off vs on at ParaDnn training widths (interleaved reps,
 #      paired minima), plus a storm of single-bit exponent flips into
 #      packed A / packed B / finished C tiles, emitting BENCH_8.json.
 #      Asserted below: <= 5% overhead at width 1024, zero false-positive
 #      detections on the fault-free run, and 100% of injected flips
 #      detected AND repaired in place.
-#   6. the `planbench` harness (ISSUE 9 acceptance evidence): the
+#   5. the `planbench` harness (acceptance evidence): the
 #      apa-planner compiler's plan vs every hand-flagged paper-lineup
 #      rule on the ParaDnn width sweep, emitting BENCH_9.json. Asserted
 #      below: the compiled plan is within 2% of the best hand rule at
 #      every width, strictly beats it at >= 1 width, and a warm
 #      PlanCompiler answers in < 1 ms per shape.
-#   7. the `parbench` harness (ISSUE 10 acceptance evidence): the 2D
+#   6. the `parbench` harness (acceptance evidence): the 2D
 #      cooperative-packing parallel gemm swept across thread counts on
 #      the 1024^3 f32 leaf plus the fused ParaDnn sweep single- and
 #      all-core, emitting BENCH_10.json. The two machine-scaled gate
@@ -41,17 +37,13 @@
 #      reduce to the single-threaded identity — the JSON records `cores`
 #      so the numbers stay honest.
 #
-# Usage: scripts/bench.sh [extra fusionbench args...]
-#   e.g. scripts/bench.sh --widths 512,1024 --reps 5
+# Usage: scripts/bench.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== bench: cargo bench -p apa-bench --bench fusion =="
 cargo bench -p apa-bench --bench fusion
-
-echo "== bench: cargo bench -p apa-bench --bench workspace =="
-cargo bench -p apa-bench --bench workspace
 
 echo "== bench: kernelbench -> BENCH_6.json =="
 kernel_out=$(cargo run --release -p apa-bench --bin kernelbench -- --out BENCH_6.json | tee /dev/stderr)
@@ -62,9 +54,6 @@ if ! grep -q "kernel dispatch: tier=" <<<"$kernel_out"; then
     exit 1
 fi
 echo "== bench: dispatched $(grep -o 'tier=[a-z0-9]*' <<<"$kernel_out" | head -n1) =="
-
-echo "== bench: fusionbench -> BENCH_5.json =="
-cargo run --release -p apa-bench --bin fusionbench -- --out BENCH_5.json "$@"
 
 echo "== bench: overloadbench -> BENCH_7.json =="
 cargo run --release -p apa-bench --features fault-inject --bin overloadbench -- --out BENCH_7.json
@@ -117,4 +106,4 @@ for crit in '"efficiency_pass": true' '"speedup_pass": true'; do
     fi
 done
 
-echo "== bench: OK (results in BENCH_5.json, BENCH_6.json, BENCH_7.json, BENCH_8.json, BENCH_9.json, BENCH_10.json) =="
+echo "== bench: OK (results in BENCH_6.json, BENCH_7.json, BENCH_8.json, BENCH_9.json, BENCH_10.json) =="

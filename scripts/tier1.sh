@@ -13,7 +13,7 @@
 #      engine, the planner's compiler/store suites, nn, serve, core,
 #      discovery and the facade), TWICE: once under the host's native
 #      kernel dispatch (AVX-512/AVX2 where available) and once with
-#      APA_FORCE_SCALAR_KERNEL=1 pinning the portable scalar tier — the
+#      APA_KERNEL_TIER=scalar pinning the portable scalar tier — the
 #      same binaries must be correct on both paths, and a compiled plan
 #      must be the same decision on every dispatch path
 #   4. fault-injection suites, native: apa-gemm (ABFT single-bit flips in
@@ -24,7 +24,7 @@
 #      apa-serve (fault drills plus the bounded >2x-capacity chaos storm
 #      that asserts every client gets a typed answer)
 #   5. the same four fault-injection suites under
-#      APA_FORCE_SCALAR_KERNEL=1 (the ABFT repair path recomputes with the
+#      APA_KERNEL_TIER=scalar (the ABFT repair path recomputes with the
 #      scalar tier, so it must hold when scalar is also the primary)
 #   6. apa-gemm again under APA_THREADS=2 APA_NO_PIN=1 (full crate, and
 #      the panic-in-lane drill with fault-inject) — the oversubscribed,
@@ -54,8 +54,8 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 echo "== tier1: cargo test, whole workspace (native kernel dispatch) =="
 cargo test -q
 
-echo "== tier1: cargo test, whole workspace (APA_FORCE_SCALAR_KERNEL=1, portable scalar tier) =="
-APA_FORCE_SCALAR_KERNEL=1 cargo test -q
+echo "== tier1: cargo test, whole workspace (APA_KERNEL_TIER=scalar, portable scalar tier) =="
+APA_KERNEL_TIER=scalar cargo test -q
 
 echo "== tier1: fault-injection suites, native dispatch =="
 cargo test -q -p apa-gemm --features fault-inject
@@ -63,11 +63,11 @@ cargo test -q -p apa-matmul --features fault-inject
 cargo test -q -p apa-nn --features fault-inject
 cargo test -q -p apa-serve --features fault-inject
 
-echo "== tier1: fault-injection suites, APA_FORCE_SCALAR_KERNEL=1 (scalar primary + scalar repair tier) =="
-APA_FORCE_SCALAR_KERNEL=1 cargo test -q -p apa-gemm --features fault-inject
-APA_FORCE_SCALAR_KERNEL=1 cargo test -q -p apa-matmul --features fault-inject
-APA_FORCE_SCALAR_KERNEL=1 cargo test -q -p apa-nn --features fault-inject
-APA_FORCE_SCALAR_KERNEL=1 cargo test -q -p apa-serve --features fault-inject
+echo "== tier1: fault-injection suites, APA_KERNEL_TIER=scalar (scalar primary + scalar repair tier) =="
+APA_KERNEL_TIER=scalar cargo test -q -p apa-gemm --features fault-inject
+APA_KERNEL_TIER=scalar cargo test -q -p apa-matmul --features fault-inject
+APA_KERNEL_TIER=scalar cargo test -q -p apa-nn --features fault-inject
+APA_KERNEL_TIER=scalar cargo test -q -p apa-serve --features fault-inject
 
 echo "== tier1: cargo test -p apa-gemm (APA_THREADS=2 APA_NO_PIN=1, full crate) =="
 APA_THREADS=2 APA_NO_PIN=1 cargo test -q -p apa-gemm

@@ -123,8 +123,9 @@ proptest! {
         let a = Mat::from_fn(m, k, |_, _| next());
         let b = Mat::from_fn(k, n, |_, _| next());
         let mm = ApaMatmul::new(catalog::bini322()).steps(steps).strategy(strategy).threads(threads);
+        // A cold clone's first call runs on a workspace built for it alone.
         let mut fresh = Mat::zeros(m, n);
-        mm.multiply_into_uncached(a.as_ref(), b.as_ref(), fresh.as_mut());
+        mm.clone().multiply_into(a.as_ref(), b.as_ref(), fresh.as_mut());
         if steps == 0 {
             // Depth 0 is the gemm leaf itself, at the strategy's parallelism.
             let par = if strategy == ExecStrategy::Seq || threads == 1 {
