@@ -44,15 +44,20 @@
 //! whose own checks fail is counted `unrepaired` so the caller can
 //! escalate (the matmul guard demotes the rung).
 //!
-//! Sessions are installed process-globally ([`install`] / [`scoped`]):
-//! the engine's leaf gemm calls — plain, fused-operand, parallel worker
-//! stripes, peel fringes — all pick the active session up without any
-//! signature changes, and the atomic [`AbftStats`] counters are shared
-//! across worker threads.
+//! Sessions are installed **per thread** ([`install`] / [`scoped`]): the
+//! leaf gemm calls a thread makes — plain, fused-operand, peel fringes —
+//! pick its session up without any signature changes, so one thread's
+//! guarded multiply never checks or counts another thread's gemms, and
+//! an unguarded gemm never pays for checksums. Work a call hands to other
+//! threads carries the caller's session explicitly: the 2D parallel
+//! driver looks it up once and hands it to its workers, and the APA
+//! executor's lanes and the guard's watchdog helper install the caller's
+//! session for their duration. The atomic [`AbftStats`] counters are
+//! shared by every thread checking under one session.
 
 use crate::matrix::MatMut;
 use crate::scalar::Scalar;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -149,8 +154,8 @@ impl AbftStats {
 }
 
 /// One ABFT configuration plus its shared counters. Install with
-/// [`install`] / [`scoped`] so every gemm leaf in the process checks
-/// against it.
+/// [`install`] / [`scoped`] so every gemm leaf of the installing thread
+/// (and of the threads its calls hand work to) checks against it.
 #[derive(Debug, Default)]
 pub struct AbftSession {
     pub cfg: AbftConfig,
@@ -174,29 +179,33 @@ impl AbftSession {
     }
 }
 
-static SESSION: Mutex<Option<Arc<AbftSession>>> = Mutex::new(None);
+thread_local! {
+    static SESSION: RefCell<Option<Arc<AbftSession>>> = const { RefCell::new(None) };
+}
 
-/// Install (or clear, with `None`) the process-global ABFT session.
-/// Returns the previously installed session.
+/// Install (or clear, with `None`) the calling thread's ABFT session.
+/// Returns the session it replaces.
 pub fn install(session: Option<Arc<AbftSession>>) -> Option<Arc<AbftSession>> {
-    std::mem::replace(&mut SESSION.lock(), session)
+    SESSION.with(|slot| slot.replace(session))
 }
 
-/// The currently installed session, if any. Fetched once per gemm call.
+/// The calling thread's session, if any. Fetched once per gemm call.
 pub fn current() -> Option<Arc<AbftSession>> {
-    SESSION.lock().clone()
+    SESSION.with(|slot| slot.borrow().clone())
 }
 
-/// RAII scope: installs `session` and restores the previous one on drop
-/// (the guard wraps each multiply so concurrent non-ABFT users are
-/// disturbed for the shortest possible window).
+/// RAII scope: installs `session` on the calling thread and restores the
+/// previous one on drop (the guard wraps each multiply in one). Not
+/// `Send`: it must be dropped on the thread whose slot it holds.
 pub struct ScopedAbft {
     prev: Option<Arc<AbftSession>>,
+    _thread: std::marker::PhantomData<*const ()>,
 }
 
 pub fn scoped(session: Arc<AbftSession>) -> ScopedAbft {
     ScopedAbft {
         prev: install(Some(session)),
+        _thread: std::marker::PhantomData,
     }
 }
 
@@ -684,15 +693,14 @@ impl<T: Scalar> AbftBufs<T> {
     ) {
         let dot = &mut self.dot_row[ic..ic + mc];
         let mag = &mut self.mag_row[ic..ic + mc];
-        for p in 0..kc {
-            let (w, wm) = (cf * self.b_sum[p], cf.abs() * self.b_mag[p]);
-            let col = &src.col(pc + p)[ic..ic + mc];
-            for ((d, g), &v) in dot.iter_mut().zip(mag.iter_mut()).zip(col) {
-                let v = v.to_f64();
-                *d += v * w;
-                *g += v.abs() * wm;
-            }
+        let (b_sum, b_mag) = (&self.b_sum[..kc], &self.b_mag[..kc]);
+        #[cfg(target_arch = "x86_64")]
+        if crate::kernel::hardware_fma_enabled() {
+            // SAFETY: avx2+fma presence was verified at runtime.
+            unsafe { accum_cols_fma(cf, src, ic, pc, b_sum, b_mag, dot, mag) };
+            return;
         }
+        accum_cols_body(cf, src, ic, pc, b_sum, b_mag, dot, mag);
     }
 
     /// Verify one ic block's full-k update against the accumulated row
@@ -875,14 +883,94 @@ impl<T: Scalar> AbftBufs<T> {
     }
 }
 
+/// Source columns [`accum_cols_body`] folds per pass over the rows.
+const COL_GROUP: usize = 8;
+
+/// The body of [`AbftBufs::accum_cols`]: `dot[i] += Σ_p A[i,p]·(cf·b_sum[p])`
+/// and its abs companion over the block's `b_sum.len()` columns. The
+/// running sums stay in registers across [`COL_GROUP`] columns (one load
+/// and store of `dot[i]` per group, not per column), vectorized across
+/// rows; every row still adds its columns in `p` order with separate
+/// multiplies and adds, so the sums are bitwise the column-at-a-time ones.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn accum_cols_body<T: Scalar>(
+    cf: f64,
+    src: crate::matrix::MatRef<'_, T>,
+    ic: usize,
+    pc: usize,
+    b_sum: &[f64],
+    b_mag: &[f64],
+    dot: &mut [f64],
+    mag: &mut [f64],
+) {
+    let mc = dot.len();
+    let mag = &mut mag[..mc];
+    let kc = b_sum.len();
+    let full = kc - kc % COL_GROUP;
+    for p0 in (0..full).step_by(COL_GROUP) {
+        let w: [f64; COL_GROUP] = std::array::from_fn(|q| cf * b_sum[p0 + q]);
+        let wm: [f64; COL_GROUP] = std::array::from_fn(|q| cf.abs() * b_mag[p0 + q]);
+        let cols: [&[T]; COL_GROUP] = std::array::from_fn(|q| &src.col(pc + p0 + q)[ic..ic + mc]);
+        for (i, (d, g)) in dot.iter_mut().zip(mag.iter_mut()).enumerate() {
+            let (mut rd, mut rg) = (*d, *g);
+            for q in 0..COL_GROUP {
+                let v = cols[q][i].to_f64();
+                rd += v * w[q];
+                rg += v.abs() * wm[q];
+            }
+            (*d, *g) = (rd, rg);
+        }
+    }
+    for p in full..kc {
+        let (w, wm) = (cf * b_sum[p], cf.abs() * b_mag[p]);
+        let col = &src.col(pc + p)[ic..ic + mc];
+        for ((d, g), &v) in dot.iter_mut().zip(mag.iter_mut()).zip(col) {
+            let v = v.to_f64();
+            *d += v * w;
+            *g += v.abs() * wm;
+        }
+    }
+}
+
+/// [`accum_cols_body`] under `avx2,fma` codegen (wider vectors; Rust never
+/// contracts the separate multiply and add, so the sums are unchanged).
+///
+/// # Safety
+/// CPU must support avx2+fma ([`crate::kernel::hardware_fma_enabled`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn accum_cols_fma<T: Scalar>(
+    cf: f64,
+    src: crate::matrix::MatRef<'_, T>,
+    ic: usize,
+    pc: usize,
+    b_sum: &[f64],
+    b_mag: &[f64],
+    dot: &mut [f64],
+    mag: &mut [f64],
+) {
+    accum_cols_body(cf, src, ic, pc, b_sum, b_mag, dot, mag)
+}
+
 /// Deterministic single-bit-flip switches for SDC drills, compiled only
 /// with `--features fault-inject`. Arming is one-shot: the next gemm
 /// block that packs (or finishes) the targeted buffer consumes the
 /// fault, flipping one bit of one element on the *real* read path — the
 /// corrupted value then flows through the kernel exactly as a hardware
 /// upset would.
+///
+/// A flip armed while a checksum session is installed belongs to that
+/// session: it fires only in gemm work checked under it — the arming
+/// call's own leaves, on whichever thread they run — never in another
+/// concurrent call's leaves nor in a repair's verify pass (which runs
+/// under its own nested session). One armed upset therefore strikes the
+/// call that armed it. Armed with no session installed, it fires in the
+/// next matching block anywhere.
 #[cfg(feature = "fault-inject")]
 pub mod sdc {
+    use super::AbftSession;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -907,12 +995,20 @@ pub mod sdc {
         pub bit: u32,
     }
 
-    static ARMED: Mutex<Option<FlipSpec>> = Mutex::new(None);
+    /// The armed flip and the address of the session it belongs to (0:
+    /// none, fires anywhere).
+    static ARMED: Mutex<Option<(FlipSpec, usize)>> = Mutex::new(None);
     static FIRED: AtomicU64 = AtomicU64::new(0);
 
-    /// Arm a one-shot bit flip (replaces any previously armed flip).
+    fn key(session: Option<&AbftSession>) -> usize {
+        session.map_or(0, |s| s as *const AbftSession as usize)
+    }
+
+    /// Arm a one-shot bit flip (replaces any previously armed flip), owned
+    /// by the calling thread's session, if one is installed.
     pub fn arm(spec: FlipSpec) {
-        *ARMED.lock() = Some(spec);
+        let owner = key(super::current().as_deref());
+        *ARMED.lock() = Some((spec, owner));
     }
 
     /// Clear an armed flip that has not fired yet.
@@ -925,11 +1021,14 @@ pub mod sdc {
         FIRED.load(Ordering::Relaxed)
     }
 
-    /// Consume the armed flip if it targets `target`.
-    pub(crate) fn take(target: FlipTarget) -> Option<FlipSpec> {
+    /// Consume the armed flip if it targets `target` in gemm work checked
+    /// under `session` (see the module docs for ownership).
+    pub(crate) fn take(target: FlipTarget, session: Option<&AbftSession>) -> Option<FlipSpec> {
         let mut guard = ARMED.lock();
         match *guard {
-            Some(spec) if spec.target == target => {
+            Some((spec, owner))
+                if spec.target == target && (owner == 0 || owner == key(session)) =>
+            {
                 *guard = None;
                 FIRED.fetch_add(1, Ordering::Relaxed);
                 Some(spec)
@@ -961,6 +1060,119 @@ mod tests {
         assert_eq!(d.checks, 3);
         assert_eq!(d.detected, 0);
         assert_eq!(d.repaired, 1);
+    }
+
+    #[test]
+    fn transposed_a_fold_matches_the_column_loop_bitwise() {
+        use crate::matrix::Mat;
+        // kc = 21 covers two full column groups and a ragged rest; the
+        // block starts inside the source (ic, pc > 0).
+        let (m, k, ic, pc, mc, kc) = (40usize, 30usize, 3, 5, 33, 21);
+        let src = Mat::<f32>::from_fn(k, m, |p, i| ((i * 7 + p * 13) as f32).sin() - 0.25);
+        let a = src.as_ref().t();
+        let mut bufs = AbftBufs::<f32>::default();
+        bufs.b_sum = (0..kc).map(|p| (p as f64 * 0.37).cos() * 3.0).collect();
+        bufs.b_mag = bufs.b_sum.iter().map(|v| v.abs() + 0.5).collect();
+        bufs.begin_jc(m);
+        let cf = -1.75f32;
+        bufs.accum_rows(&[(cf, a)], ic, pc, mc, kc);
+        let (mut dot, mut mag) = (vec![0.0f64; m], vec![0.0f64; m]);
+        let cfd = cf as f64;
+        for p in 0..kc {
+            let (w, wm) = (cfd * bufs.b_sum[p], cfd.abs() * bufs.b_mag[p]);
+            for i in ic..ic + mc {
+                let v = a.at(i, pc + p) as f64;
+                dot[i] += v * w;
+                mag[i] += v.abs() * wm;
+            }
+        }
+        for i in 0..m {
+            assert_eq!(bufs.dot_row[i].to_bits(), dot[i].to_bits(), "dot[{i}]");
+            assert_eq!(bufs.mag_row[i].to_bits(), mag[i].to_bits(), "mag[{i}]");
+        }
+    }
+
+    /// One small checked-or-not gemm (a single `(jc, ic)` block: one
+    /// check when a session is installed).
+    fn small_gemm() {
+        use crate::matrix::Mat;
+        let a = Mat::<f32>::from_fn(12, 9, |i, j| (i * 9 + j) as f32 * 0.01);
+        let b = Mat::<f32>::from_fn(9, 10, |i, j| (i as f32 - j as f32) * 0.02);
+        let mut c = Mat::<f32>::zeros(12, 10);
+        crate::blocked::gemm_st(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
+    }
+
+    #[test]
+    fn sessions_stay_on_their_thread_through_interleaved_scopes() {
+        use std::sync::Barrier;
+        // The interleaving that crossed sessions when the slot was
+        // process-global: B installs while A's scope is live (saving A's
+        // session as its `prev`), A's scope ends while B is mid-call, then
+        // B's scope ends. Every gemm must count into its own thread's
+        // session, or none.
+        let (sa, sb) = (
+            Arc::new(AbftSession::default()),
+            Arc::new(AbftSession::default()),
+        );
+        let step = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let g = scoped(sa.clone());
+                small_gemm();
+                step.wait(); // 1: A installed and checked once
+                step.wait(); // 2: B installed
+                drop(g);
+                assert!(current().is_none());
+                step.wait(); // 3: A's scope ended
+                step.wait(); // 4: B checked
+                small_gemm(); // unguarded: counts nowhere
+                step.wait(); // 5
+            });
+            scope.spawn(|| {
+                step.wait(); // 1
+                assert!(current().is_none(), "A's session leaked to B");
+                let g = scoped(sb.clone());
+                step.wait(); // 2
+                step.wait(); // 3
+                assert!(Arc::ptr_eq(&current().expect("B's session"), &sb));
+                small_gemm();
+                step.wait(); // 4
+                step.wait(); // 5
+                drop(g);
+                assert!(current().is_none(), "a stale session stayed installed");
+            });
+        });
+        assert_eq!(sa.stats.snapshot().checks, 1);
+        assert_eq!(sb.stats.snapshot().checks, 1);
+        assert!(current().is_none());
+    }
+
+    #[test]
+    fn a_session_reaches_other_threads_only_by_hand_off() {
+        let session = Arc::new(AbftSession::default());
+        let _g = scoped(session.clone());
+        std::thread::scope(|scope| {
+            // A thread the caller did not hand its session to runs
+            // unchecked.
+            scope
+                .spawn(|| {
+                    assert!(current().is_none());
+                    small_gemm();
+                })
+                .join()
+                .expect("unguarded thread");
+            assert_eq!(session.stats.snapshot().checks, 0);
+            // One that installs the caller's session checks under it.
+            let handed = current();
+            scope
+                .spawn(move || {
+                    let _s = handed.map(scoped);
+                    small_gemm();
+                })
+                .join()
+                .expect("handed-off thread");
+        });
+        assert_eq!(session.stats.snapshot().checks, 1);
     }
 
     #[test]

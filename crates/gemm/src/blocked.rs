@@ -414,7 +414,7 @@ pub(crate) fn gemm_core<T: Scalar>(
                         pack_b_terms(sub, &mut scratch.b_pack, spec.nr, sums)
                     });
                     #[cfg(feature = "fault-inject")]
-                    flip_pack_b(&mut scratch.b_pack, nc, kc, spec.nr);
+                    flip_pack_b(&mut scratch.b_pack, nc, kc, spec.nr, abft);
                 }
             }
             let b_panel: &[T] = match shared {
@@ -430,7 +430,7 @@ pub(crate) fn gemm_core<T: Scalar>(
                     pack_a_terms(sub, &mut scratch.a_pack, spec.mr)
                 });
                 #[cfg(feature = "fault-inject")]
-                flip_pack_a(&mut scratch.a_pack, mc, kc, spec.mr);
+                flip_pack_a(&mut scratch.a_pack, mc, kc, spec.mr, abft);
                 run_tiles(
                     spec,
                     alpha,
@@ -446,7 +446,7 @@ pub(crate) fn gemm_core<T: Scalar>(
                     &mut c,
                 );
                 #[cfg(feature = "fault-inject")]
-                flip_output(&mut c, ic, jc, mc, nc);
+                flip_output(&mut c, ic, jc, mc, nc, abft);
                 if abft.is_some() {
                     scratch.ab.accum_rows(a_terms, ic, pc, mc, kc);
                 }
@@ -537,9 +537,15 @@ fn merge_row<T: Scalar>(mut crow: MatMut<'_, T>, vals: &[T], alpha: T, beta: T, 
 /// `index` selects a valid (non-pad) element of the current `mc × kc`
 /// block, mapped into the k-major sliver layout.
 #[cfg(feature = "fault-inject")]
-fn flip_pack_a<T: Scalar>(buf: &mut [T], mc: usize, kc: usize, mr: usize) {
+fn flip_pack_a<T: Scalar>(
+    buf: &mut [T],
+    mc: usize,
+    kc: usize,
+    mr: usize,
+    session: Option<&AbftSession>,
+) {
     use crate::abft::sdc::{self, FlipTarget};
-    if let Some(f) = sdc::take(FlipTarget::PackA) {
+    if let Some(f) = sdc::take(FlipTarget::PackA, session) {
         let r = f.index % mc;
         let p = (f.index / mc) % kc;
         let pos = (r / mr) * kc * mr + p * mr + (r % mr);
@@ -551,9 +557,15 @@ fn flip_pack_a<T: Scalar>(buf: &mut [T], mc: usize, kc: usize, mr: usize) {
 /// the current `kc × nc` block, NR-sliver layout). `pub(crate)` so the
 /// parallel shared-packing arena applies flips at its (single) pack site.
 #[cfg(feature = "fault-inject")]
-pub(crate) fn flip_pack_b<T: Scalar>(buf: &mut [T], nc: usize, kc: usize, nr: usize) {
+pub(crate) fn flip_pack_b<T: Scalar>(
+    buf: &mut [T],
+    nc: usize,
+    kc: usize,
+    nr: usize,
+    session: Option<&AbftSession>,
+) {
     use crate::abft::sdc::{self, FlipTarget};
-    if let Some(f) = sdc::take(FlipTarget::PackB) {
+    if let Some(f) = sdc::take(FlipTarget::PackB, session) {
         let j = f.index % nc;
         let p = (f.index / nc) % kc;
         let pos = (j / nr) * kc * nr + p * nr + (j % nr);
@@ -564,9 +576,16 @@ pub(crate) fn flip_pack_b<T: Scalar>(buf: &mut [T], nc: usize, kc: usize, nr: us
 /// Consume an armed flip targeting the C block just written by the tile
 /// sweep.
 #[cfg(feature = "fault-inject")]
-fn flip_output<T: Scalar>(c: &mut MatMut<'_, T>, ic: usize, jc: usize, mc: usize, nc: usize) {
+fn flip_output<T: Scalar>(
+    c: &mut MatMut<'_, T>,
+    ic: usize,
+    jc: usize,
+    mc: usize,
+    nc: usize,
+    session: Option<&AbftSession>,
+) {
     use crate::abft::sdc::{self, FlipTarget};
-    if let Some(f) = sdc::take(FlipTarget::Output) {
+    if let Some(f) = sdc::take(FlipTarget::Output, session) {
         let i = f.index % mc;
         let j = (f.index / mc) % nc;
         let row = c.row_mut(ic + i);

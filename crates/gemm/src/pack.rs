@@ -573,11 +573,28 @@ fn scatter_rows<T: Scalar>(
     }
     if let Some((sum, mag)) = sums {
         let (sum, mag) = (&mut sum[p0..p0 + depth], &mut mag[p0..p0 + depth]);
-        for row in rows {
-            for ((s, m), &v) in sum.iter_mut().zip(mag.iter_mut()).zip(*row) {
-                let v = v.to_f64();
-                *s += v;
-                *m += v.abs();
+        if let Ok(full) = <&[&[T]; BT_ROWS]>::try_from(rows) {
+            // Per-p running sums held in registers across the group's rows
+            // (one load and store of `sum[p]` per group, not per row),
+            // vectorized across p; each row still adds in source order, so
+            // the sums are bitwise the row-at-a-time ones below.
+            let full = full.map(|row| &row[..depth]);
+            for (p, (s, m)) in sum.iter_mut().zip(mag.iter_mut()).enumerate() {
+                let (mut rs, mut ra) = (*s, *m);
+                for row in &full {
+                    let v = row[p].to_f64();
+                    rs += v;
+                    ra += v.abs();
+                }
+                (*s, *m) = (rs, ra);
+            }
+        } else {
+            for row in rows {
+                for ((s, m), &v) in sum.iter_mut().zip(mag.iter_mut()).zip(*row) {
+                    let v = v.to_f64();
+                    *s += v;
+                    *m += v.abs();
+                }
             }
         }
     }
@@ -636,9 +653,10 @@ fn pack_b_combined_sweep<T: Scalar>(
     }
 }
 
-/// [`pack_b_combined_sweep`] under `avx2,fma` codegen; checksummed lists
-/// that fit the inline stage take the [`csimd`] bodies, whose f64 checksum
-/// lanes ride for free under the sweep's memory traffic.
+/// [`pack_b_combined_sweep`] under `avx2,fma` codegen; f32/f64 lists that
+/// fit the inline stage take the [`csimd`] bodies — with checksums, whose
+/// f64 lanes ride for free under the sweep's memory traffic, or without,
+/// the same body with those lanes compiled out.
 ///
 /// # Safety
 /// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
@@ -653,31 +671,37 @@ unsafe fn pack_b_combined_sweep_fma<T: Scalar>(
     sums: Option<PackSums<'_>>,
 ) {
     use core::any::TypeId;
+    // The bodies store whole vectors into one sliver: `nr` must be a
+    // multiple of the vector width (an A sliver packed through this sweep
+    // has the kernel's `mr`, which need not be).
     let staged = terms.len() <= MAX_PACK_TERMS;
-    match sums {
-        Some(sums) if staged && TypeId::of::<T>() == TypeId::of::<f32>() => {
-            // SAFETY: T is f32 (same layout).
-            let terms =
-                &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f32, MatRef<'_, f32>)]);
-            let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f32, buf.len());
-            csimd::pack_b_combined_sums_f32(terms, fbuf, nr, nc, kc, sums);
+    if staged && nr.is_multiple_of(8) && TypeId::of::<T>() == TypeId::of::<f32>() {
+        // SAFETY: T is f32 (same layout).
+        let terms = &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f32, MatRef<'_, f32>)]);
+        let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f32, buf.len());
+        match sums {
+            Some(sums) => csimd::pack_b_combined_f32::<true>(terms, fbuf, nr, nc, kc, Some(sums)),
+            None => csimd::pack_b_combined_f32::<false>(terms, fbuf, nr, nc, kc, None),
         }
-        Some(sums) if staged && TypeId::of::<T>() == TypeId::of::<f64>() => {
-            // SAFETY: T is f64 (same layout).
-            let terms =
-                &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f64, MatRef<'_, f64>)]);
-            let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f64, buf.len());
-            csimd::pack_b_combined_sums_f64(terms, fbuf, nr, nc, kc, sums);
+    } else if staged && nr.is_multiple_of(4) && TypeId::of::<T>() == TypeId::of::<f64>() {
+        // SAFETY: T is f64 (same layout).
+        let terms = &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f64, MatRef<'_, f64>)]);
+        let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f64, buf.len());
+        match sums {
+            Some(sums) => csimd::pack_b_combined_f64::<true>(terms, fbuf, nr, nc, kc, Some(sums)),
+            None => csimd::pack_b_combined_f64::<false>(terms, fbuf, nr, nc, kc, None),
         }
-        sums => pack_b_combined_sweep(terms, buf, nr, nc, kc, sums),
+    } else {
+        pack_b_combined_sweep(terms, buf, nr, nc, kc, sums)
     }
 }
 
-/// Hand-written AVX2+FMA checksummed bodies of [`pack_b_terms`]. The
-/// combine chains mirror [`combined_segment`] lane-wise (vector FMA has
-/// the same single-rounding semantics as scalar `mul_add`), so the packed
-/// panel stays bitwise equal across dispatch paths; the f64 checksum
-/// lanes ride for free under the sweep's memory traffic.
+/// Hand-written AVX2+FMA bodies of [`pack_b_terms`] for combined lists.
+/// The combine chains mirror [`combined_segment`] lane-wise (vector FMA
+/// has the same single-rounding semantics as scalar `mul_add`), so the
+/// packed panel stays bitwise equal across dispatch paths and with or
+/// without checksums; the f64 checksum lanes (`SUMS`) ride for free under
+/// the sweep's memory traffic.
 #[cfg(target_arch = "x86_64")]
 mod csimd {
     use super::{plain_row, PackSums, MAX_PACK_TERMS};
@@ -783,19 +807,19 @@ mod csimd {
 
     /// # Safety
     /// CPU must support avx2+fma; `nr` must be a multiple of 8; `buf`
-    /// must hold `nc.div_ceil(nr)·kc·nr` elements; `sum`/`mag` length
-    /// `kc`.
+    /// must hold `nc.div_ceil(nr)·kc·nr` elements; with `SUMS`, `sums`
+    /// must be present with `sum`/`mag` of length `kc`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn pack_b_combined_sums_f32(
+    pub(super) unsafe fn pack_b_combined_f32<const SUMS: bool>(
         terms: &[(f32, MatRef<'_, f32>)],
         buf: &mut [f32],
         nr: usize,
         nc: usize,
         kc: usize,
-        sums: PackSums<'_>,
+        mut sums: Option<PackSums<'_>>,
     ) {
         debug_assert_eq!(nr % 8, 0);
-        let (sum, mag) = sums;
+        debug_assert_eq!(SUMS, sums.is_some());
         let t = terms.len();
         let mut co = [0.0f32; MAX_PACK_TERMS];
         for (e, (c, _)) in terms.iter().enumerate() {
@@ -818,11 +842,13 @@ mod csimd {
                 let sl = j / nr;
                 let dst = sl * kc * nr + p * nr + (j - sl * nr);
                 _mm256_storeu_ps(buf.as_mut_ptr().add(dst), v);
-                s0 = _mm256_add_pd(s0, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-                s1 = _mm256_add_pd(s1, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-                let av = _mm256_andnot_ps(sign, v);
-                m0 = _mm256_add_pd(m0, _mm256_cvtps_pd(_mm256_castps256_ps128(av)));
-                m1 = _mm256_add_pd(m1, _mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)));
+                if SUMS {
+                    s0 = _mm256_add_pd(s0, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+                    s1 = _mm256_add_pd(s1, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+                    let av = _mm256_andnot_ps(sign, v);
+                    m0 = _mm256_add_pd(m0, _mm256_cvtps_pd(_mm256_castps256_ps128(av)));
+                    m1 = _mm256_add_pd(m1, _mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)));
+                }
                 j += 8;
             }
             let mut lane = [0.0f64; 4];
@@ -849,8 +875,10 @@ mod csimd {
                 let base = sl * kc * nr + p * nr;
                 buf[base + (nc - sl * nr)..base + nr].fill(0.0);
             }
-            sum[p] = rs;
-            mag[p] = ra;
+            if let (true, Some((sum, mag))) = (SUMS, &mut sums) {
+                sum[p] = rs;
+                mag[p] = ra;
+            }
         }
     }
 
@@ -945,20 +973,18 @@ mod csimd {
     }
 
     /// # Safety
-    /// CPU must support avx2+fma; `nr` must be a multiple of 4; `buf`
-    /// must hold `nc.div_ceil(nr)·kc·nr` elements; `sum`/`mag` length
-    /// `kc`.
+    /// As [`pack_b_combined_f32`], with `nr` a multiple of 4.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn pack_b_combined_sums_f64(
+    pub(super) unsafe fn pack_b_combined_f64<const SUMS: bool>(
         terms: &[(f64, MatRef<'_, f64>)],
         buf: &mut [f64],
         nr: usize,
         nc: usize,
         kc: usize,
-        sums: PackSums<'_>,
+        mut sums: Option<PackSums<'_>>,
     ) {
         debug_assert_eq!(nr % 4, 0);
-        let (sum, mag) = sums;
+        debug_assert_eq!(SUMS, sums.is_some());
         let t = terms.len();
         let mut co = [0.0f64; MAX_PACK_TERMS];
         for (e, (c, _)) in terms.iter().enumerate() {
@@ -979,8 +1005,10 @@ mod csimd {
                 let sl = j / nr;
                 let dst = sl * kc * nr + p * nr + (j - sl * nr);
                 _mm256_storeu_pd(buf.as_mut_ptr().add(dst), v);
-                s0 = _mm256_add_pd(s0, v);
-                m0 = _mm256_add_pd(m0, _mm256_andnot_pd(sign, v));
+                if SUMS {
+                    s0 = _mm256_add_pd(s0, v);
+                    m0 = _mm256_add_pd(m0, _mm256_andnot_pd(sign, v));
+                }
                 j += 4;
             }
             let mut lane = [0.0f64; 4];
@@ -1006,8 +1034,10 @@ mod csimd {
                 let base = sl * kc * nr + p * nr;
                 buf[base + (nc - sl * nr)..base + nr].fill(0.0);
             }
-            sum[p] = rs;
-            mag[p] = ra;
+            if let (true, Some((sum, mag))) = (SUMS, &mut sums) {
+                sum[p] = rs;
+                mag[p] = ra;
+            }
         }
     }
 }
@@ -1481,6 +1511,12 @@ mod tests {
                     rs += v;
                     ra += v.abs();
                 }
+            }
+            if transposed {
+                // The transposed sweep adds in column order: exactly this
+                // loop.
+                assert_eq!(sum[p].to_bits(), rs.to_bits(), "sum[{p}]");
+                assert_eq!(mag[p].to_bits(), ra.to_bits(), "mag[{p}]");
             }
             let tol = 1e-12 * (1.0 + ra.abs());
             assert!((sum[p] - rs).abs() <= tol, "sum[{p}] {} vs {rs}", sum[p]);

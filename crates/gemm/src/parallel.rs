@@ -28,7 +28,7 @@
 //! with pinned workers (see [`crate::pool`]) the pages land on the
 //! consuming core's node without any explicit placement call.
 
-use crate::abft;
+use crate::abft::{self, AbftSession};
 use crate::blocked::{
     gemm_combined_st, gemm_core, with_cached_scratch, with_subviews, BPanelSource, BlockSizes,
     PackedPanel,
@@ -196,8 +196,8 @@ struct SharedPanels<'a, T: Scalar> {
     kc: usize,
     k: usize,
     nr: usize,
-    /// Pack fused ABFT row sums alongside the panel.
-    checked: bool,
+    /// The call's ABFT session: pack fused row sums alongside the panel.
+    session: Option<&'a AbftSession>,
 }
 
 impl<T: Scalar> SharedPanels<'_, T> {
@@ -212,7 +212,8 @@ impl<T: Scalar> SharedPanels<'_, T> {
         unsafe {
             let buf = &mut *slot.buf.get();
             let sums = self
-                .checked
+                .session
+                .is_some()
                 .then(|| (&mut *slot.sum.get(), &mut *slot.mag.get()));
             with_subviews(self.b_terms, pc, self.jc0, kc, self.cols, |sub| {
                 pack_b_terms(sub, buf, self.nr, sums)
@@ -221,7 +222,7 @@ impl<T: Scalar> SharedPanels<'_, T> {
             // land here (and are then seen by every consumer, exactly as
             // a single-threaded run would propagate them).
             #[cfg(feature = "fault-inject")]
-            crate::blocked::flip_pack_b(buf, self.cols, kc, self.nr);
+            crate::blocked::flip_pack_b(buf, self.cols, kc, self.nr, self.session);
         }
         self.arena.packed.fetch_add(1, Ordering::Relaxed);
         std::mem::forget(guard);
@@ -276,7 +277,7 @@ impl<T: Scalar> BPanelSource<T> for SharedPanels<'_, T> {
         // loaded with Acquire above; the slot is never written again.
         unsafe {
             let buf: &[T] = &*slot.buf.get();
-            let sums = if self.checked {
+            let sums = if self.session.is_some() {
                 Some(((*slot.sum.get()).as_slice(), (*slot.mag.get()).as_slice()))
             } else {
                 None
@@ -454,7 +455,6 @@ fn gemm_2d<T: Scalar>(
     };
     // One session grab for the whole call; every cell checks under it.
     let session = abft::current();
-    let checked = session.is_some();
 
     let arena_ref = &arena;
     let queue_ref = &queue;
@@ -484,7 +484,7 @@ fn gemm_2d<T: Scalar>(
                             kc: bs.kc,
                             k,
                             nr: spec.nr,
-                            checked,
+                            session: session_ref,
                         };
                         // SAFETY: the queue yields each cell exactly once.
                         let c_cell = unsafe { grid_ref.cell(ic0, jc0, rows, cols) };

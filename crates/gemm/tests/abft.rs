@@ -4,7 +4,8 @@
 //! flips in the packed panels and the output tiles — with each operand
 //! plain and as the transposed view (`MatRef::t`) of its stored transpose.
 //!
-//! Sessions are process-global, so every test serializes on one mutex.
+//! The bit-flip switches are process-global, so every test serializes on
+//! one mutex.
 
 use apa_gemm::abft;
 #[cfg(feature = "fault-inject")]
@@ -401,6 +402,53 @@ mod injected {
         assert_eq!(counts.repaired, 0);
         let differs = (0..m).any(|i| (0..n).any(|j| got.at(i, j) != want.at(i, j)));
         assert!(differs, "corruption should remain without repair");
+    }
+
+    #[test]
+    fn an_armed_flip_strikes_only_its_own_sessions_leaves() {
+        let _g = lock();
+        // Thread A arms a flip under its session; thread B's checked gemm
+        // (another session) runs first and must not consume it, then A's
+        // gemm takes it, detects it and repairs it.
+        let a = rand_mat::<f32>(40, 30, 91);
+        let b = rand_mat::<f32>(30, 36, 92);
+        let mut want = Mat::<f32>::zeros(40, 36);
+        gemm_st(1.0, a.as_ref(), b.as_ref(), 0.0, want.as_mut());
+        let (sa, sb) = (
+            Arc::new(AbftSession::default()),
+            Arc::new(AbftSession::default()),
+        );
+        let step = std::sync::Barrier::new(2);
+        let fired_before = sdc::injected();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _s = abft::scoped(sa.clone());
+                sdc::arm(FlipSpec {
+                    target: FlipTarget::Output,
+                    index: 7,
+                    bit: 30,
+                });
+                step.wait(); // 1: armed
+                step.wait(); // 2: B's gemm done
+                let mut got = Mat::<f32>::zeros(40, 36);
+                gemm_st(1.0, a.as_ref(), b.as_ref(), 0.0, got.as_mut());
+                assert_bitwise_eq(&got, &want, "owner's repaired gemm");
+            });
+            scope.spawn(|| {
+                step.wait(); // 1
+                let _s = abft::scoped(sb.clone());
+                let mut got = Mat::<f32>::zeros(40, 36);
+                gemm_st(1.0, a.as_ref(), b.as_ref(), 0.0, got.as_mut());
+                assert_bitwise_eq(&got, &want, "other session's gemm");
+                step.wait(); // 2
+            });
+        });
+        sdc::disarm();
+        assert_eq!(sdc::injected(), fired_before + 1, "the flip fired once");
+        let (ca, cb) = (sa.stats.snapshot(), sb.stats.snapshot());
+        assert_eq!((cb.detected, cb.checks > 0), (0, true), "{cb:?}");
+        assert!(ca.detected > 0, "{ca:?}");
+        assert_eq!((ca.repaired, ca.unrepaired), (ca.detected, 0), "{ca:?}");
     }
 
     #[test]

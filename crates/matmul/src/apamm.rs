@@ -410,7 +410,7 @@ impl ApaMatmul {
         if self.steps == 0 {
             // Depth 0 is one gemm call: nothing to cache, so no lock.
             let mut leaf = LevelWs::leaf();
-            run_level::<T, &ExecPlan>(&[], a, b, c, strategy, threads, &mut leaf);
+            run_level::<T, &ExecPlan>(&[], a, None, b, c, strategy, threads, &mut leaf);
             return;
         }
         let (m, k, n) = (a.rows(), a.cols(), b.cols());

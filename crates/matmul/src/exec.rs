@@ -51,11 +51,15 @@
 //! workspace that [`crate::ApaMatmul`] caches per shape, so the steady
 //! state performs **zero heap allocations**; a fresh workspace and a
 //! reused one produce bitwise-identical results.
+//!
+//! ABFT checksum sessions are per thread ([`apa_gemm::abft`]): a lane
+//! spawned onto a pool worker installs its caller's session, so its
+//! leaves check under — and count into — the multiply that spawned it.
 
 use crate::plan::{Combo, ExecPlan};
 use crate::schedule::{effective_strategy, FusionPolicy, Strategy};
 use crate::workspace::{combo_needs_buffer, FusionSpec, LaneWs, LevelWs};
-use apa_gemm::{combine_par, gemm, gemm_combined, pool, Mat, MatMut, MatRef, Par, Scalar};
+use apa_gemm::{abft, combine_par, gemm, gemm_combined, pool, Mat, MatMut, MatRef, Par, Scalar};
 use std::borrow::Borrow;
 
 /// Combination/output term lists up to this arity are staged on the
@@ -67,9 +71,17 @@ pub(crate) const MAX_INLINE_TERMS: usize = 24;
 /// indivisible level falls back to classical gemm) against a buffer tree
 /// sized by [`build_level`](crate::workspace) for the same `(chain, shape,
 /// strategy, threads)`.
+///
+/// With `a_tail` (a ragged M, see [`crate::workspace::MTail`]) the rule's
+/// A is `a` stacked on `a_tail`: `a` holds whole block rows viewed in
+/// place, `a_tail` the zero-padded rest. C keeps only the real rows
+/// (`a.rows() ≤ c.rows() ≤` the padded height), and only those are
+/// stored.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_level<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     chain: &[P],
     a: MatRef<'_, T>,
+    a_tail: Option<MatRef<'_, T>>,
     b: MatRef<'_, T>,
     c: MatMut<'_, T>,
     strategy: Strategy,
@@ -77,14 +89,20 @@ pub(crate) fn run_level<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     level: &mut LevelWs<T>,
 ) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let padded = m + a_tail.map_or(0, |t| t.rows());
     assert_eq!(k, b.rows(), "inner dimensions must match");
-    assert_eq!((m, n), (c.rows(), c.cols()), "C shape mismatch");
+    assert_eq!(n, c.cols(), "C shape mismatch");
+    assert!(
+        (m..=padded).contains(&c.rows()) && (a_tail.is_some() || c.rows() == m),
+        "C shape mismatch"
+    );
 
     match chain.first().map(Borrow::borrow) {
-        Some(plan) if divisible(plan, m, k, n) => {
-            one_step(plan, &chain[1..], a, b, c, strategy, threads, level)
+        Some(plan) if divisible(plan, padded, k, n) => {
+            one_step(plan, &chain[1..], a, a_tail, b, c, strategy, threads, level)
         }
         _ => {
+            assert!(a_tail.is_none(), "a padded tail needs a dividing rule");
             // Leaf: classical gemm at the caller's parallelism.
             let (strategy, threads) = effective_strategy(strategy, threads, usize::MAX);
             gemm(T::ONE, a, b, T::ZERO, c, leaf_par(strategy, threads));
@@ -113,12 +131,17 @@ fn leaf_par(strategy: Strategy, threads: usize) -> Par {
 /// row-major like the plan's combo block indices. Replaces the old
 /// `Vec<MatRef>` grids so the hot path builds no per-call lists.
 ///
+/// Block rows from `head` on resolve to `tail`, the zero-padded copy of a
+/// ragged A's last rows (`head = gr` and `tail = mat` otherwise).
+///
 /// Indices at or beyond the grid size (`gr·gc`) resolve to the level's
 /// CSE temp buffers (see [`crate::cse`]): virtual block `gr·gc + i` is
 /// `temps[i]`, matching the plan's temp index space.
 #[derive(Clone, Copy)]
 struct Blocks<'a, T> {
     mat: MatRef<'a, T>,
+    tail: MatRef<'a, T>,
+    head: usize,
     grid_cols: usize,
     rows: usize,
     cols: usize,
@@ -128,13 +151,26 @@ struct Blocks<'a, T> {
 }
 
 impl<'a, T: Scalar> Blocks<'a, T> {
-    fn new(mat: MatRef<'a, T>, gr: usize, gc: usize, temps: &'a [Mat<T>]) -> Self {
-        debug_assert_eq!(mat.rows() % gr, 0);
+    fn new(
+        mat: MatRef<'a, T>,
+        tail: Option<MatRef<'a, T>>,
+        gr: usize,
+        gc: usize,
+        temps: &'a [Mat<T>],
+    ) -> Self {
+        let rows = (mat.rows() + tail.map_or(0, |t| t.rows())) / gr;
+        debug_assert_eq!(mat.rows() % rows, 0);
         debug_assert_eq!(mat.cols() % gc, 0);
         Blocks {
             mat,
+            tail: tail.unwrap_or(mat),
+            head: if tail.is_some() {
+                mat.rows() / rows
+            } else {
+                gr
+            },
             grid_cols: gc,
-            rows: mat.rows() / gr,
+            rows,
             cols: mat.cols() / gc,
             base: gr * gc,
             temps,
@@ -147,8 +183,12 @@ impl<'a, T: Scalar> Blocks<'a, T> {
             return self.temps[idx - self.base].as_ref();
         }
         let (i, j) = (idx / self.grid_cols, idx % self.grid_cols);
-        self.mat
-            .subview(i * self.rows, j * self.cols, self.rows, self.cols)
+        let (src, i) = if i < self.head {
+            (self.mat, i)
+        } else {
+            (self.tail, i - self.head)
+        };
+        src.subview(i * self.rows, j * self.cols, self.rows, self.cols)
     }
 }
 
@@ -181,16 +221,17 @@ fn combine_indexed<'p, T: Scalar + 'p>(
 /// may reference temps `< i`, so the buffer slice splits incrementally).
 fn materialize_operand_temps<T: Scalar>(
     spec: &[Vec<(usize, f64)>],
-    mat: MatRef<'_, T>,
-    gr: usize,
-    gc: usize,
+    grid: Blocks<'_, T>,
     bufs: &mut [Mat<T>],
     par: Par,
 ) {
     debug_assert_eq!(spec.len(), bufs.len(), "workspace temp count mismatch");
     for (i, terms) in spec.iter().enumerate() {
         let (done, rest) = bufs.split_at_mut(i);
-        let blocks = Blocks::new(mat, gr, gc, done);
+        let blocks = Blocks {
+            temps: done,
+            ..grid
+        };
         combine_indexed(rest[0].as_mut(), terms, |idx| blocks.get(idx), par);
     }
 }
@@ -221,6 +262,7 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     plan: &ExecPlan,
     rest: &[P],
     a: MatRef<'_, T>,
+    a_tail: Option<MatRef<'_, T>>,
     b: MatRef<'_, T>,
     c: MatMut<'_, T>,
     strategy: Strategy,
@@ -248,13 +290,15 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     // read-shared by every lane afterwards).
     if !plan.a_temps.is_empty() || !plan.b_temps.is_empty() {
         let par = leaf_par(strategy, threads);
-        materialize_operand_temps(&plan.a_temps, a, d.m, d.k, a_temps, par);
-        materialize_operand_temps(&plan.b_temps, b, d.k, d.n, b_temps, par);
+        let a_grid = Blocks::new(a, a_tail, d.m, d.k, &[]);
+        materialize_operand_temps(&plan.a_temps, a_grid, a_temps, par);
+        let b_grid = Blocks::new(b, None, d.k, d.n, &[]);
+        materialize_operand_temps(&plan.b_temps, b_grid, b_temps, par);
     }
-    let a_blocks = Blocks::new(a, d.m, d.k, &*a_temps);
-    let b_blocks = Blocks::new(b, d.k, d.n, &*b_temps);
+    let a_blocks = Blocks::new(a, a_tail, d.m, d.k, &*a_temps);
+    let b_blocks = Blocks::new(b, None, d.k, d.n, &*b_temps);
     debug_assert!(!lanes.is_empty(), "workspace has no lanes");
-    let (bm, bn) = (c.rows() / d.m, c.cols() / d.n);
+    let (bm, bn) = (a_blocks.rows, c.cols() / d.n);
     let mut c = c;
 
     match strategy {
@@ -281,11 +325,13 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
             // product materializes.
             debug_assert_eq!(fusion.fused_products(), 0);
             let chunk = r.div_ceil(threads);
+            let session = &abft::current();
             pool(threads).scope(|s| {
                 for (ci, (chunk_prods, lane)) in
                     products.chunks_mut(chunk).zip(lanes.iter_mut()).enumerate()
                 {
                     s.spawn(move |_| {
+                        let _scope = session.clone().map(abft::scoped);
                         for (j, m_out) in chunk_prods.iter_mut().enumerate() {
                             let t = ci * chunk + j;
                             compute_product(
@@ -311,15 +357,23 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
             let q = r / threads;
             let owned = threads * q;
             let (own_slice, rem_slice) = products.split_at_mut(owned);
+            let session = &abft::current();
             if fusion.any_fused_below(owned) {
                 // Hand each lane the C blocks its chunk epilogue-fuses
                 // into. A fused block's owned-phase writers all live in
                 // one chunk (the schedule demotes blocks that straddle),
                 // so the block views distribute race-free. The grid
                 // allocation is amortized against the spawn boxing the
-                // parallel path already pays.
-                let mut grid: Vec<Option<MatMut<'_, T>>> =
-                    c.rb().into_grid(d.m, d.n).into_iter().map(Some).collect();
+                // parallel path already pays. Fused blocks all lie above
+                // a padded tail, so the grid covers the head rows.
+                let (head, n) = (a_blocks.head, c.cols());
+                let mut grid: Vec<Option<MatMut<'_, T>>> = c
+                    .rb()
+                    .into_subview(0, 0, head * bm, n)
+                    .into_grid(head, d.n)
+                    .into_iter()
+                    .map(Some)
+                    .collect();
                 pool(threads).scope(|s| {
                     for (i, (chunk_prods, lane)) in
                         own_slice.chunks_mut(q).zip(lanes.iter_mut()).enumerate()
@@ -333,6 +387,7 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
                             }
                         }
                         s.spawn(move |_| {
+                            let _scope = session.clone().map(abft::scoped);
                             for (j, m_out) in chunk_prods.iter_mut().enumerate() {
                                 let t = i * q + j;
                                 let target = match fusion.epilogue_of(t) {
@@ -368,6 +423,7 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
                         own_slice.chunks_mut(q).zip(lanes.iter_mut()).enumerate()
                     {
                         s.spawn(move |_| {
+                            let _scope = session.clone().map(abft::scoped);
                             for (j, m_out) in chunk_prods.iter_mut().enumerate() {
                                 compute_product(
                                     plan,
@@ -433,7 +489,7 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
         }
     }
 
-    write_outputs(plan, c, products, w_temps, strategy, threads, fusion);
+    write_outputs(plan, bm, c, products, w_temps, strategy, threads, fusion);
 }
 
 /// Compute product `t` into its target: stage `S_t`/`T_t` as term lists
@@ -509,6 +565,7 @@ fn compute_product<T: Scalar, P: Borrow<ExecPlan> + Sync>(
                         run_level(
                             rest,
                             a_terms[0].1,
+                            None,
                             b_terms[0].1,
                             dst,
                             Strategy::Seq,
@@ -581,8 +638,13 @@ fn form_combo<T: Scalar>(dst: MatMut<'_, T>, combo: &Combo, blocks: Blocks<'_, T
     }
 }
 
+/// Form every unfused `bm`-row output block from its products. Under a
+/// padded tail C holds fewer than `d.m·bm` rows: a block is stored only
+/// down to C's last real row.
+#[allow(clippy::too_many_arguments)]
 fn write_outputs<T: Scalar>(
     plan: &ExecPlan,
+    bm: usize,
     c: MatMut<'_, T>,
     products: &[Mat<T>],
     w_temps: &[Mat<T>],
@@ -592,7 +654,7 @@ fn write_outputs<T: Scalar>(
 ) {
     let d = plan.dims;
     let r = plan.rank;
-    let (bm, bn) = (c.rows() / d.m, c.cols() / d.n);
+    let bn = c.cols() / d.n;
     let par = leaf_par(strategy, threads);
     let mut c = c;
     for block in 0..d.m * d.n {
@@ -600,7 +662,11 @@ fn write_outputs<T: Scalar>(
             continue; // already landed in C from the gemm epilogue
         }
         let (bi, bj) = (block / d.n, block % d.n);
-        let dst = c.rb().into_subview(bi * bm, bj * bn, bm, bn);
+        let rows = bm.min(c.rows().saturating_sub(bi * bm));
+        if rows == 0 {
+            continue; // wholly inside the padding
+        }
+        let dst = c.rb().into_subview(bi * bm, bj * bn, rows, bn);
         let contrib = &plan.c_outputs[block];
         debug_assert!(
             !contrib.is_empty(),
@@ -610,11 +676,8 @@ fn write_outputs<T: Scalar>(
             dst,
             contrib,
             |t| {
-                if t < r {
-                    products[t].as_ref()
-                } else {
-                    w_temps[t - r].as_ref()
-                }
+                let src = if t < r { &products[t] } else { &w_temps[t - r] };
+                src.as_ref().subview(0, 0, rows, bn)
             },
             par,
         );
@@ -624,7 +687,7 @@ fn write_outputs<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::build_level;
+    use crate::workspace::{build_level, ALL_ROWS};
     use apa_core::catalog;
     use apa_gemm::matmul_naive;
 
@@ -649,9 +712,9 @@ mod tests {
         fusion: FusionPolicy,
     ) -> Mat<T> {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let mut level = build_level(chain, m, k, n, strategy, threads, fusion);
+        let mut level = build_level(chain, m, k, n, strategy, threads, fusion, ALL_ROWS);
         let mut c = Mat::zeros(m, n);
-        run_level(chain, a, b, c.as_mut(), strategy, threads, &mut level);
+        run_level(chain, a, None, b, c.as_mut(), strategy, threads, &mut level);
         c
     }
 

@@ -229,9 +229,12 @@ fn exec_with_watchdog<T: Scalar>(
     let (a_own, b_own) = (a.to_owned(), b.to_owned());
     let (m, n) = (c.rows(), c.cols());
     let (tx, rx) = mpsc::channel();
+    // Checksum sessions are per thread: the helper checks under ours.
+    let session = gemm_abft::current();
     let spawned = std::thread::Builder::new()
         .name("apa-watchdog-exec".to_string())
         .spawn(move || {
+            let _abft_scope = session.map(gemm_abft::scoped);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut out = Mat::<T>::zeros(m, n);
                 exec.try_multiply_into(a_own.as_ref(), b_own.as_ref(), out.as_mut())
@@ -868,9 +871,9 @@ impl GuardedApaMatmul {
         abft: Option<&Arc<AbftSession>>,
     ) -> Result<(), RungFailure> {
         let rung = &self.ladder()[idx];
-        // Install the checksum session for the duration of this rung's
-        // execution: the global is read by every gemm leaf, including
-        // pool worker threads and the watchdog helper thread.
+        // Install the checksum session on this thread for the duration of
+        // this rung's execution; pool lanes and the watchdog helper thread
+        // inherit it explicitly.
         let _abft_scope = abft.map(|s| gemm_abft::scoped(s.clone()));
         #[cfg(feature = "fault-inject")]
         let perturbed = first_attempt

@@ -1,31 +1,39 @@
-//! Arbitrary-dimension handling: dynamic peeling and zero padding.
+//! Arbitrary-dimension handling: a padded M tail, dynamic peeling of K and
+//! N, and full zero padding.
 //!
 //! A one-step rule ⟨m,k,n⟩ needs its operands divisible by (m, k, n).
-//! Two standard remedies, both implemented so the ablation bench can
-//! compare them:
+//! Two remedies, both implemented so the ablation bench can compare them:
 //!
-//! * **dynamic peeling** — round each dimension *down* to a multiple, run
-//!   the fast rule on the core, and finish the thin rims with classical
-//!   gemm. No copies of the operands, extra work `O(n²·base)`.
-//! * **zero padding** — round each dimension *up*, copy into padded
-//!   buffers, run the fast rule, copy the result back. Simpler arithmetic
-//!   but three buffer copies and wasted flops on the border.
+//! * **dynamic** ([`PeelMode::Dynamic`]) — M is *padded*: the rule runs on
+//!   M rounded up to the chain divisor, its block rows viewing A in place
+//!   except the last, which comes from a small workspace copy of A's
+//!   ragged rows with zero rows below (in A's own orientation, so a
+//!   transposed A packs as before). The extra rows ride inside the rule's
+//!   leaves; only C's real rows are stored, and neither B nor C is copied.
+//!   K and N are *peeled*: rounded down, the rule runs on the core and
+//!   classical gemm finishes the thin rims — a K or N rim re-packs only a
+//!   sliver of its operands, where a one-row M rim would re-pack all of B.
+//! * **zero padding** ([`PeelMode::Pad`]) — round each dimension *up*,
+//!   copy into padded buffers, run the fast rule, copy the result back.
+//!   Simpler arithmetic but three buffer copies and wasted flops on the
+//!   border.
 //!
 //! [`run_chain`] is the engine's one entry point: it executes a chain of
-//! plans on operands of any shape out of a [`Workspace`] (core buffer tree
-//! *and* pad buffers), so warm calls touch the heap not at all.
+//! plans on operands of any shape out of a [`Workspace`] (core buffer tree,
+//! tail *and* pad buffers), so warm calls touch the heap not at all.
 
 use crate::exec::run_level;
 use crate::plan::ExecPlan;
-use crate::workspace::{chain_divisor, PadBufs, Workspace};
-use apa_gemm::{gemm, MatMut, MatRef, Par, Scalar};
+use crate::workspace::{chain_divisor, m_tail, PadBufs, Workspace};
+use apa_gemm::{gemm, Mat, MatMut, MatRef, Par, Scalar};
 use serde::Serialize;
 use std::borrow::Borrow;
 
 /// How to reconcile arbitrary dimensions with the rule's base dims.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum PeelMode {
-    /// Core via the fast rule, rims via classical gemm.
+    /// A ragged M padded through the rule's last block row; K and N
+    /// rims via classical gemm.
     Dynamic,
     /// Pad operands up to the next multiple with zeros.
     Pad,
@@ -53,24 +61,32 @@ pub(crate) fn run_chain<T: Scalar, P: Borrow<ExecPlan> + Sync>(
         ws.key
     );
     let (strategy, threads) = (config.strategy, config.threads);
-    let Workspace { root, pad, .. } = ws;
+    let Workspace {
+        root, pad, tail, ..
+    } = ws;
 
     let (dm, dk, dn) = chain_divisor(chain);
     if m % dm == 0 && k % dk == 0 && n % dn == 0 {
-        run_level(chain, a, b, c, strategy, threads, root);
+        run_level(chain, a, None, b, c, strategy, threads, root);
         return;
     }
 
     match config.peel {
-        PeelMode::Dynamic => peel_dynamic(a, b, c, threads, (dm, dk, dn), |ac, bc, cc| {
-            run_level(chain, ac, bc, cc, strategy, threads, root)
-        }),
+        PeelMode::Dynamic => peel_dynamic(
+            a,
+            b,
+            c,
+            threads,
+            (dm, dk, dn),
+            m_tail(chain, m).map(|t| (t.head * t.bm, t.rows, tail)),
+            |ac, a_tail, bc, cc| run_level(chain, ac, a_tail, bc, cc, strategy, threads, root),
+        ),
         PeelMode::Pad => {
             let pad = pad
                 .as_mut()
                 .expect("Pad-mode workspace carries pad buffers");
             run_padded(a, b, c, pad, |ac, bc, cc| {
-                run_level(chain, ac, bc, cc, strategy, threads, root)
+                run_level(chain, ac, None, bc, cc, strategy, threads, root)
             });
         }
     }
@@ -84,26 +100,28 @@ pub(crate) fn multiply_cold<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     config: crate::workspace::ExecConfig,
-) -> apa_gemm::Mat<T> {
+) -> Mat<T> {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut ws = Workspace::for_chain(chain, m, k, n, config);
-    let mut c = apa_gemm::Mat::zeros(m, n);
+    let mut c = Mat::zeros(m, n);
     run_chain(chain, a, b, c.as_mut(), &mut ws);
     c
 }
 
-/// Split into (core | rim), run `core` on the divisible core and classical
-/// gemm on the rims.
+/// Run `core` on the divisible K/N core — with a ragged M, on `head` rows
+/// of A viewed in place plus the padded tail (`tail_rows` high, filled from
+/// A's remaining rows into `buf`) — and classical gemm on the K and N
+/// rims.
 fn peel_dynamic<T: Scalar>(
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
     c: MatMut<'_, T>,
     threads: usize,
     (dm, dk, dn): (usize, usize, usize),
-    core: impl FnOnce(MatRef<'_, T>, MatRef<'_, T>, MatMut<'_, T>),
+    tail: Option<(usize, usize, &mut Mat<T>)>,
+    core: impl FnOnce(MatRef<'_, T>, Option<MatRef<'_, T>>, MatRef<'_, T>, MatMut<'_, T>),
 ) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mc = m / dm * dm;
     let kc = k / dk * dk;
     let nc = n / dn * dn;
     let par = if threads > 1 {
@@ -112,44 +130,59 @@ fn peel_dynamic<T: Scalar>(
         Par::Seq
     };
 
-    if mc == 0 || kc == 0 || nc == 0 {
+    if m < dm || kc == 0 || nc == 0 {
         // Too small for even one base block: the whole thing is a rim.
         gemm(T::ONE, a, b, T::ZERO, c, par);
         return;
     }
 
-    // Partition (core | rim) in every dimension:
-    // A = [A11 A12; A21 A22], B = [B11 B12; B21 B22].
-    let a11 = a.subview(0, 0, mc, kc);
-    let a12 = a.subview(0, kc, mc, k - kc);
-    let a21 = a.subview(mc, 0, m - mc, kc);
-    let a22 = a.subview(mc, kc, m - mc, k - kc);
+    // Partition (core | rim) in K and N: A = [A1 A2], B = [B11 B12; B21 B22].
+    let a1 = a.subview(0, 0, m, kc);
+    let a2 = a.subview(0, kc, m, k - kc);
     let b11 = b.subview(0, 0, kc, nc);
     let b12 = b.subview(0, nc, kc, n - nc);
     let b21 = b.subview(kc, 0, k - kc, nc);
     let b22 = b.subview(kc, nc, k - kc, n - nc);
+    let (mut c1, mut c2) = c.split_at_col(nc);
 
-    let (c_top, c_bottom) = c.split_at_row(mc);
-    let (mut c11, mut c12) = c_top.split_at_col(nc);
-    let (mut c21, mut c22) = c_bottom.split_at_col(nc);
-
-    // C11 = fast(A11·B11) + A12·B21.
-    core(a11, b11, c11.rb());
-    if k > kc {
-        gemm(T::ONE, a12, b21, T::ONE, c11.rb(), par);
-    }
-    // Rims are entirely classical.
-    if n > nc {
-        gemm(T::ONE, a11, b12, T::ZERO, c12.rb(), par);
-        gemm(T::ONE, a12, b22, T::ONE, c12.rb(), par);
-    }
-    if m > mc {
-        gemm(T::ONE, a21, b11, T::ZERO, c21.rb(), par);
-        gemm(T::ONE, a22, b21, T::ONE, c21.rb(), par);
-        if n > nc {
-            gemm(T::ONE, a21, b12, T::ZERO, c22.rb(), par);
-            gemm(T::ONE, a22, b22, T::ONE, c22.rb(), par);
+    // C1 = fast(A1·B11) + A2·B21.
+    match tail {
+        Some((head, tail_rows, buf)) => {
+            let rest = a1.subview(head, 0, m - head, kc);
+            let a_tail = fill_tail(rest, tail_rows, buf);
+            core(a1.subview(0, 0, head, kc), Some(a_tail), b11, c1.rb());
         }
+        None => core(a1, None, b11, c1.rb()),
+    }
+    if k > kc {
+        gemm(T::ONE, a2, b21, T::ONE, c1.rb(), par);
+    }
+    // The N rim is classical.
+    if n > nc {
+        gemm(T::ONE, a1, b12, T::ZERO, c2.rb(), par);
+        gemm(T::ONE, a2, b22, T::ONE, c2.rb(), par);
+    }
+}
+
+/// Copy A's ragged last rows `src` into `buf` as a `rows`-high block with
+/// zero rows below, in `src`'s own orientation: a transposed `src` is
+/// stored as the plain view it transposes, so the packers read the tail
+/// exactly as they read the rest of A. Reshaping `buf` keeps its length,
+/// so this never allocates.
+fn fill_tail<'b, T: Scalar>(src: MatRef<'_, T>, rows: usize, buf: &'b mut Mat<T>) -> MatRef<'b, T> {
+    let (real, kc) = (src.rows(), src.cols());
+    if src.is_transposed() {
+        buf.resize(kc, rows);
+        let mut dst = buf.as_mut();
+        dst.subview_mut(0, 0, kc, real).copy_from(src.t());
+        dst.subview_mut(0, real, kc, rows - real).fill(T::ZERO);
+        buf.as_ref().t()
+    } else {
+        buf.resize(rows, kc);
+        let mut dst = buf.as_mut();
+        dst.subview_mut(0, 0, real, kc).copy_from(src);
+        dst.subview_mut(real, 0, rows - real, kc).fill(T::ZERO);
+        buf.as_ref()
     }
 }
 
@@ -177,6 +210,7 @@ mod tests {
     use crate::plan::ExecPlan;
     use crate::schedule::{FusionPolicy, Strategy};
     use crate::workspace::ExecConfig;
+    use apa_core::bilinear::Dims;
     use apa_core::catalog;
     use apa_gemm::{matmul_naive, Mat};
 
@@ -271,6 +305,50 @@ mod tests {
     }
 
     #[test]
+    fn ragged_m_is_padded_through_the_rule() {
+        // The training shapes' M (3 ∤ 64, 3 ∤ 1024) at one and two steps:
+        // block rows view A in place except the padded tail, and a
+        // transposed A (whose tail copies X's columns) gives the plain
+        // one's bits.
+        let (k, n) = (8, 12);
+        for m in [64, 1024] {
+            for steps in [1usize, 2] {
+                // f64's optimal λ at one step, a safe one at two.
+                let lambda = [2.0_f64.powi(-26), 2.0_f64.powi(-18)][steps - 1];
+                let plan = ExecPlan::compile(&catalog::bini322(), lambda);
+                let chain = vec![&plan; steps];
+                let a = rand_mat(m, k, 80 + m as u64);
+                let a_st = a.as_ref().t().to_owned();
+                let b = rand_mat(k, n, 81);
+                let expect = matmul_naive(a.as_ref(), b.as_ref());
+                let bm = m.div_ceil(3usize.pow(steps as u32)) * 3usize.pow(steps as u32) / 3;
+                for fusion in [FusionPolicy::Auto, FusionPolicy::Never] {
+                    let config = seq(PeelMode::Dynamic, fusion);
+                    let ws = Workspace::<f64>::for_chain(&chain, m, k, n, config);
+                    assert_eq!(
+                        (ws.tail.rows(), ws.tail.cols()),
+                        (bm, k),
+                        "m={m} steps={steps}"
+                    );
+                    let plain = multiply_cold(&chain, a.as_ref(), b.as_ref(), config);
+                    let err = plain.rel_frobenius_error(&expect);
+                    assert!(err < 1e-4, "m={m} steps={steps} {fusion:?}: err {err}");
+                    let trans = multiply_cold(&chain, a_st.as_ref().t(), b.as_ref(), config);
+                    for i in 0..m {
+                        for j in 0..n {
+                            assert_eq!(
+                                plain.at(i, j).to_bits(),
+                                trans.at(i, j).to_bits(),
+                                "m={m} steps={steps} {fusion:?} ({i},{j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tiny_inputs_fall_back_to_gemm() {
         check("fast444", 3, 3, 3, PeelMode::Dynamic, 1e-12);
         check("fast444", 3, 3, 3, PeelMode::Pad, 1e-12);
@@ -322,15 +400,27 @@ mod tests {
 
     #[test]
     fn parallel_peeling_matches() {
-        let plan = ExecPlan::compile(&catalog::bini322(), 2.0_f64.powi(-26));
+        // ⟨2,2,2;8⟩ classical epilogue-fuses its head blocks, so Hybrid
+        // hands lanes C views above the padded tail.
+        let bini = ExecPlan::compile(&catalog::bini322(), 2.0_f64.powi(-26));
+        let classical = ExecPlan::compile(&catalog::classical(Dims::new(2, 2, 2)), 0.0);
         let a = rand_mat(25, 13, 40);
         let b = rand_mat(13, 17, 41);
-        let run = |strategy, threads| {
-            let config = cfg(strategy, threads, PeelMode::Dynamic, FusionPolicy::Auto);
-            multiply_cold(&[&plan], a.as_ref(), b.as_ref(), config)
-        };
-        let (seq, par) = (run(Strategy::Seq, 1), run(Strategy::Hybrid, 3));
-        assert!(par.rel_frobenius_error(&seq) < 1e-12);
+        for plan in [&bini, &classical] {
+            let run = |strategy, threads| {
+                let config = cfg(strategy, threads, PeelMode::Dynamic, FusionPolicy::Auto);
+                multiply_cold(&[plan], a.as_ref(), b.as_ref(), config)
+            };
+            let seq = run(Strategy::Seq, 1);
+            for threads in [2, 3] {
+                let par = run(Strategy::Hybrid, threads);
+                assert!(
+                    par.rel_frobenius_error(&seq) < 1e-12,
+                    "{} t={threads}",
+                    plan.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::plan::{Combo, ExecPlan};
 use crate::schedule::{effective_strategy, FusionPolicy, Strategy};
-use crate::workspace::{build_level, combo_pack_fusable, LevelWs};
+use crate::workspace::{build_level, combo_pack_fusable, LevelWs, ALL_ROWS};
 use apa_gemm::{combine, gemm_combined_st, Mat, MatRef, Scalar};
 use std::time::Instant;
 
@@ -166,7 +166,7 @@ pub fn profile_one_step<T: Scalar>(
 ) -> (Mat<T>, ExecProfile) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     check_dims(plan, m, k, n, b.rows());
-    let mut level = build_level(&[plan], m, k, n, Strategy::Seq, 1, fusion);
+    let mut level = build_level(&[plan], m, k, n, Strategy::Seq, 1, fusion, ALL_ROWS);
     let mut profile = base_profile();
     profile.alloc_bytes = (level.elems() * std::mem::size_of::<T>()) as u64;
     let c = instrumented_one_step(plan, a, b, &mut level, &mut profile);

@@ -16,6 +16,8 @@
 //!   only allocated when the plan actually materializes combinations;
 //! * per lane: a child workspace for the next recursion level (recursive
 //!   sub-products always execute sequentially, so children carry one lane);
+//! * for a ragged M under [`PeelMode::Dynamic`]: the zero-padded copy of
+//!   A's last block row(s) (see [`MTail`]);
 //! * for [`PeelMode::Pad`]: the three padded operand buffers.
 //!
 //! [`crate::ApaMatmul`] keeps one workspace per `(element type, shape)` in
@@ -175,6 +177,68 @@ pub(crate) struct Workspace<T: Scalar> {
     pub(crate) key: WsKey,
     pub(crate) root: LevelWs<T>,
     pub(crate) pad: Option<PadBufs<T>>,
+    /// The padded tail of a ragged M (`MTail::rows × kc` elements; `0×0`
+    /// when M divides). Reshaped per call to A's orientation.
+    pub(crate) tail: Mat<T>,
+}
+
+/// Block rows of C that may epilogue-fuse: all of them, unless the rows
+/// past a ragged M's head are padded (see [`MTail`]).
+pub(crate) const ALL_ROWS: usize = usize::MAX;
+
+/// How a ragged M runs under [`PeelMode::Dynamic`]: the chain multiplies
+/// `M` rounded up to the chain divisor. Top-level block rows `0..head`
+/// (`bm` rows each) are zero-copy views of A; the remaining `rows` rows
+/// come from the tail buffer, a copy of A's last `m − head·bm` rows with
+/// zero rows below. The tail's products never epilogue-fuse, and only C's
+/// real rows are stored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct MTail {
+    pub(crate) bm: usize,
+    pub(crate) head: usize,
+    pub(crate) rows: usize,
+}
+
+impl MTail {
+    /// The padded height the chain runs on.
+    pub(crate) fn padded(&self) -> usize {
+        self.head * self.bm + self.rows
+    }
+}
+
+/// The [`MTail`] of an `m`-row operand under `chain`: `None` when the
+/// divisor divides `m`, or when `m` is smaller than it (the whole product
+/// is then one classical gemm).
+pub(crate) fn m_tail<P: Borrow<ExecPlan>>(chain: &[P], m: usize) -> Option<MTail> {
+    let top = chain.first()?.borrow().dims.m;
+    let (dm, _, _) = chain_divisor(chain);
+    if m.is_multiple_of(dm) || m < dm {
+        return None;
+    }
+    let bm = m.div_ceil(dm) * dm / top;
+    let head = m / bm;
+    Some(MTail {
+        bm,
+        head,
+        rows: (top - head) * bm,
+    })
+}
+
+/// The root level's [`ALL_ROWS`]-or-head bound for an `m`-row call.
+fn root_head<P: Borrow<ExecPlan>>(chain: &[P], m: usize, config: ExecConfig) -> usize {
+    match config.peel {
+        PeelMode::Dynamic => m_tail(chain, m).map_or(ALL_ROWS, |t| t.head),
+        PeelMode::Pad => ALL_ROWS,
+    }
+}
+
+/// The output blocks in block rows `0..head` (blocks are numbered
+/// row-major, so these are the first `head·d.n`).
+fn head_blocks(plan: &ExecPlan, head: usize) -> u64 {
+    match head.saturating_mul(plan.dims.n) {
+        b if b >= 64 => u64::MAX,
+        b => (1u64 << b) - 1,
+    }
 }
 
 /// Whether the executor folds this combination into the gemm pack sweep
@@ -211,8 +275,10 @@ fn level_key(
     fusion: FusionPolicy,
     strategy: Strategy,
     threads: usize,
+    head: usize,
 ) -> LevelKey {
-    let mask = fused_block_mask(plan, strategy, threads, recursive, fusion);
+    let mask =
+        fused_block_mask(plan, strategy, threads, recursive, fusion) & head_blocks(plan, head);
     LevelKey {
         base: (plan.dims.m, plan.dims.k, plan.dims.n),
         rank: plan.rank,
@@ -343,8 +409,10 @@ fn epilogue_schedule(
     threads: usize,
     recursive: bool,
     policy: FusionPolicy,
+    head: usize,
 ) -> (Vec<Option<(usize, bool)>>, Vec<bool>) {
-    let mask = fused_block_mask(plan, strategy, threads, recursive, policy);
+    let mask =
+        fused_block_mask(plan, strategy, threads, recursive, policy) & head_blocks(plan, head);
     if mask == 0 {
         return (Vec::new(), Vec::new());
     }
@@ -410,7 +478,10 @@ impl<T: Scalar> LevelWs<T> {
 }
 
 /// Build the buffer tree for `chain` on an `m×k·k×n` product. Stops at the
-/// first level whose dims don't divide (the executor gemms there).
+/// first level whose dims don't divide (the executor gemms there). Only
+/// C's block rows below `head` may epilogue-fuse ([`ALL_ROWS`] unless `m`
+/// is a padded height, see [`MTail`]).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
     chain: &[P],
     m: usize,
@@ -419,6 +490,7 @@ pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
     strategy: Strategy,
     threads: usize,
     fusion: FusionPolicy,
+    head: usize,
 ) -> LevelWs<T> {
     let Some(plan) = chain.first().map(Borrow::borrow) else {
         return LevelWs::leaf();
@@ -431,7 +503,7 @@ pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
     let r = plan.rank;
     let rest = &chain[1..];
     let recursive = !rest.is_empty();
-    let key = level_key(plan, recursive, fusion, strategy, threads);
+    let key = level_key(plan, recursive, fusion, strategy, threads, head);
     let (eff, eff_threads) = effective_strategy(strategy, threads, r);
     let lane_count = match eff {
         Strategy::Seq | Strategy::Dfs => 1,
@@ -449,11 +521,22 @@ pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
             } else {
                 Mat::zeros(0, 0)
             },
-            child: recursive
-                .then(|| Box::new(build_level(rest, bm, bk, bn, Strategy::Seq, 1, fusion))),
+            child: recursive.then(|| {
+                Box::new(build_level(
+                    rest,
+                    bm,
+                    bk,
+                    bn,
+                    Strategy::Seq,
+                    1,
+                    fusion,
+                    ALL_ROWS,
+                ))
+            }),
         })
         .collect();
-    let (epilogue, block_fused) = epilogue_schedule(plan, strategy, threads, recursive, fusion);
+    let (epilogue, block_fused) =
+        epilogue_schedule(plan, strategy, threads, recursive, fusion, head);
     let products = (0..r)
         .map(|t| {
             if epilogue.get(t).is_some_and(Option::is_some) {
@@ -494,24 +577,29 @@ impl<T: Scalar> Workspace<T> {
             fusion,
         } = config;
         let key = WsKey {
-            levels: level_keys(chain, config).collect(),
+            levels: level_keys(chain, m, config).collect(),
             m,
             k,
             n,
             config,
         };
+        let build = |m, k, n, head| build_level(chain, m, k, n, strategy, threads, fusion, head);
 
         let (dm, dk, dn) = chain_divisor(chain);
+        let mut tail = Mat::zeros(0, 0);
         let (root, pad) = if m.is_multiple_of(dm) && k.is_multiple_of(dk) && n.is_multiple_of(dn) {
-            (build_level(chain, m, k, n, strategy, threads, fusion), None)
+            (build(m, k, n, ALL_ROWS), None)
         } else {
             match peel {
                 PeelMode::Dynamic => {
-                    let (mc, kc, nc) = (m / dm * dm, k / dk * dk, n / dn * dn);
-                    let root = if mc == 0 || kc == 0 || nc == 0 {
+                    let (kc, nc) = (k / dk * dk, n / dn * dn);
+                    let root = if m < dm || kc == 0 || nc == 0 {
                         LevelWs::leaf()
+                    } else if let Some(t) = m_tail(chain, m) {
+                        tail = Mat::zeros(t.rows, kc);
+                        build(t.padded(), kc, nc, t.head)
                     } else {
-                        build_level(chain, mc, kc, nc, strategy, threads, fusion)
+                        build(m, kc, nc, ALL_ROWS)
                     };
                     (root, None)
                 }
@@ -526,15 +614,17 @@ impl<T: Scalar> Workspace<T> {
                         bp: Mat::zeros(kp, np),
                         cp: Mat::zeros(mp, np),
                     };
-                    (
-                        build_level(chain, mp, kp, np, strategy, threads, fusion),
-                        Some(pad),
-                    )
+                    (build(mp, kp, np, ALL_ROWS), Some(pad))
                 }
             }
         };
 
-        Workspace { key, root, pad }
+        Workspace {
+            key,
+            root,
+            pad,
+            tail,
+        }
     }
 
     /// Whether this workspace was sized for exactly this call. The
@@ -554,7 +644,7 @@ impl<T: Scalar> Workspace<T> {
                 .levels
                 .iter()
                 .copied()
-                .eq(level_keys(chain, config))
+                .eq(level_keys(chain, m, config))
     }
 
     /// Bytes of matrix storage held (products + lane scratch across all
@@ -565,24 +655,27 @@ impl<T: Scalar> Workspace<T> {
         let pad = self.pad.as_ref().map_or(0, |p| {
             p.ap.rows() * p.ap.cols() + p.bp.rows() * p.bp.cols() + p.cp.rows() * p.cp.cols()
         });
-        (self.root.elems() + pad) * std::mem::size_of::<T>()
+        let tail = self.tail.rows() * self.tail.cols();
+        (self.root.elems() + pad + tail) * std::mem::size_of::<T>()
     }
 }
 
-/// The [`LevelKey`] of every level of `chain`. Only the root level runs the
-/// requested schedule; recursion levels always execute sequentially inside
-/// their lane.
+/// The [`LevelKey`] of every level of `chain` on an `m`-row call. Only the
+/// root level runs the requested schedule (and may carry a padded tail);
+/// recursion levels always execute sequentially inside their lane.
 fn level_keys<P: Borrow<ExecPlan>>(
     chain: &[P],
+    m: usize,
     config: ExecConfig,
 ) -> impl Iterator<Item = LevelKey> + '_ {
+    let head = root_head(chain, m, config);
     chain.iter().enumerate().map(move |(i, plan)| {
-        let (s, t) = if i == 0 {
-            (config.strategy, config.threads)
+        let (s, t, h) = if i == 0 {
+            (config.strategy, config.threads, head)
         } else {
-            (Strategy::Seq, 1)
+            (Strategy::Seq, 1, ALL_ROWS)
         };
-        level_key(plan.borrow(), i + 1 < chain.len(), config.fusion, s, t)
+        level_key(plan.borrow(), i + 1 < chain.len(), config.fusion, s, t, h)
     })
 }
 

@@ -4,13 +4,14 @@
 //! the gemm leaves are detected, surgically repaired in place and only
 //! escalate the rung ladder when configured to.
 //!
-//! The ABFT session is installed process-globally around each guarded
-//! call, so tests serialize on one lock.
+//! The fault plan and bit-flip switches are process-global, so tests
+//! serialize on one lock.
 
 use apa_core::catalog;
 use apa_gemm::Mat;
-use apa_matmul::{AbftMode, GuardedApaMatmul, SentinelConfig};
+use apa_matmul::{AbftMode, ApaMatmul, GuardedApaMatmul, SentinelConfig, Strategy};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -70,6 +71,38 @@ fn abft_tier_is_bitwise_transparent_on_fault_free_apa_runs() {
     assert_eq!(h.demotions, 0, "false-positive demotion: {h:?}");
     let h_off = off.health();
     assert_eq!(h_off.abft_checks, 0, "Off mode must not check: {h_off:?}");
+}
+
+#[test]
+fn lanes_and_the_watchdog_helper_check_under_the_callers_session() {
+    let _g = lock();
+    // Checksum sessions are per thread: Hybrid lanes on pool workers and
+    // the watchdog's helper thread must install the guard's session, or
+    // their leaves would run unchecked and the counts below would drop.
+    let guard = |strategy, threads| {
+        GuardedApaMatmul::from_matmul(
+            ApaMatmul::new(catalog::bini322())
+                .strategy(strategy)
+                .threads(threads),
+        )
+    };
+    let a = probe_mat(31, 20, 61);
+    let b = probe_mat(20, 22, 62);
+    let seq = guard(Strategy::Seq, 1);
+    let reference = seq.multiply(a.as_ref(), b.as_ref());
+    let checks = seq.health().abft_checks;
+    assert!(checks > 0, "checksum tier never ran");
+    for (what, mm) in [
+        ("hybrid lanes", guard(Strategy::Hybrid, 2)),
+        (
+            "watchdog helper",
+            guard(Strategy::Seq, 1).watchdog(Duration::from_secs(60)),
+        ),
+    ] {
+        let c = mm.multiply(a.as_ref(), b.as_ref());
+        assert_bitwise_eq(&c, &reference, what);
+        assert_eq!(mm.health().abft_checks, checks, "{what}");
+    }
 }
 
 #[test]
@@ -168,6 +201,44 @@ mod injected {
             assert_eq!(h.demotions, 0, "repair must not demote: {target:?}: {h:?}");
             assert_eq!(h.probe_failures, 0, "{target:?}: {h:?}");
             assert_eq!(guard.current_rung(shape.0, shape.1, shape.2), Some(0));
+        }
+    }
+
+    #[test]
+    fn flip_in_the_padded_tail_block_row_is_repaired() {
+        let _g = lock();
+        // 33 rows under Strassen: A's block row 1 is the padded tail (A's
+        // rows 17..33 plus one zero row), and the first product
+        // M1 = (A00 + A11)(B00 + B11) packs it. Index 16 + 17·3 aims every
+        // target at row 16 of that leaf — A00's last row plus the tail's
+        // zero row.
+        let (m, k, n) = (33, 20, 22);
+        let a = probe_mat(m, k, 181);
+        let b = probe_mat(k, n, 182);
+        let clean = GuardedApaMatmul::new(catalog::strassen()).multiply(a.as_ref(), b.as_ref());
+        for target in [FlipTarget::PackA, FlipTarget::PackB, FlipTarget::Output] {
+            let guard = GuardedApaMatmul::new(catalog::strassen());
+            fault::install(&[Fault {
+                at_call: 0,
+                kind: FaultKind::BitFlip {
+                    target,
+                    index: 16 + 17 * 3,
+                    bit: 30,
+                },
+            }]);
+            let fired_before = apa_gemm::abft::sdc::injected();
+            let c = guard.multiply(a.as_ref(), b.as_ref());
+            fault::clear();
+            assert_eq!(
+                apa_gemm::abft::sdc::injected(),
+                fired_before + 1,
+                "{target:?}: flip did not fire"
+            );
+            assert_bitwise_eq(&c, &clean, &format!("{target:?}"));
+            let h = guard.health();
+            assert!(h.abft_detected >= 1, "{target:?}: {h:?}");
+            assert!(h.abft_repaired >= 1, "{target:?}: {h:?}");
+            assert_eq!(h.demotions, 0, "repair must not demote: {target:?}: {h:?}");
         }
     }
 

@@ -11,16 +11,14 @@
 //! are covered bitwise elsewhere.
 
 use apa_core::catalog;
-use apa_gemm::{thread_allocation_counters, Mat};
+use apa_gemm::{thread_allocation_counters, Mat, MatRef};
 use apa_matmul::{ApaMatmul, GuardedApaMatmul, PeelMode, SentinelConfig, Strategy};
 
 #[global_allocator]
 static ALLOC: apa_gemm::CountingAlloc = apa_gemm::CountingAlloc;
 
-/// A guarded multiplier installs the process-global ABFT session for the
-/// length of each multiply; a leaf gemm on *any* thread then runs checked
-/// and grows that thread's checksum scratch. So the tests that count
-/// allocations serialize with the tests that install sessions.
+/// The tests share the process-wide allocation counters and the gemm
+/// pool, so the tests that count allocations serialize with the rest.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
     M.lock().unwrap_or_else(|p| p.into_inner())
@@ -40,20 +38,20 @@ fn probe(rows: usize, cols: usize, seed: u64) -> Mat<f32> {
 /// nothing at all.
 fn assert_steady_state_is_allocation_free(
     mm: &ApaMatmul,
-    a: &Mat<f32>,
-    b: &Mat<f32>,
+    a: MatRef<'_, f32>,
+    b: MatRef<'_, f32>,
     c: &mut Mat<f32>,
     what: &str,
 ) {
     // Two warmup calls: the first builds the cached workspace, the second
     // settles the thread-local gemm pack buffers at their high-water mark.
-    mm.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
-    mm.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+    mm.multiply_into(a, b, c.as_mut());
+    mm.multiply_into(a, b, c.as_mut());
 
     let before = thread_allocation_counters();
     let rounds = 5;
     for _ in 0..rounds {
-        mm.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+        mm.multiply_into(a, b, c.as_mut());
     }
     let delta = thread_allocation_counters().since(before);
     assert_eq!(
@@ -73,7 +71,13 @@ fn warm_divisible_multiplication_does_not_allocate() {
     let a = probe(64, 64, 1);
     let b = probe(64, 64, 2);
     let mut c = Mat::zeros(64, 64);
-    assert_steady_state_is_allocation_free(&mm, &a, &b, &mut c, "divisible fast444");
+    assert_steady_state_is_allocation_free(
+        &mm,
+        a.as_ref(),
+        b.as_ref(),
+        &mut c,
+        "divisible fast444",
+    );
 
     // A chain (one rule per level) runs out of the same workspace cache.
     let chain = ApaMatmul::chain(vec![catalog::bini322(), catalog::strassen()])
@@ -82,7 +86,13 @@ fn warm_divisible_multiplication_does_not_allocate() {
     let a = probe(48, 32, 9);
     let b = probe(32, 40, 10);
     let mut c = Mat::zeros(48, 40);
-    assert_steady_state_is_allocation_free(&chain, &a, &b, &mut c, "bini322 → strassen chain");
+    assert_steady_state_is_allocation_free(
+        &chain,
+        a.as_ref(),
+        b.as_ref(),
+        &mut c,
+        "bini322 → strassen chain",
+    );
 }
 
 #[test]
@@ -96,7 +106,24 @@ fn warm_dynamic_peeling_does_not_allocate() {
     let a = probe(67, 45, 3);
     let b = probe(45, 51, 4);
     let mut c = Mat::zeros(67, 51);
-    assert_steady_state_is_allocation_free(&mm, &a, &b, &mut c, "dynamic-peel bini322");
+    assert_steady_state_is_allocation_free(
+        &mm,
+        a.as_ref(),
+        b.as_ref(),
+        &mut c,
+        "dynamic-peel bini322",
+    );
+
+    // The batch-64 training shapes, where 3 ∤ M: the forward product pads
+    // its 64 rows through the rule's tail, and the Xᵀ·dZ weight gradient
+    // pads X's columns (a transposed A keeps its orientation in the tail).
+    let x = probe(64, 1024, 7);
+    let w = probe(1024, 1024, 8);
+    let dz = probe(64, 1024, 9);
+    let mut c = Mat::zeros(64, 1024);
+    assert_steady_state_is_allocation_free(&mm, x.as_ref(), w.as_ref(), &mut c, "64-row forward");
+    let mut c = Mat::zeros(1024, 1024);
+    assert_steady_state_is_allocation_free(&mm, x.as_ref().t(), dz.as_ref(), &mut c, "Xᵀ·dZ");
 }
 
 #[test]
@@ -110,7 +137,13 @@ fn warm_pad_mode_does_not_allocate() {
     let a = probe(33, 29, 5);
     let b = probe(29, 31, 6);
     let mut c = Mat::zeros(33, 31);
-    assert_steady_state_is_allocation_free(&mm, &a, &b, &mut c, "pad-mode strassen");
+    assert_steady_state_is_allocation_free(
+        &mm,
+        a.as_ref(),
+        b.as_ref(),
+        &mut c,
+        "pad-mode strassen",
+    );
 }
 
 /// Mirrors the (private) `WS_CACHE_CAP` in `apamm.rs` — the churn test
@@ -303,22 +336,31 @@ fn warm_guarded_multiplication_does_not_allocate() {
     });
     let a = probe(40, 28, 31);
     let b = probe(28, 34, 32);
-    let mut c = Mat::zeros(40, 34);
-    // Warm: ladder + workspace on the first call, gemm pack buffers and
-    // probe scratch at their high-water mark by the second.
-    guard.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
-    guard.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+    // A transposed A: the probe sweeps it a column at a time.
+    let x = probe(16, 100, 33);
+    let dz = probe(16, 34, 34);
+    let operands = [
+        (a.as_ref(), b.as_ref(), "plain"),
+        (x.as_ref().t(), dz.as_ref(), "Xᵀ·dZ"),
+    ];
+    for (a, b, what) in operands {
+        let mut c = Mat::zeros(a.rows(), b.cols());
+        // Warm: ladder + workspace on the first call, gemm pack buffers
+        // and probe scratch at their high-water mark by the second.
+        guard.multiply_into(a, b, c.as_mut());
+        guard.multiply_into(a, b, c.as_mut());
 
-    let before = thread_allocation_counters();
-    let rounds = 5;
-    for _ in 0..rounds {
-        guard.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+        let before = thread_allocation_counters();
+        let rounds = 5;
+        for _ in 0..rounds {
+            guard.multiply_into(a, b, c.as_mut());
+        }
+        let delta = thread_allocation_counters().since(before);
+        assert_eq!(
+            delta.calls, 0,
+            "guarded {what}: {} allocations ({} bytes) across {rounds} warm calls",
+            delta.calls, delta.bytes
+        );
     }
-    let delta = thread_allocation_counters().since(before);
-    assert_eq!(
-        delta.calls, 0,
-        "guarded path: {} allocations ({} bytes) across {rounds} warm calls",
-        delta.calls, delta.bytes
-    );
-    assert_eq!(guard.health().calls, 7);
+    assert_eq!(guard.health().calls, 14);
 }

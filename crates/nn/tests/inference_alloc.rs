@@ -15,9 +15,8 @@ use apa_nn::{classical, guarded, planned, Backend, InferenceScratch, Mlp};
 #[global_allocator]
 static ALLOC: apa_gemm::CountingAlloc = apa_gemm::CountingAlloc;
 
-/// A guarded backend installs the process-global ABFT session for the
-/// length of each multiply; a leaf gemm on *any* thread then runs checked
-/// and grows that thread's checksum scratch. So the tests serialize.
+/// The tests share the process-wide allocation counters, the gemm pool and
+/// the fault switches, so they serialize.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
     M.lock().unwrap_or_else(|p| p.into_inner())

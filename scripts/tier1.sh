@@ -29,7 +29,9 @@
 #   6. apa-gemm again under APA_THREADS=2 APA_NO_PIN=1 (full crate, and
 #      the panic-in-lane drill with fault-inject) — the oversubscribed,
 #      unpinned configuration every CI container sees must be just as
-#      correct as the pinned native one
+#      correct as the pinned native one — and apa-matmul's fault-injection
+#      suite there too, so Hybrid lanes run on pool workers and must carry
+#      their caller's per-thread ABFT session
 #   7. planner suites (plan compiler + persistent store, including the
 #      cold-store vs warm-store determinism gate) under APA_THREADS=2
 #      APA_NO_PIN=1
@@ -74,6 +76,9 @@ APA_THREADS=2 APA_NO_PIN=1 cargo test -q -p apa-gemm
 
 echo "== tier1: cargo test -p apa-gemm --test parallel_fault --features fault-inject (APA_THREADS=2 APA_NO_PIN=1) =="
 APA_THREADS=2 APA_NO_PIN=1 cargo test -q -p apa-gemm --test parallel_fault --features fault-inject
+
+echo "== tier1: cargo test -p apa-matmul --features fault-inject (APA_THREADS=2 APA_NO_PIN=1) =="
+APA_THREADS=2 APA_NO_PIN=1 cargo test -q -p apa-matmul --features fault-inject
 
 echo "== tier1: cargo test -p apa-planner (APA_THREADS=2 APA_NO_PIN=1) =="
 APA_THREADS=2 APA_NO_PIN=1 cargo test -q -p apa-planner
