@@ -622,6 +622,26 @@ impl<T> AbftBufs<T> {
 }
 
 impl<T: Scalar> AbftBufs<T> {
+    /// Grow the buffers a clean checked gemm of at most `m × n` (blocks of
+    /// at most `mc` rows and `kc` depth) fills, so the first one allocates
+    /// nothing. The localization buffers are left alone: they fill only
+    /// after a detection.
+    pub(crate) fn reserve(&mut self, m: usize, n: usize, mc: usize, kc: usize) {
+        for (v, len) in [
+            (&mut self.b_sum, kc),
+            (&mut self.b_mag, kc),
+            (&mut self.dot_row, m),
+            (&mut self.mag_row, m),
+            (&mut self.obs_row, mc),
+            (&mut self.pre_row, mc),
+            (&mut self.pre_abs_row, mc),
+        ] {
+            v.reserve(len.saturating_sub(v.len()));
+        }
+        // The β-replay snapshot of C (taken when β ≠ 0).
+        self.snap.reserve((m * n).saturating_sub(self.snap.len()));
+    }
+
     /// Start a checked call: clear stale flags and, when the caller's β
     /// contributes to C, snapshot C so repairs can replay it.
     pub(crate) fn begin_call(&mut self, beta: T, c: &MatMut<'_, T>) {
@@ -1021,14 +1041,21 @@ pub mod sdc {
         FIRED.load(Ordering::Relaxed)
     }
 
+    fn strikes(armed: &Option<(FlipSpec, usize)>, target: FlipTarget, session: usize) -> bool {
+        matches!(armed, Some((spec, owner)) if spec.target == target && (*owner == 0 || *owner == session))
+    }
+
+    /// Whether [`take`] would fire for `target` under `session` now.
+    pub(crate) fn armed(target: FlipTarget, session: Option<&AbftSession>) -> bool {
+        strikes(&ARMED.lock(), target, key(session))
+    }
+
     /// Consume the armed flip if it targets `target` in gemm work checked
     /// under `session` (see the module docs for ownership).
     pub(crate) fn take(target: FlipTarget, session: Option<&AbftSession>) -> Option<FlipSpec> {
         let mut guard = ARMED.lock();
         match *guard {
-            Some((spec, owner))
-                if spec.target == target && (owner == 0 || owner == key(session)) =>
-            {
+            Some((spec, _)) if strikes(&guard, target, key(session)) => {
                 *guard = None;
                 FIRED.fetch_add(1, Ordering::Relaxed);
                 Some(spec)

@@ -6,12 +6,23 @@
 //! dispatched to the microkernel. Performance intentionally *degrades for
 //! small dimensions* (packing amortizes poorly), which is the property the
 //! paper's crossover analysis (§2.4, §3.3) depends on.
+//!
+//! A B panel comes from one of three places, all the same bytes: the
+//! call's own pack sweep; the 2D parallel driver's shared arena
+//! ([`BPanelSource`]); or the [`PackedB`] a prepacked matrix's
+//! [`Mat::as_ref`] carries ([`Mat::prepack`]), read in place when the B
+//! operand is that unit list and the pack matches the kernel width and
+//! blocking — the serving lane's frozen weights, whose small-batch
+//! products would otherwise spend most of their time re-packing B. Only
+//! the owner of a matrix that stays frozen across many calls should
+//! prepack it; the pack rules themselves live in [`crate::matrix`].
 
 use crate::abft::{self, AbftBufs, AbftSession};
 use crate::blocktune::block_sizes;
 use crate::kernel::{kernel_spec, KernelSpec, MAX_TILE_ELEMS};
 use crate::matrix::{Mat, MatMut, MatRef};
-use crate::pack::{pack_a_terms, pack_b_terms, terms_shape, with_views};
+use crate::pack::{pack_a_terms, pack_b_terms, size_panel, terms_shape, with_views};
+use crate::prepack::PackedB;
 use crate::scalar::Scalar;
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -136,6 +147,24 @@ pub(crate) fn with_cached_scratch<T: Scalar, R>(f: impl FnOnce(&mut Scratch<T>) 
         }
     });
     out
+}
+
+/// Grow the calling thread's cached gemm scratch to what any product of
+/// at most `m × k · k × n` needs — the pack buffers and, when an ABFT
+/// session is installed, the checksum buffers — so the first such gemm on
+/// this thread allocates nothing. No operands, no multiply: this is how a
+/// serving lane settles its scratch before the first request.
+pub fn reserve_scratch<T: Scalar>(m: usize, k: usize, n: usize) {
+    let (spec, bs) = (kernel_spec::<T>(), block_sizes::<T>());
+    let (mc, kc, nc) = (m.min(bs.mc), k.min(bs.kc), n.min(bs.nc));
+    let checked = abft::current().is_some();
+    with_cached_scratch(|s: &mut Scratch<T>| {
+        size_panel(&mut s.a_pack, mc.div_ceil(spec.mr) * spec.mr * kc);
+        size_panel(&mut s.b_pack, nc.div_ceil(spec.nr) * spec.nr * kc);
+        if checked {
+            s.ab.reserve(m, n, mc, kc);
+        }
+    });
 }
 
 /// [`gemm_st`] on an explicit kernel and caller-provided scratch: the unit
@@ -346,7 +375,8 @@ pub fn gemm_combined_st_with_spec<T: Scalar>(
 /// the source was built for, i.e. `n ≤ bs.nc`); the local B pack is
 /// skipped and the first rank-k loop reads the shared panel instead —
 /// this is how the 2D parallel driver packs each B panel once per call
-/// rather than once per worker.
+/// rather than once per worker. Otherwise a B operand that carries a
+/// matching [`PackedB`] supplies its panels the same way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_core<T: Scalar>(
     spec: &KernelSpec<T>,
@@ -381,6 +411,7 @@ pub(crate) fn gemm_core<T: Scalar>(
     if abft.is_some() {
         scratch.ab.begin_call(beta, &c);
     }
+    let prepacked = PackedB::of(b_terms, spec.nr, bs);
 
     for jc in (0..n).step_by(bs.nc) {
         let nc = bs.nc.min(n - jc);
@@ -389,13 +420,20 @@ pub(crate) fn gemm_core<T: Scalar>(
         }
         for pc in (0..k).step_by(bs.kc) {
             let kc = bs.kc.min(k - pc);
-            let shared = panels.map(|p| p.panel(pc / bs.kc));
+            let shared = match panels {
+                Some(p) => Some(p.panel(pc / bs.kc)),
+                // A pack-B flip armed for this call lands in a per-call
+                // pack below, never in the shared prepacked panels.
+                None => prepacked
+                    .filter(|_| !pack_b_flip_armed(abft))
+                    .map(|p| p.panel(jc / bs.nc, pc / bs.kc)),
+            };
             match shared {
                 Some((_, sums)) => {
-                    // The arena packed (and fault-injected) this panel
-                    // exactly once; adopt its fused row sums so the
-                    // per-cell ABFT checks see the same checksums a local
-                    // pack sweep would have produced.
+                    // The arena or the prepack packed (and, the arena,
+                    // fault-injected) this panel once; adopt its fused
+                    // row sums so the per-cell ABFT checks see the same
+                    // checksums a local pack sweep would have produced.
                     if abft.is_some() {
                         let (b_sum, b_mag) =
                             sums.expect("shared panels carry ABFT sums under a session");
@@ -550,6 +588,22 @@ fn flip_pack_a<T: Scalar>(
         let p = (f.index / mc) % kc;
         let pos = (r / mr) * kc * mr + p * mr + (r % mr);
         buf[pos] = buf[pos].flip_bit(f.bit);
+    }
+}
+
+/// Whether a pack-B flip is armed for `session`'s gemm work. A prepacked
+/// panel is then packed per call instead, so the flip lands in that copy
+/// and the panels every later call reads stay pristine.
+#[inline]
+pub(crate) fn pack_b_flip_armed(session: Option<&AbftSession>) -> bool {
+    #[cfg(feature = "fault-inject")]
+    {
+        abft::sdc::armed(abft::sdc::FlipTarget::PackB, session)
+    }
+    #[cfg(not(feature = "fault-inject"))]
+    {
+        let _ = session;
+        false
     }
 }
 

@@ -21,6 +21,9 @@
 //! * [`pack`] / [`microkernel`] / [`blocked`] — the BLIS-style kernel
 //!   stack, single-threaded: one A packer, one B packer, one blocked
 //!   loop nest;
+//! * [`prepack`] — a frozen B operand's panels packed once
+//!   ([`Mat::prepack`]) and read by that loop nest in place of a per-call
+//!   pack;
 //! * [`kernel`] — explicit AVX2/AVX-512 register-tile kernels behind
 //!   one-time runtime CPU dispatch ([`microkernel`] is the scalar tier),
 //!   bitwise-identical across tiers;
@@ -54,14 +57,15 @@ pub mod naive;
 pub mod pack;
 pub mod parallel;
 pub mod pool;
+pub mod prepack;
 pub mod scalar;
 pub mod transpose;
 
 pub use abft::{AbftConfig, AbftCounts, AbftSession, AbftStats, DEFAULT_SLACK};
 pub use add::{combine, combine_axpy, combine_par, MAX_INLINE_COMBINE};
 pub use blocked::{
-    gemm_combined_st, gemm_combined_st_with_spec, gemm_st, gemm_st_with_spec, matmul, BlockSizes,
-    Scratch,
+    gemm_combined_st, gemm_combined_st_with_spec, gemm_st, gemm_st_with_spec, matmul,
+    reserve_scratch, BlockSizes, Scratch,
 };
 pub use blocktune::{
     block_report, block_sizes, cache_dir, probe_bandwidth_bytes, probe_parallel_gflops,
@@ -84,6 +88,7 @@ pub use pool::{
     default_threads, pool, rebuild, topology, topology_report, CpuSlot, Par, PoolError, Topology,
     WorkerPool,
 };
+pub use prepack::PackedB;
 pub use scalar::Scalar;
 pub use transpose::{transpose, transpose_into};
 

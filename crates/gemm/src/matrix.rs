@@ -13,26 +13,48 @@
 //! copy of X. The packers read a transposed view in place (see
 //! [`crate::pack`]); everything above them reaches operands only through
 //! [`MatRef::subview`], which maps coordinates for either orientation.
+//!
+//! **The pack contract.** A matrix multiplied many times unchanged — a
+//! served layer's frozen weights — may be packed once: [`Mat::prepack`]
+//! keeps a [`PackedB`] (its B panels for the dispatched kernel and the
+//! process blocking) beside the data, and [`Mat::as_ref`] hands it to gemm
+//! on the view. Only the full, plain view of the matrix carries it:
+//! [`MatRef::subview`], [`MatRef::t`], [`MatRef::grid`] and every view
+//! of a [`MatMut`] drop it, so a pack is only ever read for the exact
+//! operand it was packed from. Every `&mut self` method of [`Mat`] drops
+//! it too, so a pack can never be stale. Prepack only what stays frozen
+//! across many multiplies (the serving lane's replicas do; training,
+//! whose weights change every step, never does): the panels cost one more
+//! copy of the matrix, and a mutation throws them away.
 
+use crate::prepack::PackedB;
 use crate::scalar::Scalar;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
-/// An owned, row-major, densely packed matrix.
-#[derive(Clone, Debug, PartialEq)]
+/// An owned, row-major, densely packed matrix, optionally carrying its
+/// packed B panels (see [`Self::prepack`]). A clone shares the pack until
+/// either copy is mutated.
+#[derive(Clone, Debug)]
 pub struct Mat<T> {
     rows: usize,
     cols: usize,
     data: Vec<T>,
+    packed: Option<Arc<PackedB<T>>>,
+}
+
+/// Equal shapes and elements; the pack is a cache of the elements, so it
+/// never takes part.
+impl<T: PartialEq> PartialEq for Mat<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.data == other.data
+    }
 }
 
 impl<T: Scalar> Mat<T> {
     /// All-zeros matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![T::ZERO; rows * cols],
-        }
+        Self::from_vec(rows, cols, vec![T::ZERO; rows * cols])
     }
 
     /// Build from a function of `(row, col)`.
@@ -43,13 +65,14 @@ impl<T: Scalar> Mat<T> {
                 data.push(f(i, j));
             }
         }
-        Self { rows, cols, data }
+        Self::from_vec(rows, cols, data)
     }
 
     /// Reshape in place, reusing the existing storage. Newly exposed
     /// elements are zero; surviving elements keep their *linear* position
     /// (callers that care about contents should refill after resizing).
     pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.packed = None;
         self.data.resize(rows * cols, T::ZERO);
         self.rows = rows;
         self.cols = cols;
@@ -58,7 +81,25 @@ impl<T: Scalar> Mat<T> {
     /// Take ownership of a row-major buffer.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer length mismatch");
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data,
+            packed: None,
+        }
+    }
+
+    /// Pack the matrix's B panels once, for the dispatched kernel and the
+    /// process blocking, and keep them beside the data: every gemm whose
+    /// B operand is [`Self::as_ref`] then reads them instead of packing,
+    /// with bitwise the same result. Any `&mut self` call drops them.
+    pub fn prepack(&mut self) {
+        self.packed = Some(Arc::new(PackedB::new(self.as_ref())));
+    }
+
+    /// The pack [`Self::prepack`] built, until the matrix is mutated.
+    pub fn prepacked(&self) -> Option<&PackedB<T>> {
+        self.packed.as_deref()
     }
 
     pub fn rows(&self) -> usize {
@@ -75,10 +116,11 @@ impl<T: Scalar> Mat<T> {
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [T] {
+        self.packed = None;
         &mut self.data
     }
 
-    /// Immutable full view.
+    /// Immutable full view, carrying the pack if there is one.
     pub fn as_ref(&self) -> MatRef<'_, T> {
         MatRef {
             ptr: self.data.as_ptr(),
@@ -86,12 +128,14 @@ impl<T: Scalar> Mat<T> {
             cols: self.cols,
             rs: self.cols,
             trans: false,
+            packed: self.packed.as_deref(),
             _marker: PhantomData,
         }
     }
 
     /// Mutable full view.
     pub fn as_mut(&mut self) -> MatMut<'_, T> {
+        self.packed = None;
         MatMut {
             ptr: self.data.as_mut_ptr(),
             rows: self.rows,
@@ -110,11 +154,13 @@ impl<T: Scalar> Mat<T> {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: T) {
         debug_assert!(i < self.rows && j < self.cols);
+        self.packed = None;
         self.data[i * self.cols + j] = v;
     }
 
     /// Fill with a constant.
     pub fn fill(&mut self, v: T) {
+        self.packed = None;
         self.data.fill(v);
     }
 
@@ -148,6 +194,9 @@ pub struct MatRef<'a, T> {
     /// Element `(i, j)` is stored at `ptr + j·rs + i` instead of
     /// `ptr + i·rs + j`.
     trans: bool,
+    /// The pack of the matrix this is the full plain view of (see the
+    /// module docs); `None` on every derived view.
+    packed: Option<&'a PackedB<T>>,
     _marker: PhantomData<&'a T>,
 }
 
@@ -181,6 +230,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
             cols: self.rows,
             rs: self.rs,
             trans: !self.trans,
+            packed: None,
             _marker: PhantomData,
         }
     }
@@ -189,6 +239,13 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     #[inline]
     pub fn is_transposed(&self) -> bool {
         self.trans
+    }
+
+    /// The pack this view hands to gemm: its matrix's, when this is the
+    /// matrix's own [`Mat::as_ref`] (see the module docs).
+    #[inline]
+    pub fn prepacked(&self) -> Option<&'a PackedB<T>> {
+        self.packed
     }
 
     /// Row `i` as a slice. Only a plain view has contiguous rows: panics
@@ -258,6 +315,7 @@ impl<'a, T: Scalar> MatRef<'a, T> {
             cols,
             rs: self.rs,
             trans: self.trans,
+            packed: None,
             _marker: PhantomData,
         }
     }
@@ -372,6 +430,7 @@ impl<'a, T: Scalar> MatMut<'a, T> {
             cols: self.cols,
             rs: self.rs,
             trans: false,
+            packed: None,
             _marker: PhantomData,
         }
     }

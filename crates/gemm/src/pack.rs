@@ -37,7 +37,7 @@ pub const MAX_PACK_TERMS: usize = 32;
 /// prefix. The panel holds stale values, so a sweep must write every
 /// element of it, pad regions included.
 #[inline]
-fn size_panel<T: Scalar>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+pub(crate) fn size_panel<T: Scalar>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
         buf.resize(len, T::ZERO);
     }

@@ -23,6 +23,10 @@
 //! the single-threaded run regardless of which worker computes which cell
 //! and in which order — the property the `parallel2d` proptests pin down.
 //!
+//! A B operand that carries a [`crate::PackedB`] ([`crate::Mat::prepack`])
+//! leaves the arena unclaimed: every cell reads the prepacked panels
+//! directly, the same bytes a claim would have packed.
+//!
 //! First-touch NUMA placement falls out of the claim protocol: arena
 //! buffers start empty and are grown/written by the claiming worker, so
 //! with pinned workers (see [`crate::pool`]) the pages land on the
@@ -30,14 +34,15 @@
 
 use crate::abft::{self, AbftSession};
 use crate::blocked::{
-    gemm_combined_st, gemm_core, with_cached_scratch, with_subviews, BPanelSource, BlockSizes,
-    PackedPanel,
+    gemm_combined_st, gemm_core, pack_b_flip_armed, with_cached_scratch, with_subviews,
+    BPanelSource, BlockSizes, PackedPanel,
 };
 use crate::blocktune::block_sizes;
 use crate::kernel::kernel_spec;
 use crate::matrix::{MatMut, MatRef};
 use crate::pack::{pack_b_terms, terms_shape};
 use crate::pool::{pool, Par, PoolError};
+use crate::prepack::PackedB;
 use crate::scalar::Scalar;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -198,6 +203,8 @@ struct SharedPanels<'a, T: Scalar> {
     nr: usize,
     /// The call's ABFT session: pack fused row sums alongside the panel.
     session: Option<&'a AbftSession>,
+    /// The B operand's own panels, when it carries a matching pack.
+    prepacked: Option<&'a PackedB<T>>,
 }
 
 impl<T: Scalar> SharedPanels<'_, T> {
@@ -232,6 +239,12 @@ impl<T: Scalar> SharedPanels<'_, T> {
 
 impl<T: Scalar> BPanelSource<T> for SharedPanels<'_, T> {
     fn panel(&self, slab: usize) -> PackedPanel<'_, T> {
+        // A pack-B flip armed for this call goes through the arena, so it
+        // lands in the call's own pack and never in the prepacked panels.
+        if let Some(p) = self.prepacked.filter(|_| !pack_b_flip_armed(self.session)) {
+            let (buf, sums) = p.panel(self.jc_idx, slab);
+            return (buf, sums.filter(|_| self.session.is_some()));
+        }
         let slot = &self.arena.slots[self.jc_idx * self.arena.slabs + slab];
         let mut packed_here = false;
         let mut spins = 0u32;
@@ -460,6 +473,7 @@ fn gemm_2d<T: Scalar>(
     let queue_ref = &queue;
     let grid_ref = &grid;
     let session_ref = session.as_deref();
+    let prepacked = PackedB::of(b_terms, kernel_spec::<T>().nr, bs);
 
     let result = pool(workers).try_scope(|s| {
         for w in 0..workers {
@@ -485,6 +499,7 @@ fn gemm_2d<T: Scalar>(
                             k,
                             nr: spec.nr,
                             session: session_ref,
+                            prepacked,
                         };
                         // SAFETY: the queue yields each cell exactly once.
                         let c_cell = unsafe { grid_ref.cell(ic0, jc0, rows, cols) };

@@ -243,6 +243,7 @@ fn scratch_grows_only_across_checked_calls() {
 mod injected {
     use super::*;
     use apa_gemm::abft::sdc::{self, FlipSpec, FlipTarget};
+    use apa_gemm::{gemm, Par};
 
     /// Run one plain gemm with a flip armed at (`target`, `index`, `bit`)
     /// and assert it is detected and repaired bitwise-exactly — once on
@@ -449,6 +450,92 @@ mod injected {
         assert_eq!((cb.detected, cb.checks > 0), (0, true), "{cb:?}");
         assert!(ca.detected > 0, "{ca:?}");
         assert_eq!((ca.repaired, ca.unrepaired), (ca.detected, 0), "{ca:?}");
+    }
+
+    /// A pack-B flip armed for a gemm whose B operand is prepacked lands
+    /// in the call's own pack, never in the panels the matrix keeps: it
+    /// is detected and every flagged region repaired, and the next call —
+    /// checked or not, with no flip armed — reads pristine panels.
+    fn drill_prepacked<T: Scalar>(m: usize, k: usize, n: usize, par: Par, bit: u32) {
+        let a = rand_mat::<T>(m, k, 85);
+        let plain = rand_mat::<T>(k, n, 86);
+        let mut b = plain.clone();
+        b.prepack();
+        let alpha = T::from_f64(1.25);
+        let mut want = Mat::<T>::zeros(m, n);
+        gemm(
+            alpha,
+            a.as_ref(),
+            plain.as_ref(),
+            T::ZERO,
+            want.as_mut(),
+            Par::Seq,
+        );
+        let ctx = format!("({m},{k},{n}) {par:?}");
+
+        let session = Arc::new(AbftSession::default());
+        let mut got = Mat::<T>::zeros(m, n);
+        let fired_before = sdc::injected();
+        {
+            let _s = abft::scoped(session.clone());
+            sdc::arm(FlipSpec {
+                target: FlipTarget::PackB,
+                index: 37,
+                bit,
+            });
+            gemm(alpha, a.as_ref(), b.as_ref(), T::ZERO, got.as_mut(), par);
+        }
+        sdc::disarm();
+        assert_eq!(
+            sdc::injected(),
+            fired_before + 1,
+            "flip did not fire: {ctx}"
+        );
+        let counts = session.stats.snapshot();
+        assert!(counts.detected > 0, "undetected: {ctx}");
+        assert_eq!(
+            (counts.repaired, counts.unrepaired),
+            (counts.detected, 0),
+            "{ctx}: {counts:?}"
+        );
+        assert_bitwise_eq(&got, &want, &ctx);
+
+        let clean = Arc::new(AbftSession::default());
+        let mut again = Mat::<T>::zeros(m, n);
+        {
+            let _s = abft::scoped(clean.clone());
+            gemm(alpha, a.as_ref(), b.as_ref(), T::ZERO, again.as_mut(), par);
+        }
+        let counts = clean.stats.snapshot();
+        assert_eq!((counts.detected, counts.checks > 0), (0, true), "{ctx}");
+        assert_bitwise_eq(&again, &want, &format!("{ctx} next checked call"));
+        let mut unchecked = Mat::<T>::zeros(m, n);
+        gemm(
+            alpha,
+            a.as_ref(),
+            b.as_ref(),
+            T::ZERO,
+            unchecked.as_mut(),
+            par,
+        );
+        assert_bitwise_eq(&unchecked, &want, &format!("{ctx} next unchecked call"));
+        assert_eq!(
+            sdc::injected(),
+            fired_before + 1,
+            "{ctx}: nothing else fired"
+        );
+    }
+
+    #[test]
+    fn pack_b_flip_on_a_prepacked_operand_lands_in_a_per_call_copy() {
+        let _g = lock();
+        // One panel, then two KC slabs (k past every tuned KC).
+        for (m, k, n) in [(96, 120, 80), (40, 1100, 70)] {
+            for par in [Par::Seq, Par::Threads(2)] {
+                drill_prepacked::<f32>(m, k, n, par, 30);
+                drill_prepacked::<f64>(m, k, n, par, 62);
+            }
+        }
     }
 
     #[test]

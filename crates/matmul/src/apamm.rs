@@ -415,25 +415,35 @@ impl ApaMatmul {
         }
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let idx = match self.cached::<T>(&cache, m, k, n) {
-            Some(i) => i,
-            None => {
-                if cache.len() >= self.cache_cap.load(Ordering::Relaxed) {
-                    cache.remove(0);
-                }
-                let ws = Workspace::<T>::for_chain(self.levels(), m, k, n, self.config);
-                cache.push(CacheEntry {
-                    type_id: TypeId::of::<T>(),
-                    ws: Box::new(ws),
-                });
-                cache.len() - 1
-            }
-        };
+        let idx = self.workspace::<T>(&mut cache, m, k, n);
         let ws = cache[idx]
             .ws
             .downcast_mut::<Workspace<T>>()
             .expect("cache entry is type-keyed");
         run_chain(self.levels(), a, b, c, ws);
+    }
+
+    /// Index of the cached workspace for an `m×k·k×n` product of `T`,
+    /// built (evicting the oldest entry at the cap) when missing.
+    fn workspace<T: Scalar>(
+        &self,
+        cache: &mut Vec<CacheEntry>,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> usize {
+        if let Some(i) = self.cached::<T>(cache, m, k, n) {
+            return i;
+        }
+        if cache.len() >= self.cache_cap.load(Ordering::Relaxed) {
+            cache.remove(0);
+        }
+        let ws = Workspace::<T>::for_chain(self.levels(), m, k, n, self.config);
+        cache.push(CacheEntry {
+            type_id: TypeId::of::<T>(),
+            ws: Box::new(ws),
+        });
+        cache.len() - 1
     }
 
     /// Index of the cached workspace sized for an `m×k·k×n` product of `T`
@@ -459,11 +469,13 @@ impl ApaMatmul {
     /// warmed shape alongside the existing entries, so warming more than
     /// [`WS_CACHE_CAP`] shapes does not make the warm-up evict itself.
     ///
-    /// Each shape is multiplied twice on zeroed operands: the first pass
-    /// builds the cached workspace, the second settles the calling
-    /// thread's thread-local gemm pack buffers at their high-water mark.
-    /// Pack buffers are per-thread, so serving lanes must call this on the
-    /// thread that will run the real multiplies.
+    /// Nothing is multiplied: each shape's workspace is built (depth 0
+    /// has none) and the calling thread's gemm scratch is grown to the
+    /// shape through [`apa_gemm::reserve_scratch`] — every leaf of the
+    /// product is at most the full shape. The scratch is per-thread, so
+    /// serving lanes must call this on the thread that will run the real
+    /// multiplies (the pool workers of a threaded multiply grow theirs on
+    /// first use).
     pub fn warm<T: Scalar>(&self, shapes: &[(usize, usize, usize)]) {
         let mut todo: Vec<(usize, usize, usize)> = Vec::with_capacity(shapes.len());
         for &s in shapes {
@@ -473,21 +485,20 @@ impl ApaMatmul {
             }
             todo.push(s);
         }
-        {
-            let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.steps > 0 {
+            let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
             let missing = todo
                 .iter()
                 .filter(|&&(m, k, n)| self.cached::<T>(&cache, m, k, n).is_none())
                 .count();
             self.cache_cap
                 .fetch_max(cache.len() + missing, Ordering::Relaxed);
+            for &(m, k, n) in &todo {
+                self.workspace::<T>(&mut cache, m, k, n);
+            }
         }
         for &(m, k, n) in &todo {
-            let a = Mat::<T>::zeros(m, k);
-            let b = Mat::<T>::zeros(k, n);
-            let mut c = Mat::<T>::zeros(m, n);
-            self.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
-            self.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+            apa_gemm::reserve_scratch::<T>(m, k, n);
         }
     }
 

@@ -555,13 +555,10 @@ impl GuardedApaMatmul {
     /// call this on the thread that will run the real multiplies.
     pub fn warm<T: Scalar>(&self, shapes: &[(usize, usize, usize)]) {
         let rungs = self.ladder();
-        // Warm under a *throwaway* ABFT session with the same config: the
-        // warm-up multiplies grow the thread-local checksum scratch to its
-        // high-water mark exactly like the real calls will, without the
-        // warm-up checks polluting the guard's counters.
-        let _abft_scope = self
-            .abft_session()
-            .map(|s| gemm_abft::scoped(Arc::new(AbftSession::new(s.cfg))));
+        // Warm under the guard's ABFT session: with one installed, the
+        // scratch reserve also grows the thread-local checksum buffers the
+        // real calls fill. Nothing is multiplied, so nothing is counted.
+        let _abft_scope = self.abft_session().map(|s| gemm_abft::scoped(s.clone()));
         rungs[0].exec.warm::<T>(shapes);
         {
             let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);

@@ -16,7 +16,7 @@
 //! ReLU and loss passes: no transpose, no allocation.
 
 use crate::backend::Backend;
-use crate::tensor::{add_bias_rows, col_sums, relu_backward_inplace};
+use crate::tensor::{add_bias_relu_rows, add_bias_rows, col_sums, relu_backward_inplace};
 use apa_gemm::{combine, Mat, MatRef};
 
 /// A layer's parameters and their pending gradients, `(W, b, dW, db)`.
@@ -183,14 +183,18 @@ impl Dense {
         assert_eq!(x.cols(), self.inputs(), "input width mismatch");
         out.resize(x.rows(), self.outputs());
         self.backend.matmul_into(x, self.w.as_ref(), out.as_mut());
-        add_bias_rows(out, &self.b);
-        if self.activation == Activation::Relu {
-            for v in out.as_mut_slice() {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
+        match self.activation {
+            Activation::Relu => add_bias_relu_rows(out, &self.b),
+            Activation::Identity => add_bias_rows(out, &self.b),
         }
+    }
+
+    /// Pack the weights' gemm panels once ([`Mat::prepack`]), so every
+    /// forward multiply reads them instead of re-packing W — bitwise the
+    /// same outputs. For a layer that stays frozen across many calls (a
+    /// served replica); the first weight update drops the pack.
+    pub fn prepack(&mut self) {
+        self.w.prepack();
     }
 
     /// Warm the backend for the inference shapes of the given batch sizes

@@ -267,6 +267,16 @@ impl Mlp {
         self.layers[last].forward_inference_into(src.as_ref(), out);
     }
 
+    /// Prepack every layer's weights ([`Dense::prepack`]): predictions
+    /// stay bitwise the same and skip re-packing W on every multiply.
+    /// For a network that serves frozen; training drops each layer's pack
+    /// at its first update.
+    pub fn prepack(&mut self) {
+        for layer in &mut self.layers {
+            layer.prepack();
+        }
+    }
+
     /// Warm every layer's backend for inference at the given batch sizes
     /// (see [`crate::backend::MatmulBackend::warm`]): after this, the
     /// first [`Self::predict_into`] at any warmed batch size performs zero
@@ -545,6 +555,42 @@ mod tests {
             for j in 0..2 {
                 assert_eq!(out.at(i, j).to_bits(), expect.at(i, j).to_bits());
             }
+        }
+        // Prepacked weights answer bitwise like the per-call pack — also
+        // with a first layer past one KC slab and one NC block of the
+        // blocked gemm, and a second layer many slabs deep.
+        let bits = |m: &Mat<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut wide = Mlp::new(&[400, 4100, 3], vec![classical(1), classical(1)], 5);
+        let wide_x = Mat::from_fn(20, 400, |i, j| ((i * 400 + j) as f32 * 0.37).sin());
+        let (x, _) = data.gather(&[3, 4, 5, 6, 7]);
+        let (want, wide_want) = (net.predict(&x), wide.predict(&wide_x));
+        net.prepack();
+        wide.prepack();
+        assert!(net.layers.iter().all(|l| l.w.prepacked().is_some()));
+        net.predict_into(x.as_ref(), &mut out, &mut scratch);
+        assert_eq!(bits(&out), bits(&want));
+        wide.predict_into(wide_x.as_ref(), &mut out, &mut scratch);
+        assert_eq!(bits(&out), bits(&wide_want));
+        assert_eq!(bits(&wide.predict(&wide_x)), bits(&wide_want));
+    }
+
+    #[test]
+    fn training_a_prepacked_net_matches_its_unpacked_twin() {
+        let data = toy_dataset(40);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut packed, mut plain) = (toy_mlp(), toy_mlp());
+        packed.prepack();
+        for step in 0..4 {
+            let idx: Vec<usize> = (step * 10..step * 10 + 10).collect();
+            let (x, y) = data.gather(&idx);
+            let a = packed.train_batch(&x, &y, 0.1);
+            let b = plain.train_batch(&x, &y, 0.1);
+            assert_eq!(a.0.to_bits(), b.0.to_bits(), "step {step} loss");
+        }
+        for (p, q) in packed.layers.iter().zip(&plain.layers) {
+            assert!(p.w.prepacked().is_none(), "the first update drops the pack");
+            assert_eq!(bits(p.w.as_slice()), bits(q.w.as_slice()));
+            assert_eq!(bits(&p.b), bits(&q.b));
         }
     }
 

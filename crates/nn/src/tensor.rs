@@ -19,6 +19,22 @@ pub fn add_bias_rows(x: &mut Mat<f32>, bias: &[f32]) {
     }
 }
 
+/// `X[i][j] = relu(X[i][j] + bias[j])` in one branch-free pass: bitwise
+/// [`add_bias_rows`] followed by the clamp `v < 0 → 0`, so a NaN and −0.0
+/// keep their bits (a `max(v, 0)` would not).
+pub fn add_bias_relu_rows(x: &mut Mat<f32>, bias: &[f32]) {
+    assert_eq!(x.cols(), bias.len());
+    if bias.is_empty() {
+        return;
+    }
+    for row in x.as_mut_slice().chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            let z = *v + b;
+            *v = if z < 0.0 { 0.0 } else { z };
+        }
+    }
+}
+
 /// Column sums into `out` (resized to `x.cols()`) — the bias gradient
 /// `db[j] = Σ_i dZ[i][j]`, each summed in row order. A transposed `x` is
 /// read a contiguous column at a time, with the same per-sum order.
@@ -72,6 +88,37 @@ mod tests {
             assert_eq!(x.at(i, 0), 1.0);
             assert_eq!(x.at(i, 1), -2.0);
         }
+    }
+
+    #[test]
+    fn fused_bias_relu_is_bitwise_bias_then_clamp() {
+        let nan = f32::from_bits(0x7fc0_1234);
+        let vals = [
+            -1.0,
+            -0.0,
+            0.0,
+            0.5,
+            -0.5,
+            nan,
+            -nan,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE / 4.0,
+        ];
+        let bias = [0.0, -0.0, 0.5, -0.5, nan, f32::INFINITY, 1e-30];
+        let x = Mat::from_fn(vals.len(), bias.len(), |i, j| vals[(i + j) % vals.len()]);
+        let mut want = x.clone();
+        add_bias_rows(&mut want, &bias);
+        for v in want.as_mut_slice() {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        let mut got = x.clone();
+        add_bias_relu_rows(&mut got, &bias);
+        let bits = |m: &Mat<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

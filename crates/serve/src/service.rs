@@ -1,12 +1,13 @@
 //! The inference service: fixed worker lanes over a shared submission
-//! queue, each lane owning a pre-warmed model replica.
+//! queue, each lane owning a pre-warmed, prepacked model replica.
 //!
 //! ```text
 //!  submit() ──► SubmissionQueue (bounded, typed backpressure)
 //!                     │   micro-batcher policy under the queue lock
 //!          ┌──────────┼──────────┐
 //!       lane 0     lane 1  …  lane L-1     (panic-isolated WorkerPool)
-//!       replica 0  replica 1  replica L-1  (own scratch + warm shapes)
+//!       replica 0  replica 1  replica L-1  (own scratch + warm shapes
+//!                                           + packed weight panels)
 //!          └──────────┴──────────┘
 //!                per-request response channels (Ticket::wait)
 //! ```
@@ -18,6 +19,14 @@
 //! guarded ladder demoted after the panic usually answers the retry, and
 //! only a second failure surfaces as [`ServeError::Inference`] to that
 //! batch's requests.
+//!
+//! A replica's weights never change while it serves, so
+//! [`InferenceService::start`] packs each layer's gemm panels once
+//! ([`Mlp::prepack`]) and every batch reads them instead of re-packing
+//! the weights: bitwise the same answers, and at serving batch sizes the
+//! re-pack was most of a multiply. It does so on the constructing thread,
+//! before the lanes spawn, so the panels are not allocated on a lane's
+//! thread on top of its warm-up scratch.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmitDecision};
 use crate::batcher::{expired_at, BatchPolicy};
@@ -323,12 +332,13 @@ pub struct InferenceService {
 
 impl InferenceService {
     /// Start one lane per replica. All replicas must share the model's
-    /// layer widths (they may use different backends). Lanes warm their
+    /// layer widths (they may use different backends). Every replica's
+    /// weights are prepacked here, on the calling thread. Lanes warm their
     /// replicas on their own threads before serving: engine workspaces,
     /// probe scratch, thread-local pack buffers and the inference scratch
     /// all reach their high-water marks, so steady-state serving performs
     /// no per-request heap allocation inside the engine.
-    pub fn start(replicas: Vec<Replica>, config: ServeConfig) -> Self {
+    pub fn start(mut replicas: Vec<Replica>, config: ServeConfig) -> Self {
         assert!(!replicas.is_empty(), "need at least one replica lane");
         assert!(config.queue_capacity >= 1, "queue capacity must be ≥ 1");
         let widths = replicas[0].mlp.widths();
@@ -352,6 +362,9 @@ impl InferenceService {
             .collect();
         warm.sort_unstable_by(|a, b| b.cmp(a));
         warm.dedup();
+        for replica in &mut replicas {
+            replica.mlp.prepack();
+        }
 
         let lanes = replicas.len();
         let shared = Arc::new(Shared {
