@@ -1,13 +1,15 @@
-//! Criterion micro-benchmark for the fusion ablation: pack-fused +
-//! epilogue-fused execution ([`FusionPolicy::Auto`]) vs the fully
-//! materialized reference path ([`FusionPolicy::Never`]) on the same
-//! warm workspace, ParaDnn-style square shapes, Hybrid strategy.
+//! Criterion micro-benchmark for the fusion ablation: pack-fused
+//! execution ([`FusionPolicy::Auto`]) vs the fully materialized reference
+//! path ([`FusionPolicy::Never`]) on the same warm workspace,
+//! ParaDnn-style square shapes, Hybrid strategy. Pack-time operand
+//! combination is the only fusion and both policies compute the same
+//! bits, so the two lines differ only in time.
 //!
-//! This is the §3.2 experiment of ISSUE 5: the linear combinations are
-//! bandwidth-bound, so folding them into gemm's pack sweep and epilogue
-//! should buy wall-clock time exactly where the add fraction lives —
-//! multi-step plans whose leaf gemms are small relative to the S/T/M
-//! sweeps they bracket.
+//! This is the §3.2 experiment: the linear combinations are
+//! bandwidth-bound, so folding the operand sweeps into gemm's pack should
+//! buy wall-clock time exactly where the add fraction lives — multi-step
+//! plans whose leaf gemms are small relative to the S/T sweeps they
+//! bracket.
 //!
 //! Run with `cargo bench -p apa-bench --bench fusion`; `scripts/bench.sh`
 //! pairs it with the `fusionbench` binary that emits BENCH_5.json.

@@ -24,8 +24,8 @@
 //! and in which order — the property the `parallel2d` proptests pin down.
 //!
 //! A B operand that carries a [`crate::PackedB`] ([`crate::Mat::prepack`])
-//! leaves the arena unclaimed: every cell reads the prepacked panels
-//! directly, the same bytes a claim would have packed.
+//! builds no arena: every cell reads the prepacked panels directly, the
+//! same bytes a claim would have packed.
 //!
 //! First-touch NUMA placement falls out of the claim protocol: arena
 //! buffers start empty and are grown/written by the claiming worker, so
@@ -188,10 +188,12 @@ impl Drop for PoisonGuard<'_> {
 }
 
 /// The [`BPanelSource`] a worker hands to `gemm_core` for one cell:
-/// resolves KC-slab indices to shared arena slots of the cell's jc block,
+/// resolves KC-slab indices to the B operand's own panels when it carries
+/// a matching pack, else to shared arena slots of the cell's jc block,
 /// claiming + packing on first demand.
 struct SharedPanels<'a, T: Scalar> {
-    arena: &'a PanelArena<T>,
+    /// The call's arena; `None` exactly when `prepacked` is read instead.
+    arena: Option<&'a PanelArena<T>>,
     /// The full B operand (the cell's column window is cut per slab).
     b_terms: &'a [(T, MatRef<'a, T>)],
     /// jc block index and its column window in the full operand.
@@ -203,14 +205,15 @@ struct SharedPanels<'a, T: Scalar> {
     nr: usize,
     /// The call's ABFT session: pack fused row sums alongside the panel.
     session: Option<&'a AbftSession>,
-    /// The B operand's own panels, when it carries a matching pack.
+    /// The B operand's own panels, when it carries a matching pack and no
+    /// pack-B flip is armed for the call.
     prepacked: Option<&'a PackedB<T>>,
 }
 
 impl<T: Scalar> SharedPanels<'_, T> {
-    /// Pack slab `slab` into `slot` (exclusive access granted by the
-    /// EMPTY→CLAIMED CAS), then publish READY.
-    fn pack_into(&self, slot: &PanelSlot<T>, slab: usize) {
+    /// Pack slab `slab` into `slot` of `arena` (exclusive access granted
+    /// by the EMPTY→CLAIMED CAS), then publish READY.
+    fn pack_into(&self, arena: &PanelArena<T>, slot: &PanelSlot<T>, slab: usize) {
         let pc = slab * self.kc;
         let kc = self.kc.min(self.k - pc);
         let guard = PoisonGuard(&slot.state);
@@ -231,7 +234,7 @@ impl<T: Scalar> SharedPanels<'_, T> {
             #[cfg(feature = "fault-inject")]
             crate::blocked::flip_pack_b(buf, self.cols, kc, self.nr, self.session);
         }
-        self.arena.packed.fetch_add(1, Ordering::Relaxed);
+        arena.packed.fetch_add(1, Ordering::Relaxed);
         std::mem::forget(guard);
         slot.state.store(SLOT_READY, Ordering::Release);
     }
@@ -239,13 +242,14 @@ impl<T: Scalar> SharedPanels<'_, T> {
 
 impl<T: Scalar> BPanelSource<T> for SharedPanels<'_, T> {
     fn panel(&self, slab: usize) -> PackedPanel<'_, T> {
-        // A pack-B flip armed for this call goes through the arena, so it
-        // lands in the call's own pack and never in the prepacked panels.
-        if let Some(p) = self.prepacked.filter(|_| !pack_b_flip_armed(self.session)) {
+        let Some(arena) = self.arena else {
+            let p = self
+                .prepacked
+                .expect("a call without an arena reads a pack");
             let (buf, sums) = p.panel(self.jc_idx, slab);
             return (buf, sums.filter(|_| self.session.is_some()));
-        }
-        let slot = &self.arena.slots[self.jc_idx * self.arena.slabs + slab];
+        };
+        let slot = &arena.slots[self.jc_idx * arena.slabs + slab];
         let mut packed_here = false;
         let mut spins = 0u32;
         loop {
@@ -253,7 +257,7 @@ impl<T: Scalar> BPanelSource<T> for SharedPanels<'_, T> {
                 SLOT_READY => break,
                 SLOT_EMPTY => {
                     note_par_op();
-                    self.arena.claims.fetch_add(1, Ordering::Relaxed);
+                    arena.claims.fetch_add(1, Ordering::Relaxed);
                     if slot
                         .state
                         .compare_exchange(
@@ -264,7 +268,7 @@ impl<T: Scalar> BPanelSource<T> for SharedPanels<'_, T> {
                         )
                         .is_ok()
                     {
-                        self.pack_into(slot, slab);
+                        self.pack_into(arena, slot, slab);
                         packed_here = true;
                         break;
                     }
@@ -284,7 +288,7 @@ impl<T: Scalar> BPanelSource<T> for SharedPanels<'_, T> {
             }
         }
         if !packed_here {
-            self.arena.reused.fetch_add(1, Ordering::Relaxed);
+            arena.reused.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: READY was published with Release by the packer and
         // loaded with Acquire above; the slot is never written again.
@@ -459,8 +463,6 @@ fn gemm_2d<T: Scalar>(
     // throughput.
     let workers = threads.min(cells);
 
-    let slabs = k.div_ceil(bs.kc);
-    let arena = PanelArena::<T>::new(jcb, slabs);
     let queue = CellQueue::new(cells, workers);
     let grid = CellGrid {
         ptr: c.as_mut_ptr(),
@@ -468,12 +470,19 @@ fn gemm_2d<T: Scalar>(
     };
     // One session grab for the whole call; every cell checks under it.
     let session = abft::current();
+    let session_ref = session.as_deref();
+    // A B with a matching pack needs no arena — unless a pack-B flip is
+    // armed for the call: it must land in the call's own pack, never in
+    // the panels every later call reads.
+    let prepacked =
+        PackedB::of(b_terms, kernel_spec::<T>().nr, bs).filter(|_| !pack_b_flip_armed(session_ref));
+    let arena = prepacked
+        .is_none()
+        .then(|| PanelArena::<T>::new(jcb, k.div_ceil(bs.kc)));
 
-    let arena_ref = &arena;
+    let arena_ref = arena.as_ref();
     let queue_ref = &queue;
     let grid_ref = &grid;
-    let session_ref = session.as_deref();
-    let prepacked = PackedB::of(b_terms, kernel_spec::<T>().nr, bs);
 
     let result = pool(workers).try_scope(|s| {
         for w in 0..workers {
@@ -525,11 +534,14 @@ fn gemm_2d<T: Scalar>(
         }
     });
 
+    let arena_count = |f: fn(&PanelArena<T>) -> &AtomicU64| {
+        arena.as_ref().map_or(0, |a| f(a).load(Ordering::Relaxed))
+    };
     let stats = ParStats {
-        panels_packed: arena.packed.load(Ordering::Relaxed),
-        panels_reused: arena.reused.load(Ordering::Relaxed),
+        panels_packed: arena_count(|a| &a.packed),
+        panels_reused: arena_count(|a| &a.reused),
         cells_stolen: queue.steals.load(Ordering::Relaxed),
-        claim_ops: arena.claims.load(Ordering::Relaxed),
+        claim_ops: arena_count(|a| &a.claims),
     };
     PANELS_PACKED.fetch_add(stats.panels_packed, Ordering::Relaxed);
     PANELS_REUSED.fetch_add(stats.panels_reused, Ordering::Relaxed);

@@ -142,7 +142,9 @@ fn the_driver_reads_the_pack_instead_of_packing() {
     );
     let b_panel = n.div_ceil(spec.nr) * spec.nr * k * 4;
     assert_eq!(per_call - prepacked, b_panel, "{per_call} vs {prepacked}");
-    // 2D parallel: no panel goes through the shared arena.
+    // 2D parallel: no panel goes through a shared arena, and none is
+    // built. The calling thread's parallel-op count moves only by arena
+    // builds (slot claims and queue pops run on the pool's workers).
     let bs = block_sizes::<f32>();
     let (at, bp, bq) = (
         [(1.0f32, a.as_ref())],
@@ -151,12 +153,19 @@ fn the_driver_reads_the_pack_instead_of_packing() {
     );
     let mut c = Mat::zeros(m, n);
     let run = |b: &[(f32, apa_gemm::MatRef<'_, f32>)], c: &mut Mat<f32>| {
-        apa_gemm::parallel::hooks::gemm_2d_with_blocks(1.0, &at, b, 0.0, c.as_mut(), 2, bs)
-            .unwrap()
-            .panels_packed
+        let before = apa_gemm::parallel::thread_par_ops();
+        let packed =
+            apa_gemm::parallel::hooks::gemm_2d_with_blocks(1.0, &at, b, 0.0, c.as_mut(), 2, bs)
+                .unwrap()
+                .panels_packed;
+        (packed, apa_gemm::parallel::thread_par_ops() - before)
     };
-    assert!(run(&bp, &mut c) > 0);
-    assert_eq!(run(&bq, &mut c), 0);
+    let (panels, arenas) = run(&bp, &mut c);
+    assert!(
+        panels > 0 && arenas == 1,
+        "{panels} panels, {arenas} arenas"
+    );
+    assert_eq!(run(&bq, &mut c), (0, 0), "(panels packed, arenas built)");
 }
 
 #[test]

@@ -17,9 +17,9 @@
 //! repeats. Because substitution uses coefficient ±1 and the temp is
 //! formed with the original coefficients, no new multiplications (and no
 //! new roundings beyond re-association of the addition order) are
-//! introduced: CSE-on matches CSE-off within the same re-association
-//! bound as the PR-5 epilogue fusion — and a plan with no temps executes
-//! the bit-exact legacy path.
+//! introduced: CSE-on matches CSE-off up to the re-association of each
+//! combination's sum — and a plan with no temps executes the bit-exact
+//! legacy path.
 //!
 //! Pair counting and tie-breaking run over ordered maps, so the rewrite
 //! is deterministic: the same plan always compiles to the same temps (the

@@ -21,31 +21,16 @@
 //!
 //! # Fused execution
 //!
-//! Under [`FusionPolicy::Auto`] the framework's additions fold into the
-//! gemm leaves instead of materializing:
-//!
-//! * **Pack-time operand combination** — steps 2–3 merge: the term lists
-//!   `Σᵢ uᵢ·A_i` / `Σᵢ vᵢ·B_i` go straight to
-//!   [`gemm_combined`], whose packers form the combination while packing
-//!   panels. The packers mirror the `combine` kernels' FMA chains exactly,
-//!   so this is **bitwise identical** to materializing `S_t`/`T_t` first —
-//!   and each operand element is read once instead of written to and
-//!   re-read from a scratch buffer.
-//! * **Epilogue W-accumulation** — step 4 merges into step 3 for every
-//!   output block whose products all have fan-out 1 (and, under Hybrid,
-//!   whose owned-phase writers share one thread's chunk): the product is
-//!   written as `C_blk ← w·α·(S_t·T_t) + β·C_blk` from the register tile,
-//!   eliminating the `M_t` buffer and a full write+read of it. This
-//!   *reorders* the final accumulation — `w·(α·acc)` instead of
-//!   `(w·α)·acc`, and a running gemm-epilogue sum instead of `combine`'s
-//!   single FMA chain — so fused results match the materialized path to
-//!   rounding, not bitwise: each fused output element differs by at most
-//!   `(n_w + 1)·ε·Σ|w_t·M_t|` where `n_w` is the block's writer count
-//!   (≤ 2 ulp of the accumulated magnitude for every catalog rule, which
-//!   is far below the APA rules' own `O(λ)` approximation error).
-//!
-//! [`FusionPolicy::Never`] runs the fully materialized path above,
-//! unchanged — the bitwise sentinel the property tests compare against.
+//! Under [`FusionPolicy::Auto`] steps 2–3 merge: the term lists
+//! `Σᵢ uᵢ·A_i` / `Σᵢ vᵢ·B_i` go straight to [`gemm_combined`], whose
+//! packers form the combination while packing panels, so each operand
+//! element is read once instead of written to and re-read from a scratch
+//! buffer. The packers mirror the `combine` kernels' FMA chains exactly,
+//! so this pack-time fusion is **bitwise identical** to materializing
+//! `S_t`/`T_t` first. It is the only fusion: every product lands in its
+//! `M_t` buffer and step 4 forms every output block, so `Auto` and
+//! [`FusionPolicy::Never`] (the fully materialized path, the reference
+//! the property tests compare against) agree bit for bit on every rule.
 //!
 //! Every buffer the engine touches lives in a [`LevelWs`] tree, part of a
 //! workspace that [`crate::ApaMatmul`] caches per shape, so the steady
@@ -58,7 +43,7 @@
 
 use crate::plan::{Combo, ExecPlan};
 use crate::schedule::{effective_strategy, FusionPolicy, Strategy};
-use crate::workspace::{combo_needs_buffer, FusionSpec, LaneWs, LevelWs};
+use crate::workspace::{combo_needs_buffer, LaneWs, LevelWs};
 use apa_gemm::{abft, combine_par, gemm, gemm_combined, pool, Mat, MatMut, MatRef, Par, Scalar};
 use std::borrow::Borrow;
 
@@ -236,27 +221,6 @@ fn materialize_operand_temps<T: Scalar>(
     }
 }
 
-/// Where a product's result lands.
-enum Target<'w, 'c, T: Scalar> {
-    /// Materialize `M_t = α·S_t·T_t` into the workspace product buffer.
-    Buf(&'w mut Mat<T>),
-    /// Epilogue-fused: `C_blk ← w·α·(S_t·T_t) + β·C_blk` straight from the
-    /// gemm register tile. The bool marks the block's first writer in
-    /// execution order (β = 0; later writers accumulate with β = 1).
-    Block(MatMut<'c, T>, f64, bool),
-}
-
-/// The output coefficient of fused product `t` in `block`, read from the
-/// caller's plan (the workspace schedule stores only structure so that
-/// structurally identical plans with different coefficients can share it).
-fn output_weight(plan: &ExecPlan, block: usize, t: usize) -> f64 {
-    plan.c_outputs[block]
-        .iter()
-        .find(|&&(tt, _)| tt == t)
-        .map(|&(_, w)| w)
-        .expect("fused product contributes to its block")
-}
-
 #[allow(clippy::too_many_arguments)]
 fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     plan: &ExecPlan,
@@ -276,13 +240,12 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     let LevelWs {
         products,
         lanes,
-        fusion,
+        policy,
         a_temps,
         b_temps,
         w_temps,
     } = level;
-    let fusion = &*fusion;
-    let policy = fusion.policy;
+    let policy = *policy;
     debug_assert_eq!(products.len(), r, "workspace product count mismatch");
 
     // CSE temps for the operand sides materialize once, before the
@@ -298,58 +261,21 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     let a_blocks = Blocks::new(a, a_tail, d.m, d.k, &*a_temps);
     let b_blocks = Blocks::new(b, None, d.k, d.n, &*b_temps);
     debug_assert!(!lanes.is_empty(), "workspace has no lanes");
-    let (bm, bn) = (a_blocks.rows, c.cols() / d.n);
-    let mut c = c;
+    let compute = |t, m_out: &mut Mat<T>, par, lane: &mut LaneWs<T>| {
+        compute_product(plan, rest, t, a_blocks, b_blocks, m_out, par, lane, policy)
+    };
 
     match strategy {
         Strategy::Seq | Strategy::Dfs => {
             let par = leaf_par(strategy, threads);
-            let lane = &mut lanes[0];
             for (t, m_out) in products.iter_mut().enumerate() {
-                let target = match fusion.epilogue_of(t) {
-                    Some((block, init)) => {
-                        let (bi, bj) = (block / d.n, block % d.n);
-                        let dst = c.rb().into_subview(bi * bm, bj * bn, bm, bn);
-                        Target::Block(dst, output_weight(plan, block, t), init)
-                    }
-                    None => Target::Buf(m_out),
-                };
-                compute_product(plan, rest, t, a_blocks, b_blocks, target, par, lane, policy);
+                compute(t, m_out, par, &mut lanes[0]);
             }
         }
-        Strategy::Bfs => {
-            // Contiguous chunks (instead of the round-robin lists of
-            // `bfs_schedule`) carry the same work distribution with no
-            // per-call list allocation; threads is already capped at r.
-            // BFS never epilogue-fuses (see `fused_block_mask`), so every
-            // product materializes.
-            debug_assert_eq!(fusion.fused_products(), 0);
-            let chunk = r.div_ceil(threads);
-            let session = &abft::current();
-            pool(threads).scope(|s| {
-                for (ci, (chunk_prods, lane)) in
-                    products.chunks_mut(chunk).zip(lanes.iter_mut()).enumerate()
-                {
-                    s.spawn(move |_| {
-                        let _scope = session.clone().map(abft::scoped);
-                        for (j, m_out) in chunk_prods.iter_mut().enumerate() {
-                            let t = ci * chunk + j;
-                            compute_product(
-                                plan,
-                                rest,
-                                t,
-                                a_blocks,
-                                b_blocks,
-                                Target::Buf(m_out),
-                                Par::Seq,
-                                lane,
-                                policy,
-                            );
-                        }
-                    });
-                }
-            });
-        }
+        // Contiguous chunks (instead of the round-robin lists of
+        // `bfs_schedule`) carry the same work distribution with no
+        // per-call list allocation; threads is already capped at r.
+        Strategy::Bfs => run_chunks(products, r.div_ceil(threads), lanes, threads, &compute),
         Strategy::Hybrid => {
             // r = p·q + ℓ with q ≥ 1 (q = 0 was coerced to Dfs): each
             // thread owns a contiguous run of q products, then the ℓ
@@ -357,107 +283,10 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
             let q = r / threads;
             let owned = threads * q;
             let (own_slice, rem_slice) = products.split_at_mut(owned);
-            let session = &abft::current();
-            if fusion.any_fused_below(owned) {
-                // Hand each lane the C blocks its chunk epilogue-fuses
-                // into. A fused block's owned-phase writers all live in
-                // one chunk (the schedule demotes blocks that straddle),
-                // so the block views distribute race-free. The grid
-                // allocation is amortized against the spawn boxing the
-                // parallel path already pays. Fused blocks all lie above
-                // a padded tail, so the grid covers the head rows.
-                let (head, n) = (a_blocks.head, c.cols());
-                let mut grid: Vec<Option<MatMut<'_, T>>> = c
-                    .rb()
-                    .into_subview(0, 0, head * bm, n)
-                    .into_grid(head, d.n)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-                pool(threads).scope(|s| {
-                    for (i, (chunk_prods, lane)) in
-                        own_slice.chunks_mut(q).zip(lanes.iter_mut()).enumerate()
-                    {
-                        let mut owned_blocks: Vec<(usize, MatMut<'_, T>)> = Vec::new();
-                        for j in 0..chunk_prods.len() {
-                            if let Some((block, _)) = fusion.epilogue_of(i * q + j) {
-                                if let Some(view) = grid[block].take() {
-                                    owned_blocks.push((block, view));
-                                }
-                            }
-                        }
-                        s.spawn(move |_| {
-                            let _scope = session.clone().map(abft::scoped);
-                            for (j, m_out) in chunk_prods.iter_mut().enumerate() {
-                                let t = i * q + j;
-                                let target = match fusion.epilogue_of(t) {
-                                    Some((block, init)) => {
-                                        let dst = owned_blocks
-                                            .iter_mut()
-                                            .find(|(b, _)| *b == block)
-                                            .expect("chunk owns its fused blocks")
-                                            .1
-                                            .rb();
-                                        Target::Block(dst, output_weight(plan, block, t), init)
-                                    }
-                                    None => Target::Buf(m_out),
-                                };
-                                compute_product(
-                                    plan,
-                                    rest,
-                                    t,
-                                    a_blocks,
-                                    b_blocks,
-                                    target,
-                                    Par::Seq,
-                                    lane,
-                                    policy,
-                                );
-                            }
-                        });
-                    }
-                });
-            } else {
-                pool(threads).scope(|s| {
-                    for (i, (chunk_prods, lane)) in
-                        own_slice.chunks_mut(q).zip(lanes.iter_mut()).enumerate()
-                    {
-                        s.spawn(move |_| {
-                            let _scope = session.clone().map(abft::scoped);
-                            for (j, m_out) in chunk_prods.iter_mut().enumerate() {
-                                compute_product(
-                                    plan,
-                                    rest,
-                                    i * q + j,
-                                    a_blocks,
-                                    b_blocks,
-                                    Target::Buf(m_out),
-                                    Par::Seq,
-                                    lane,
-                                    policy,
-                                );
-                            }
-                        });
-                    }
-                });
-            }
-            // The spawned tasks are done; lane 0 and the C grid borrows
-            // are free again. Remainder writers run sequentially (in t
-            // order, after every owned chunk), so fused accumulation into
-            // a shared block stays ordered.
+            run_chunks(own_slice, q, lanes, threads, &compute);
             let par = Par::Threads(threads);
-            let lane = &mut lanes[0];
             for (j, m_out) in rem_slice.iter_mut().enumerate() {
-                let t = owned + j;
-                let target = match fusion.epilogue_of(t) {
-                    Some((block, init)) => {
-                        let (bi, bj) = (block / d.n, block % d.n);
-                        let dst = c.rb().into_subview(bi * bm, bj * bn, bm, bn);
-                        Target::Block(dst, output_weight(plan, block, t), init)
-                    }
-                    None => Target::Buf(m_out),
-                };
-                compute_product(plan, rest, t, a_blocks, b_blocks, target, par, lane, policy);
+                compute(owned + j, m_out, par, &mut lanes[0]);
             }
         }
     }
@@ -489,15 +318,37 @@ fn one_step<T: Scalar, P: Borrow<ExecPlan> + Sync>(
         }
     }
 
-    write_outputs(plan, bm, c, products, w_temps, strategy, threads, fusion);
+    write_outputs(plan, a_blocks.rows, c, products, w_temps, strategy, threads);
 }
 
-/// Compute product `t` into its target: stage `S_t`/`T_t` as term lists
-/// (see [`with_combo_terms`]), then either recurse on them or make the
-/// gemm call. At a leaf the staged combinations form during the gemm pack
-/// sweep (the packers mirror the `combine` kernels FMA for FMA, so this is
-/// bitwise identical to materializing first), and the product lands in
-/// its target straight from the register tile. Under `Never` every
+/// Run `products` (product `t` at index `t`) as contiguous chunks of
+/// `chunk` products, one pool task per chunk on its own lane, every leaf
+/// single-threaded. Each task installs the caller's ABFT session.
+fn run_chunks<T: Scalar>(
+    products: &mut [Mat<T>],
+    chunk: usize,
+    lanes: &mut [LaneWs<T>],
+    threads: usize,
+    compute: &(impl Fn(usize, &mut Mat<T>, Par, &mut LaneWs<T>) + Sync),
+) {
+    let session = &abft::current();
+    pool(threads).scope(|s| {
+        for (ci, (chunk_prods, lane)) in products.chunks_mut(chunk).zip(lanes).enumerate() {
+            s.spawn(move |_| {
+                let _scope = session.clone().map(abft::scoped);
+                for (j, m_out) in chunk_prods.iter_mut().enumerate() {
+                    compute(ci * chunk + j, m_out, Par::Seq, lane);
+                }
+            });
+        }
+    });
+}
+
+/// Compute product `t` into its buffer `m_out`: stage `S_t`/`T_t` as term
+/// lists (see [`with_combo_terms`]), then either recurse on them or make
+/// the gemm call. At a leaf the staged combinations form during the gemm
+/// pack sweep (the packers mirror the `combine` kernels FMA for FMA, so
+/// this is bitwise identical to materializing first). Under `Never` every
 /// multi-term combination is materialized, the lists are unit lists and
 /// the call is the engine's pre-fusion `gemm`, bit for bit.
 #[allow(clippy::too_many_arguments)]
@@ -507,7 +358,7 @@ fn compute_product<T: Scalar, P: Borrow<ExecPlan> + Sync>(
     t: usize,
     a_blocks: Blocks<'_, T>,
     b_blocks: Blocks<'_, T>,
-    target: Target<'_, '_, T>,
+    m_out: &mut Mat<T>,
     par: Par,
     lane: &mut LaneWs<T>,
     policy: FusionPolicy,
@@ -518,23 +369,12 @@ fn compute_product<T: Scalar, P: Borrow<ExecPlan> + Sync>(
         t_buf,
         child,
     } = lane;
-    let (dst, w, init) = match target {
-        Target::Buf(m_out) => {
-            debug_assert_eq!(
-                (m_out.rows(), m_out.cols()),
-                (a_blocks.rows, b_blocks.cols),
-                "workspace product-buffer shape mismatch"
-            );
-            (m_out.as_mut(), 1.0, true)
-        }
-        Target::Block(dst, w, init) => {
-            debug_assert!(
-                !recursive && policy != FusionPolicy::Never,
-                "recursive and Never-policy products never epilogue-fuse"
-            );
-            (dst, w, init)
-        }
-    };
+    debug_assert_eq!(
+        (m_out.rows(), m_out.cols()),
+        (a_blocks.rows, b_blocks.cols),
+        "workspace product-buffer shape mismatch"
+    );
+    let dst = m_out.as_mut();
     let (a_combo, b_combo) = (&plan.a_combos[t], &plan.b_combos[t]);
     with_combo_terms(
         a_combo,
@@ -573,9 +413,8 @@ fn compute_product<T: Scalar, P: Borrow<ExecPlan> + Sync>(
                             child,
                         );
                     } else {
-                        let alpha = T::from_f64(w * alpha_a * alpha_b);
-                        let beta = if init { T::ZERO } else { T::ONE };
-                        gemm_combined(alpha, a_terms, b_terms, beta, dst, par);
+                        let alpha = T::from_f64(alpha_a * alpha_b);
+                        gemm_combined(alpha, a_terms, b_terms, T::ZERO, dst, par);
                     }
                 },
             )
@@ -638,10 +477,9 @@ fn form_combo<T: Scalar>(dst: MatMut<'_, T>, combo: &Combo, blocks: Blocks<'_, T
     }
 }
 
-/// Form every unfused `bm`-row output block from its products. Under a
-/// padded tail C holds fewer than `d.m·bm` rows: a block is stored only
-/// down to C's last real row.
-#[allow(clippy::too_many_arguments)]
+/// Form every `bm`-row output block from its products. Under a padded
+/// tail C holds fewer than `d.m·bm` rows: a block is stored only down to
+/// C's last real row.
 fn write_outputs<T: Scalar>(
     plan: &ExecPlan,
     bm: usize,
@@ -650,7 +488,6 @@ fn write_outputs<T: Scalar>(
     w_temps: &[Mat<T>],
     strategy: Strategy,
     threads: usize,
-    fusion: &FusionSpec,
 ) {
     let d = plan.dims;
     let r = plan.rank;
@@ -658,9 +495,6 @@ fn write_outputs<T: Scalar>(
     let par = leaf_par(strategy, threads);
     let mut c = c;
     for block in 0..d.m * d.n {
-        if fusion.is_block_fused(block) {
-            continue; // already landed in C from the gemm epilogue
-        }
         let (bi, bj) = (block / d.n, block % d.n);
         let rows = bm.min(c.rows().saturating_sub(bi * bm));
         if rows == 0 {
@@ -687,7 +521,7 @@ fn write_outputs<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::{build_level, ALL_ROWS};
+    use crate::workspace::build_level;
     use apa_core::catalog;
     use apa_gemm::matmul_naive;
 
@@ -712,7 +546,7 @@ mod tests {
         fusion: FusionPolicy,
     ) -> Mat<T> {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let mut level = build_level(chain, m, k, n, strategy, threads, fusion, ALL_ROWS);
+        let mut level = build_level(chain, m, k, n, strategy, threads, fusion);
         let mut c = Mat::zeros(m, n);
         run_level(chain, a, None, b, c.as_mut(), strategy, threads, &mut level);
         c
@@ -997,10 +831,9 @@ mod tests {
 
     #[test]
     fn fused_matches_materialized_across_catalog() {
-        // Pack-time fusion alone is bitwise identical to the materialized
-        // path; epilogue fusion reorders the C accumulation, so rules with
-        // fused blocks match within the documented rounding bound instead.
-        for alg in catalog::paper_lineup() {
+        // Pack-time fusion is the only fusion, and it is bitwise identical
+        // to the materialized path: Auto is Never on every catalog rule.
+        for alg in catalog::all() {
             let lambda = if alg.is_exact_rule() {
                 0.0
             } else {
@@ -1014,86 +847,7 @@ mod tests {
             let run = |fusion| run(&[&plan], a.as_ref(), b.as_ref(), Strategy::Seq, 1, fusion);
             let auto = run(FusionPolicy::Auto);
             let never = run(FusionPolicy::Never);
-            let mask = crate::workspace::fused_block_mask(
-                &plan,
-                Strategy::Seq,
-                1,
-                false,
-                FusionPolicy::Auto,
-            );
-            if mask == 0 {
-                assert_bitwise(&auto, &never, &alg.name);
-            } else {
-                let err = auto.rel_frobenius_error(&never);
-                assert!(err < 1e-14, "{}: epilogue reorder err {err}", alg.name);
-            }
-        }
-    }
-
-    #[test]
-    fn epilogue_fusion_agrees_across_strategies() {
-        use apa_core::bilinear::Dims;
-        // ⟨2,2,2;8⟩ classical epilogue-fuses every block under Seq/Dfs —
-        // and under Hybrid exactly where the chunk rule allows.
-        let plan = ExecPlan::compile(&catalog::classical(Dims::new(2, 2, 2)), 0.0);
-        let a = rand_mat(32, 32, 31);
-        let b = rand_mat(32, 32, 32);
-        let expect = matmul_naive(a.as_ref(), b.as_ref());
-        for (strategy, threads) in [
-            (Strategy::Seq, 1),
-            (Strategy::Dfs, 2),
-            (Strategy::Hybrid, 2),
-            (Strategy::Hybrid, 3),
-            (Strategy::Hybrid, 4),
-            (Strategy::Bfs, 3),
-        ] {
-            for fusion in [FusionPolicy::Auto, FusionPolicy::Never] {
-                let got = run(&[&plan], a.as_ref(), b.as_ref(), strategy, threads, fusion);
-                let err = got.rel_frobenius_error(&expect);
-                assert!(
-                    err < 1e-13,
-                    "classical ({strategy:?}, t={threads}, {fusion:?}): {err}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hybrid_fused_run_matches_sequential() {
-        use apa_core::bilinear::Dims;
-        // The owned-phase grid distribution and the sequential path must
-        // produce identical fused placements; 3×3 classical (r = 27) with
-        // 3 threads gives q = 9 with several fused blocks per chunk.
-        let plan = ExecPlan::compile(&catalog::classical(Dims::new(3, 3, 3)), 0.0);
-        let a = rand_mat(27, 27, 41);
-        let b = rand_mat(27, 27, 42);
-        let seq = run(
-            &[&plan],
-            a.as_ref(),
-            b.as_ref(),
-            Strategy::Seq,
-            1,
-            FusionPolicy::Auto,
-        );
-        let hybrid = run(
-            &[&plan],
-            a.as_ref(),
-            b.as_ref(),
-            Strategy::Hybrid,
-            3,
-            FusionPolicy::Auto,
-        );
-        let mask =
-            |s, t| crate::workspace::fused_block_mask(&plan, s, t, false, FusionPolicy::Auto);
-        if mask(Strategy::Hybrid, 3) == mask(Strategy::Seq, 1) {
-            // Same fused placements → same t-ordered accumulation per
-            // block, whichever lane ran it.
-            assert_bitwise(&hybrid, &seq, "hybrid fused vs seq fused");
-        } else {
-            // The chunk rule demoted some blocks to the materialized
-            // combine; those reassociate the final sum.
-            let err = hybrid.rel_frobenius_error(&seq);
-            assert!(err < 1e-14, "hybrid vs seq err {err}");
+            assert_bitwise(&auto, &never, &alg.name);
         }
     }
 }

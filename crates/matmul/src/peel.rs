@@ -400,8 +400,8 @@ mod tests {
 
     #[test]
     fn parallel_peeling_matches() {
-        // ⟨2,2,2;8⟩ classical epilogue-fuses its head blocks, so Hybrid
-        // hands lanes C views above the padded tail.
+        // Hybrid's lanes and its all-thread remainder read the padded
+        // tail through the same block grid as the sequential run.
         let bini = ExecPlan::compile(&catalog::bini322(), 2.0_f64.powi(-26));
         let classical = ExecPlan::compile(&catalog::classical(Dims::new(2, 2, 2)), 0.0);
         let a = rand_mat(25, 13, 40);

@@ -72,8 +72,7 @@ pub struct ExecPlan {
     /// B-side temporaries, addressed as `dims.k·dims.n + i`.
     pub b_temps: Vec<Vec<(usize, f64)>>,
     /// W-side temporaries over products (and earlier W-temps), addressed
-    /// by output terms as `rank + i`. A plan with W-temps never
-    /// epilogue-fuses (the shared partial sums must materialize).
+    /// by output terms as `rank + i`.
     pub w_temps: Vec<Vec<(usize, f64)>>,
 }
 

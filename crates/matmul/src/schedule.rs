@@ -29,24 +29,21 @@ pub enum Strategy {
     Hybrid,
 }
 
-/// Whether the engine may fuse the APA framework's additions into the
-/// gemm leaves (pack-time operand combination, epilogue W-accumulation)
-/// instead of materializing `S_t`/`T_t`/`M_t` buffers.
+/// Whether the engine may fold the APA framework's operand combinations
+/// into the gemm pack sweep instead of materializing `S_t`/`T_t` buffers.
 ///
-/// * [`FusionPolicy::Auto`] (the default) fuses wherever the combination
-///   arity fits the engine's inline term stage and the strategy keeps the
-///   fused `C` writes race-free — this preserves the engine's
-///   zero-allocation steady state.
+/// * [`FusionPolicy::Auto`] (the default) fuses every leaf combination
+///   whose arity fits the engine's inline term stage — this preserves the
+///   engine's zero-allocation steady state.
 /// * [`FusionPolicy::Never`] runs the fully materialized pre-fusion path,
 ///   kept as the bitwise sentinel/fallback reference.
 ///
-/// Pack-time fusion alone is bitwise identical to the materialized path
-/// (the combined packers mirror the write-once `combine` kernels FMA for
-/// FMA). Epilogue fusion reorders the final accumulation into `C` — see
-/// the closeness bounds documented on [`crate::exec`].
+/// The two are bitwise identical on every rule: the combined packers
+/// mirror the write-once `combine` kernels FMA for FMA, and every product
+/// reaches `C` through the same output pass (see [`crate::exec`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum FusionPolicy {
-    /// Fuse wherever arity and strategy permit (zero-alloc preserved).
+    /// Fuse wherever the arity permits (zero-alloc preserved).
     #[default]
     Auto,
     /// Fully materialized execution (the pre-fusion reference path).

@@ -13,7 +13,7 @@
 
 use crate::plan::{Combo, ExecPlan};
 use crate::schedule::{effective_strategy, FusionPolicy, Strategy};
-use crate::workspace::{build_level, combo_pack_fusable, LevelWs, ALL_ROWS};
+use crate::workspace::{build_level, combo_pack_fusable, LevelWs};
 use apa_gemm::{combine, gemm_combined_st, Mat, MatRef, Scalar};
 use std::time::Instant;
 
@@ -44,14 +44,11 @@ pub struct ExecProfile {
     /// Multi-term operand combinations folded into the gemm pack sweep
     /// instead of being materialized into an `S`/`T` buffer.
     pub fused_packs: usize,
-    /// Products whose `w_t` contribution accumulated into `C` straight
-    /// from the gemm epilogue instead of through an `M_t` buffer.
-    pub fused_epilogues: usize,
     /// Estimated intermediate-buffer traffic (bytes read + written) of the
-    /// framework's additions under the executed fusion schedule: operand
-    /// reads during packing/combination, `S`/`T`/`M` buffer round-trips,
-    /// and `C` epilogue traffic. A model, not a hardware counter — use it
-    /// to compare fusion policies on the same shape, where the gemm-side
+    /// framework's additions under the executed fusion policy: operand
+    /// reads during packing/combination, `S`/`T`/`M` buffer round-trips
+    /// and the output pass. A model, not a hardware counter — use it to
+    /// compare fusion policies on the same shape, where the gemm-side
     /// traffic cancels out.
     pub est_bytes_moved: u64,
 }
@@ -166,7 +163,7 @@ pub fn profile_one_step<T: Scalar>(
 ) -> (Mat<T>, ExecProfile) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     check_dims(plan, m, k, n, b.rows());
-    let mut level = build_level(&[plan], m, k, n, Strategy::Seq, 1, fusion, ALL_ROWS);
+    let mut level = build_level(&[plan], m, k, n, Strategy::Seq, 1, fusion);
     let mut profile = base_profile();
     profile.alloc_bytes = (level.elems() * std::mem::size_of::<T>()) as u64;
     let c = instrumented_one_step(plan, a, b, &mut level, &mut profile);
@@ -206,12 +203,12 @@ fn instrumented_one_step<T: Scalar>(
     let LevelWs {
         products,
         lanes,
-        fusion,
+        policy,
         a_temps,
         b_temps,
         w_temps,
     } = level;
-    let policy = fusion.policy;
+    let policy = *policy;
     debug_assert_eq!(products.len(), plan.rank);
     let lane = &mut lanes[0];
 
@@ -252,45 +249,22 @@ fn instrumented_one_step<T: Scalar>(
         );
         profile.add_seconds += t0.elapsed().as_secs_f64();
 
-        // Destination: the product's own M_t buffer, or — when the
-        // schedule epilogue-fuses it — its C sub-block directly, with
-        // w_t folded into α and β selecting init vs accumulate.
-        let (dst, w, beta) = match fusion.epilogue_of(t) {
-            Some((block, init)) => {
-                let (bi, bj) = (block / d.n, block % d.n);
-                let w = plan.c_outputs[block]
-                    .iter()
-                    .find(|&&(pt, _)| pt == t)
-                    .map(|&(_, w)| w)
-                    .expect("fused product contributes to its block");
-                profile.fused_epilogues += 1;
-                profile.est_bytes_moved += ((if init { 1 } else { 2 }) * bm * bn * elem) as u64;
-                (
-                    c.as_mut().into_subview(bi * bm, bj * bn, bm, bn),
-                    w,
-                    if init { T::ZERO } else { T::ONE },
-                )
-            }
-            None => {
-                profile.est_bytes_moved += (bm * bn * elem) as u64;
-                (product.as_mut(), 1.0, T::ZERO)
-            }
-        };
-
+        // The product lands in its own M_t buffer.
+        profile.est_bytes_moved += (bm * bn * elem) as u64;
         let t1 = Instant::now();
         gemm_combined_st(
-            T::from_f64(w * alpha_a * alpha_b),
+            T::from_f64(alpha_a * alpha_b),
             &a_terms,
             &b_terms,
-            beta,
-            dst,
+            T::ZERO,
+            product.as_mut(),
         );
         profile.mult_seconds += t1.elapsed().as_secs_f64();
         profile.gemm_calls += 1;
         profile.mult_flops += 2.0 * bm as f64 * bk as f64 * bn as f64;
     }
 
-    // Output combinations for the blocks the epilogue did not absorb.
+    // Output combinations, one per C block.
     let t2 = Instant::now();
     {
         // W-side CSE temps form from the products before the output pass
@@ -300,9 +274,6 @@ fn instrumented_one_step<T: Scalar>(
         let r = plan.rank;
         let c_blocks = c.as_mut().into_grid(d.m, d.n);
         for (block, mut dst) in c_blocks.into_iter().enumerate() {
-            if fusion.is_block_fused(block) {
-                continue;
-            }
             let terms: Vec<(T, MatRef<'_, T>)> = plan.c_outputs[block]
                 .iter()
                 .map(|&(t, coeff)| {
@@ -359,7 +330,7 @@ fn instrument_temps<T: Scalar>(
 /// Analytic mirror of [`ExecProfile::est_bytes_moved`] for a uniform
 /// `steps`-deep execution of `plan` on an `m×k·k×n` product — the traffic
 /// the framework's additions and buffer round-trips would generate under
-/// the given schedule, *without running anything*. The `apa-planner` cost
+/// the given fusion policy, *without running anything*. The `apa-planner` cost
 /// model ranks candidate plans by `flops/rate + modeled_bytes/bandwidth`.
 ///
 /// Accounting (per level, mirroring the instrumented path):
@@ -367,20 +338,16 @@ fn instrument_temps<T: Scalar>(
 ///   multi-term list reads `L` blocks; a materialized combination reads
 ///   `L` blocks and round-trips the scratch buffer (`L + 2`);
 /// * CSE temps: `L + 1` (reads plus one write) each;
-/// * products: one write each, or `2L − 1` block-writes for an
-///   epilogue-fused output block with `L` contributors;
-/// * outputs: `L + 1` per non-fused block;
+/// * products: one write each;
+/// * outputs: `L + 1` per block with `L` contributors;
 /// * a non-divisible or exhausted level is a classical gemm reading both
 ///   operands and writing `C`.
-#[allow(clippy::too_many_arguments)]
 pub fn modeled_bytes_moved(
     plan: &ExecPlan,
     m: usize,
     k: usize,
     n: usize,
     steps: u32,
-    strategy: Strategy,
-    threads: usize,
     fusion: FusionPolicy,
     elem_size: usize,
 ) -> u64 {
@@ -391,7 +358,6 @@ pub fn modeled_bytes_moved(
     let d = plan.dims;
     let (bm, bk, bn) = (m / d.m, k / d.k, n / d.n);
     let recursive = steps > 1 && crate::exec::divisible(plan, bm, bk, bn);
-    let mask = crate::workspace::fused_block_mask(plan, strategy, threads, recursive, fusion);
 
     let temp_bytes = |spec: &[Vec<(usize, f64)>], elems: usize| -> u64 {
         spec.iter()
@@ -418,35 +384,17 @@ pub fn modeled_bytes_moved(
         + side_bytes(&plan.a_combos, bm * bk)
         + side_bytes(&plan.b_combos, bk * bn);
 
+    // Each product writes its M_t buffer once; each output block reads
+    // its L contributors and writes once.
     let block_elems = (bm * bn) as u64 * es;
-    let mut fused_products = 0usize;
-    for (block, contrib) in plan.c_outputs.iter().enumerate() {
-        let l = contrib.len();
-        if block < 64 && mask & (1u64 << block) != 0 {
-            // Fused: the first writer streams once (β = 0), later writers
-            // read-modify-write; no output combine pass.
-            bytes += ((2 * l).saturating_sub(1)) as u64 * block_elems;
-            fused_products += l;
-        } else {
-            bytes += (l + 1) as u64 * block_elems;
-        }
+    bytes += plan.rank as u64 * block_elems;
+    for contrib in &plan.c_outputs {
+        bytes += (contrib.len() + 1) as u64 * block_elems;
     }
-    // Non-fused products each write their M_t buffer once.
-    bytes += (plan.rank - fused_products) as u64 * block_elems;
 
     if recursive {
-        bytes += plan.rank as u64
-            * modeled_bytes_moved(
-                plan,
-                bm,
-                bk,
-                bn,
-                steps - 1,
-                Strategy::Seq,
-                1,
-                fusion,
-                elem_size,
-            );
+        bytes +=
+            plan.rank as u64 * modeled_bytes_moved(plan, bm, bk, bn, steps - 1, fusion, elem_size);
     }
     bytes
 }
@@ -518,7 +466,6 @@ mod tests {
         assert!(c.rel_frobenius_error(&expect) < 1e-12);
         assert_eq!(profile.gemm_calls, 7);
         assert_eq!(profile.fused_packs, 0);
-        assert_eq!(profile.fused_epilogues, 0);
         assert!(profile.est_bytes_moved > 0);
         assert!(profile.mult_seconds > 0.0);
         assert!(profile.add_seconds > 0.0);
@@ -568,10 +515,8 @@ mod tests {
             }
         }
         // Strassen: 5 of 7 A-combos and 5 of 7 B-combos are multi-term and
-        // all fit the inline stage; no C block is all-fanout-1, so the
-        // epilogue stays materialized.
+        // all fit the inline stage.
         assert_eq!(auto.fused_packs, 10);
-        assert_eq!(auto.fused_epilogues, 0);
         assert_eq!(never.fused_packs, 0);
         // S/T scratch gone: 7 products of 32×32 f64, nothing else.
         assert_eq!(auto.alloc_bytes, 7 * 32 * 32 * 8);
@@ -582,20 +527,19 @@ mod tests {
     }
 
     #[test]
-    fn classical_rule_fuses_every_epilogue() {
+    fn classical_rule_materializes_every_product() {
         let plan = ExecPlan::compile(&catalog::classical(apa_core::Dims::new(2, 2, 2)), 0.0);
         let a = probe(32, 11);
         let b = probe(32, 12);
         let (c, profile) = profile_one_step(&plan, a.as_ref(), b.as_ref(), FusionPolicy::Auto);
         let expect = matmul_naive(a.as_ref(), b.as_ref());
         assert!(c.rel_frobenius_error(&expect) < 1e-12);
-        // All 8 products stream straight into their C blocks: no M_t
-        // buffers, no combine pass at all.
+        // Singleton combos: nothing to pack-fuse, no S/T scratch. All 8
+        // products land in 16×16 M_t buffers, and each C block sums two.
         assert_eq!(profile.gemm_calls, 8);
-        assert_eq!(profile.fused_epilogues, 8);
         assert_eq!(profile.fused_packs, 0);
-        assert_eq!(profile.alloc_bytes, 0);
-        assert_eq!(profile.add_elems, 0);
+        assert_eq!(profile.alloc_bytes, 8 * 16 * 16 * 8);
+        assert_eq!(profile.add_elems, 4 * 3 * 16 * 16);
     }
 
     #[test]

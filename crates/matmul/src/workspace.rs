@@ -34,14 +34,13 @@ use std::borrow::Borrow;
 
 /// One recursion level of preallocated buffers.
 pub(crate) struct LevelWs<T> {
-    /// The product matrices `M_t`, each `bm×bn` — except epilogue-fused
-    /// products, whose slot is an empty `0×0` placeholder (their
-    /// contribution lands in `C` straight from the gemm epilogue).
+    /// The product matrices `M_t`, each `bm×bn`.
     pub(crate) products: Vec<Mat<T>>,
     /// One lane per concurrently executing task at this level.
     pub(crate) lanes: Vec<LaneWs<T>>,
-    /// The fused-execution schedule, fixed at build time.
-    pub(crate) fusion: FusionSpec,
+    /// Whether leaf combinations fold into the gemm pack sweep; the lane
+    /// buffers above are sized for it.
+    pub(crate) policy: FusionPolicy,
     /// CSE temporaries (see [`crate::cse`]): A-side shared combinations
     /// (`bm×bk` each), materialized once per call before the product loop.
     pub(crate) a_temps: Vec<Mat<T>>,
@@ -50,60 +49,6 @@ pub(crate) struct LevelWs<T> {
     /// W-side CSE temporaries (`bm×bn` each), formed from the products
     /// before the output pass.
     pub(crate) w_temps: Vec<Mat<T>>,
-}
-
-/// Per-level fusion decisions, computed once when the buffer tree is
-/// built so the hot path takes no decisions and performs no allocations.
-///
-/// The spec deliberately stores only *structural* placement — product →
-/// (output block, init flag) — and never the plan's output weights: a
-/// workspace may be shared by any plan with the same structure (same rule
-/// recompiled at a different λ, or a structurally identical sibling rule),
-/// and the executor always reads the weight `w` from the *caller's* plan.
-pub(crate) struct FusionSpec {
-    pub(crate) policy: FusionPolicy,
-    /// Per product `t`: `Some((block, init))` when the product's single
-    /// output contribution lands in `block` straight from the gemm
-    /// epilogue; `init` marks the block's first writer in execution order
-    /// (β = 0; later writers accumulate with β = 1). Empty when no product
-    /// at this level epilogue-fuses.
-    epilogue: Vec<Option<(usize, bool)>>,
-    /// Per output block: every contribution was epilogue-fused, so
-    /// `write_outputs` skips the block. Empty iff `epilogue` is empty.
-    block_fused: Vec<bool>,
-}
-
-impl FusionSpec {
-    pub(crate) fn materialized(policy: FusionPolicy) -> Self {
-        FusionSpec {
-            policy,
-            epilogue: Vec::new(),
-            block_fused: Vec::new(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn epilogue_of(&self, t: usize) -> Option<(usize, bool)> {
-        self.epilogue.get(t).copied().flatten()
-    }
-
-    #[inline]
-    pub(crate) fn is_block_fused(&self, block: usize) -> bool {
-        self.block_fused.get(block).copied().unwrap_or(false)
-    }
-
-    /// How many products at this level epilogue-fuse.
-    pub(crate) fn fused_products(&self) -> usize {
-        self.epilogue.iter().flatten().count()
-    }
-
-    /// Any epilogue fusion in the product index range `[0, owned)`.
-    pub(crate) fn any_fused_below(&self, owned: usize) -> bool {
-        self.epilogue
-            .iter()
-            .take(owned)
-            .any(|placement| placement.is_some())
-    }
 }
 
 /// Scratch owned by one executor lane (a spawned task, or the single
@@ -150,13 +95,6 @@ struct LevelKey {
     /// (like the output weights), so the buffers are shape-compatible
     /// whenever the counts match.
     temps: (usize, usize, usize),
-    /// FNV-1a digest of the epilogue-fusion structure (0 when nothing
-    /// fuses at this level). The product-buffer layout depends on which
-    /// products fuse, so two plans may share a workspace only when they
-    /// fuse the same products into the same blocks; the digest makes that
-    /// check allocation-free (structurally different plans collide with
-    /// probability ~2⁻⁶⁴).
-    epilogue: u64,
 }
 
 /// Everything a [`Workspace`] was sized for. Two calls may share a
@@ -182,16 +120,11 @@ pub(crate) struct Workspace<T: Scalar> {
     pub(crate) tail: Mat<T>,
 }
 
-/// Block rows of C that may epilogue-fuse: all of them, unless the rows
-/// past a ragged M's head are padded (see [`MTail`]).
-pub(crate) const ALL_ROWS: usize = usize::MAX;
-
 /// How a ragged M runs under [`PeelMode::Dynamic`]: the chain multiplies
 /// `M` rounded up to the chain divisor. Top-level block rows `0..head`
 /// (`bm` rows each) are zero-copy views of A; the remaining `rows` rows
 /// come from the tail buffer, a copy of A's last `m − head·bm` rows with
-/// zero rows below. The tail's products never epilogue-fuse, and only C's
-/// real rows are stored.
+/// zero rows below. Only C's real rows are stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct MTail {
     pub(crate) bm: usize,
@@ -224,23 +157,6 @@ pub(crate) fn m_tail<P: Borrow<ExecPlan>>(chain: &[P], m: usize) -> Option<MTail
     })
 }
 
-/// The root level's [`ALL_ROWS`]-or-head bound for an `m`-row call.
-fn root_head<P: Borrow<ExecPlan>>(chain: &[P], m: usize, config: ExecConfig) -> usize {
-    match config.peel {
-        PeelMode::Dynamic => m_tail(chain, m).map_or(ALL_ROWS, |t| t.head),
-        PeelMode::Pad => ALL_ROWS,
-    }
-}
-
-/// The output blocks in block rows `0..head` (blocks are numbered
-/// row-major, so these are the first `head·d.n`).
-fn head_blocks(plan: &ExecPlan, head: usize) -> u64 {
-    match head.saturating_mul(plan.dims.n) {
-        b if b >= 64 => u64::MAX,
-        b => (1u64 << b) - 1,
-    }
-}
-
 /// Whether the executor folds this combination into the gemm pack sweep
 /// at a leaf level: under `Auto`, whenever its term list fits the
 /// executor's inline (stack) stage, which keeps the steady state
@@ -269,16 +185,7 @@ pub(crate) fn combo_needs_buffer(combo: &Combo, recursive: bool, fusion: FusionP
     }
 }
 
-fn level_key(
-    plan: &ExecPlan,
-    recursive: bool,
-    fusion: FusionPolicy,
-    strategy: Strategy,
-    threads: usize,
-    head: usize,
-) -> LevelKey {
-    let mask =
-        fused_block_mask(plan, strategy, threads, recursive, fusion) & head_blocks(plan, head);
+fn level_key(plan: &ExecPlan, recursive: bool, fusion: FusionPolicy) -> LevelKey {
     LevelKey {
         base: (plan.dims.m, plan.dims.k, plan.dims.n),
         rank: plan.rank,
@@ -291,147 +198,7 @@ fn level_key(
             .iter()
             .any(|c| combo_needs_buffer(c, recursive, fusion)),
         temps: (plan.a_temps.len(), plan.b_temps.len(), plan.w_temps.len()),
-        epilogue: epilogue_digest(plan, mask),
     }
-}
-
-/// Fan-out of product `t`: how many `C` blocks it feeds. Allocation-free.
-fn fanout_of(plan: &ExecPlan, t: usize) -> usize {
-    plan.c_outputs
-        .iter()
-        .flat_map(|c| c.iter())
-        .filter(|&&(tt, _)| tt == t)
-        .count()
-}
-
-/// Bitmask of the output blocks whose contributions all write into `C`
-/// straight from the gemm epilogue. A block fuses iff **every** product
-/// feeding it has fan-out 1 (a shared product written through the epilogue
-/// would replay its gemm flops once per block) and, under Hybrid, all of
-/// the block's owned-phase writers live in one thread's contiguous chunk
-/// `[i·q, (i+1)·q)` — the β = 1 read-modify-writes of a shared block would
-/// otherwise race across lanes. Remainder-phase writers (`t ≥ p·q`) run
-/// sequentially after the owned phase, so they always accumulate safely.
-/// BFS never epilogue-fuses (its lanes share no ordering to anchor β = 0
-/// on), recursion levels never fuse (their products feed the parent, not
-/// `C`), and plans with more than 64 output blocks never fuse.
-///
-/// Allocation-free so [`Workspace::matches`] can recompute it per
-/// candidate plan.
-pub(crate) fn fused_block_mask(
-    plan: &ExecPlan,
-    strategy: Strategy,
-    threads: usize,
-    recursive: bool,
-    policy: FusionPolicy,
-) -> u64 {
-    let r = plan.rank;
-    let (eff, eff_threads) = effective_strategy(strategy, threads, r);
-    if recursive
-        || policy == FusionPolicy::Never
-        || eff == Strategy::Bfs
-        || plan.c_outputs.len() > 64
-        // W-side CSE temps are shared partial sums over products — the
-        // products they read must materialize, so the level cannot
-        // epilogue-fuse. (A/B-side temps are formed *before* the product
-        // loop and coexist with pack fusion.)
-        || !plan.w_temps.is_empty()
-    {
-        return 0;
-    }
-    // Owned-phase geometry (Seq/Dfs run everything as one ordered chunk;
-    // Hybrid guarantees q ≥ 1 — `effective_strategy` coerces it to Dfs
-    // whenever threads > rank).
-    let q = if eff == Strategy::Hybrid {
-        r / eff_threads
-    } else {
-        r
-    };
-    let owned = if eff == Strategy::Hybrid {
-        eff_threads * q
-    } else {
-        r
-    };
-    let mut mask = 0u64;
-    'blocks: for (block, contrib) in plan.c_outputs.iter().enumerate() {
-        if contrib.is_empty() {
-            continue;
-        }
-        let mut chunk = None;
-        for &(t, _) in contrib {
-            if fanout_of(plan, t) != 1 {
-                continue 'blocks;
-            }
-            if t < owned {
-                let c = t / q;
-                if *chunk.get_or_insert(c) != c {
-                    continue 'blocks;
-                }
-            }
-        }
-        mask |= 1 << block;
-    }
-    mask
-}
-
-/// FNV-1a fold of the fused-block structure (which blocks fuse, fed by
-/// which products). 0 is reserved for "nothing fuses".
-fn epilogue_digest(plan: &ExecPlan, mask: u64) -> u64 {
-    if mask == 0 {
-        return 0;
-    }
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let fold = |h: &mut u64, x: u64| {
-        for byte in x.to_le_bytes() {
-            *h = (*h ^ u64::from(byte)).wrapping_mul(PRIME);
-        }
-    };
-    for (block, contrib) in plan.c_outputs.iter().enumerate() {
-        if mask & (1 << block) == 0 {
-            continue;
-        }
-        fold(&mut h, block as u64);
-        for &(t, _) in contrib {
-            fold(&mut h, t as u64);
-        }
-        fold(&mut h, u64::MAX); // block separator
-    }
-    h.max(1)
-}
-
-/// Expand [`fused_block_mask`] into the per-product placement table the
-/// executor reads on the hot path. Returns empty vectors when nothing
-/// fuses.
-fn epilogue_schedule(
-    plan: &ExecPlan,
-    strategy: Strategy,
-    threads: usize,
-    recursive: bool,
-    policy: FusionPolicy,
-    head: usize,
-) -> (Vec<Option<(usize, bool)>>, Vec<bool>) {
-    let mask =
-        fused_block_mask(plan, strategy, threads, recursive, policy) & head_blocks(plan, head);
-    if mask == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let mut epilogue = vec![None; plan.rank];
-    let mut block_fused = vec![false; plan.c_outputs.len()];
-    for (block, contrib) in plan.c_outputs.iter().enumerate() {
-        if mask & (1 << block) == 0 {
-            continue;
-        }
-        // The lowest-t writer always executes first (owned phases run in
-        // t order within a chunk, the remainder phase runs after, also in
-        // t order), so it takes β = 0 and later writers accumulate.
-        let init_t = contrib.iter().map(|&(t, _)| t).min().expect("non-empty");
-        for &(t, _) in contrib {
-            epilogue[t] = Some((block, t == init_t));
-        }
-        block_fused[block] = true;
-    }
-    (epilogue, block_fused)
 }
 
 /// Elementwise product of the chain's base dims — the divisor arbitrary
@@ -453,7 +220,7 @@ impl<T: Scalar> LevelWs<T> {
         LevelWs {
             products: Vec::new(),
             lanes: Vec::new(),
-            fusion: FusionSpec::materialized(FusionPolicy::Never),
+            policy: FusionPolicy::Never,
             a_temps: Vec::new(),
             b_temps: Vec::new(),
             w_temps: Vec::new(),
@@ -478,10 +245,7 @@ impl<T: Scalar> LevelWs<T> {
 }
 
 /// Build the buffer tree for `chain` on an `m×k·k×n` product. Stops at the
-/// first level whose dims don't divide (the executor gemms there). Only
-/// C's block rows below `head` may epilogue-fuse ([`ALL_ROWS`] unless `m`
-/// is a padded height, see [`MTail`]).
-#[allow(clippy::too_many_arguments)]
+/// first level whose dims don't divide (the executor gemms there).
 pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
     chain: &[P],
     m: usize,
@@ -490,7 +254,6 @@ pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
     strategy: Strategy,
     threads: usize,
     fusion: FusionPolicy,
-    head: usize,
 ) -> LevelWs<T> {
     let Some(plan) = chain.first().map(Borrow::borrow) else {
         return LevelWs::leaf();
@@ -503,7 +266,7 @@ pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
     let r = plan.rank;
     let rest = &chain[1..];
     let recursive = !rest.is_empty();
-    let key = level_key(plan, recursive, fusion, strategy, threads, head);
+    let key = level_key(plan, recursive, fusion);
     let (eff, eff_threads) = effective_strategy(strategy, threads, r);
     let lane_count = match eff {
         Strategy::Seq | Strategy::Dfs => 1,
@@ -521,39 +284,14 @@ pub(crate) fn build_level<T: Scalar, P: Borrow<ExecPlan>>(
             } else {
                 Mat::zeros(0, 0)
             },
-            child: recursive.then(|| {
-                Box::new(build_level(
-                    rest,
-                    bm,
-                    bk,
-                    bn,
-                    Strategy::Seq,
-                    1,
-                    fusion,
-                    ALL_ROWS,
-                ))
-            }),
-        })
-        .collect();
-    let (epilogue, block_fused) =
-        epilogue_schedule(plan, strategy, threads, recursive, fusion, head);
-    let products = (0..r)
-        .map(|t| {
-            if epilogue.get(t).is_some_and(Option::is_some) {
-                Mat::zeros(0, 0)
-            } else {
-                Mat::zeros(bm, bn)
-            }
+            child: recursive
+                .then(|| Box::new(build_level(rest, bm, bk, bn, Strategy::Seq, 1, fusion))),
         })
         .collect();
     LevelWs {
-        products,
+        products: (0..r).map(|_| Mat::zeros(bm, bn)).collect(),
         lanes,
-        fusion: FusionSpec {
-            policy: fusion,
-            epilogue,
-            block_fused,
-        },
+        policy: fusion,
         a_temps: (0..key.temps.0).map(|_| Mat::zeros(bm, bk)).collect(),
         b_temps: (0..key.temps.1).map(|_| Mat::zeros(bk, bn)).collect(),
         w_temps: (0..key.temps.2).map(|_| Mat::zeros(bm, bn)).collect(),
@@ -577,18 +315,18 @@ impl<T: Scalar> Workspace<T> {
             fusion,
         } = config;
         let key = WsKey {
-            levels: level_keys(chain, m, config).collect(),
+            levels: level_keys(chain, config.fusion).collect(),
             m,
             k,
             n,
             config,
         };
-        let build = |m, k, n, head| build_level(chain, m, k, n, strategy, threads, fusion, head);
+        let build = |m, k, n| build_level(chain, m, k, n, strategy, threads, fusion);
 
         let (dm, dk, dn) = chain_divisor(chain);
         let mut tail = Mat::zeros(0, 0);
         let (root, pad) = if m.is_multiple_of(dm) && k.is_multiple_of(dk) && n.is_multiple_of(dn) {
-            (build(m, k, n, ALL_ROWS), None)
+            (build(m, k, n), None)
         } else {
             match peel {
                 PeelMode::Dynamic => {
@@ -597,9 +335,9 @@ impl<T: Scalar> Workspace<T> {
                         LevelWs::leaf()
                     } else if let Some(t) = m_tail(chain, m) {
                         tail = Mat::zeros(t.rows, kc);
-                        build(t.padded(), kc, nc, t.head)
+                        build(t.padded(), kc, nc)
                     } else {
-                        build(m, kc, nc, ALL_ROWS)
+                        build(m, kc, nc)
                     };
                     (root, None)
                 }
@@ -614,7 +352,7 @@ impl<T: Scalar> Workspace<T> {
                         bp: Mat::zeros(kp, np),
                         cp: Mat::zeros(mp, np),
                     };
-                    (build(mp, kp, np, ALL_ROWS), Some(pad))
+                    (build(mp, kp, np), Some(pad))
                 }
             }
         };
@@ -644,7 +382,7 @@ impl<T: Scalar> Workspace<T> {
                 .levels
                 .iter()
                 .copied()
-                .eq(level_keys(chain, m, config))
+                .eq(level_keys(chain, config.fusion))
     }
 
     /// Bytes of matrix storage held (products + lane scratch across all
@@ -660,23 +398,15 @@ impl<T: Scalar> Workspace<T> {
     }
 }
 
-/// The [`LevelKey`] of every level of `chain` on an `m`-row call. Only the
-/// root level runs the requested schedule (and may carry a padded tail);
-/// recursion levels always execute sequentially inside their lane.
+/// The [`LevelKey`] of every level of `chain`.
 fn level_keys<P: Borrow<ExecPlan>>(
     chain: &[P],
-    m: usize,
-    config: ExecConfig,
+    fusion: FusionPolicy,
 ) -> impl Iterator<Item = LevelKey> + '_ {
-    let head = root_head(chain, m, config);
-    chain.iter().enumerate().map(move |(i, plan)| {
-        let (s, t, h) = if i == 0 {
-            (config.strategy, config.threads, head)
-        } else {
-            (Strategy::Seq, 1, ALL_ROWS)
-        };
-        level_key(plan.borrow(), i + 1 < chain.len(), config.fusion, s, t, h)
-    })
+    chain
+        .iter()
+        .enumerate()
+        .map(move |(i, plan)| level_key(plan.borrow(), i + 1 < chain.len(), fusion))
 }
 
 #[cfg(test)]
@@ -724,8 +454,7 @@ mod tests {
     #[test]
     fn auto_pack_fusion_drops_combo_buffers() {
         // Under Auto, leaf combinations fold into the gemm pack sweep, so
-        // the S/T buffers vanish. Strassen epilogue-fuses nothing (every
-        // block has a fan-out > 1 writer), so the products stay.
+        // the S/T buffers vanish; the products stay.
         let plan = ExecPlan::compile(&catalog::strassen(), 0.0);
         let ws = Workspace::<f64>::for_chain(
             &[&plan],
@@ -736,7 +465,6 @@ mod tests {
         );
         assert_eq!(ws.root.lanes[0].s_buf.rows(), 0);
         assert_eq!(ws.root.lanes[0].t_buf.rows(), 0);
-        assert_eq!(ws.root.fusion.fused_products(), 0);
         assert_eq!(ws.footprint_bytes(), 7 * 32 * 32 * 8);
     }
 
@@ -756,36 +484,10 @@ mod tests {
     }
 
     #[test]
-    fn classical_epilogue_fuses_every_block() {
-        // ⟨2,2,2;8⟩: every product feeds exactly one block, so under Auto
-        // every contribution lands in C from the gemm epilogue and the
-        // workspace holds no matrix storage at all.
-        let plan = ExecPlan::compile(&catalog::classical(Dims::new(2, 2, 2)), 0.0);
-        let ws = Workspace::<f32>::for_chain(
-            &[&plan],
-            8,
-            8,
-            8,
-            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Auto),
-        );
-        assert_eq!(ws.root.fusion.fused_products(), 8);
-        assert!(ws.root.products.iter().all(|p| p.rows() == 0));
-        assert_eq!(ws.footprint_bytes(), 0);
-        // Exactly one β = 0 initializer per output block.
-        let inits = (0..8)
-            .filter(|&t| matches!(ws.root.fusion.epilogue_of(t), Some((_, true))))
-            .count();
-        assert_eq!(inits, 4);
-        for block in 0..4 {
-            assert!(ws.root.fusion.is_block_fused(block));
-        }
-    }
-
-    #[test]
     fn recursion_levels_never_epilogue_fuse() {
-        // The root of a 2-step classical chain computes its products by
-        // recursion (no single gemm to fuse into); the leaf child writes
-        // the parent's product buffers and may fuse fully.
+        // Every level of a 2-step classical chain materializes its
+        // products: the root's feed C through the output pass, the leaf
+        // child's feed the parent's product buffers.
         let plan = ExecPlan::compile(&catalog::classical(Dims::new(2, 2, 2)), 0.0);
         let ws = Workspace::<f32>::for_chain(
             &[&plan; 2],
@@ -794,102 +496,9 @@ mod tests {
             16,
             cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Auto),
         );
-        assert_eq!(ws.root.fusion.fused_products(), 0);
         assert!(ws.root.products.iter().all(|p| p.rows() == 8));
         let child = ws.root.lanes[0].child.as_ref().expect("child level");
-        assert_eq!(child.fusion.fused_products(), 8);
-    }
-
-    /// A hand-built plan whose only interesting content is the C-output
-    /// structure (the combos are placeholders; these plans are sized, never
-    /// executed).
-    fn synthetic(rank: usize, c_outputs: Vec<Vec<(usize, f64)>>) -> ExecPlan {
-        ExecPlan {
-            dims: Dims::new(2, 1, 1),
-            rank,
-            lambda: 0.0,
-            a_combos: (0..rank)
-                .map(|_| Combo::Single {
-                    block: 0,
-                    coeff: 1.0,
-                })
-                .collect(),
-            b_combos: (0..rank)
-                .map(|_| Combo::Single {
-                    block: 0,
-                    coeff: 1.0,
-                })
-                .collect(),
-            c_outputs,
-            name: "synthetic".into(),
-            a_temps: Vec::new(),
-            b_temps: Vec::new(),
-            w_temps: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn hybrid_demotes_blocks_spanning_owned_chunks() {
-        // r = 4, 2 threads → q = 2, chunks {0,1} and {2,3}. Both blocks
-        // straddle the chunks, so Hybrid demotes them; Seq fuses both.
-        let plan = synthetic(4, vec![vec![(0, 1.0), (2, 1.0)], vec![(1, 1.0), (3, 1.0)]]);
-        let auto = FusionPolicy::Auto;
-        assert_eq!(fused_block_mask(&plan, Strategy::Seq, 1, false, auto), 0b11);
-        assert_eq!(fused_block_mask(&plan, Strategy::Dfs, 2, false, auto), 0b11);
-        assert_eq!(fused_block_mask(&plan, Strategy::Hybrid, 2, false, auto), 0);
-        // BFS, recursion levels and Never all disable epilogue fusion.
-        assert_eq!(fused_block_mask(&plan, Strategy::Bfs, 2, false, auto), 0);
-        assert_eq!(fused_block_mask(&plan, Strategy::Seq, 1, true, auto), 0);
-        assert_eq!(
-            fused_block_mask(&plan, Strategy::Seq, 1, false, FusionPolicy::Never),
-            0
-        );
-    }
-
-    #[test]
-    fn hybrid_remainder_writers_accumulate_safely() {
-        // r = 5, 2 threads → q = 2, owned = 4, remainder = {4}. Block 0's
-        // writers are chunk 0 plus the remainder (runs after both chunks,
-        // sequentially) → fused. Block 1 straddles chunks 0/1 → demoted.
-        let plan = synthetic(5, vec![vec![(0, 1.0), (4, 1.0)], vec![(1, 1.0), (3, 1.0)]]);
-        assert_eq!(
-            fused_block_mask(&plan, Strategy::Hybrid, 2, false, FusionPolicy::Auto),
-            0b01
-        );
-    }
-
-    #[test]
-    fn fanout_gt_one_blocks_never_fuse() {
-        // t = 0 feeds both blocks: writing it through the epilogue would
-        // run its gemm twice, so neither block fuses.
-        let plan = synthetic(2, vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 1.0)]]);
-        assert_eq!(
-            fused_block_mask(&plan, Strategy::Seq, 1, false, FusionPolicy::Auto),
-            0
-        );
-    }
-
-    #[test]
-    fn epilogue_structure_gates_workspace_sharing() {
-        // Same dims, rank and buffer needs — but the products land in
-        // different blocks, so the placement table cannot be shared.
-        let plan_a = synthetic(4, vec![vec![(0, 1.0), (1, 1.0)], vec![(2, 1.0), (3, 1.0)]]);
-        let plan_b = synthetic(4, vec![vec![(0, 1.0), (2, 1.0)], vec![(1, 1.0), (3, 1.0)]]);
-        let ws = Workspace::<f32>::for_chain(
-            &[&plan_a],
-            8,
-            4,
-            4,
-            cfg(Strategy::Seq, 1, PeelMode::Dynamic, FusionPolicy::Auto),
-        );
-        let ok = |p: &ExecPlan, f| {
-            ws.matches(&[p], 8, 4, 4, cfg(Strategy::Seq, 1, PeelMode::Dynamic, f))
-        };
-        assert!(ok(&plan_a, FusionPolicy::Auto));
-        assert!(!ok(&plan_b, FusionPolicy::Auto));
-        // Under Never both plans are structure-compatible (nothing fuses),
-        // but a Never workspace is a different key than an Auto one.
-        assert!(!ok(&plan_a, FusionPolicy::Never));
+        assert!(child.products.iter().all(|p| p.rows() == 4));
     }
 
     #[test]
@@ -975,9 +584,8 @@ mod tests {
             FusionPolicy::Never
         ));
         assert!(!ok(&[], 16, Strategy::Seq, 1, dyn_, auto));
-        // Same base dims and rank (⟨2,2,2;7⟩), and neither rule epilogue-
-        // fuses — structure still compatible, so a same-shape rule may
-        // share the workspace.
+        // Same base dims, rank (⟨2,2,2;7⟩) and buffer needs — structure
+        // compatible, so a same-shape rule may share the workspace.
         assert!(ok(&[&winograd], 16, Strategy::Seq, 1, dyn_, auto));
     }
 }

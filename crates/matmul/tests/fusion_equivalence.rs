@@ -1,6 +1,5 @@
-//! Property tests for the fused execution paths: pack-time operand
-//! combination and epilogue W-accumulation against the materialized
-//! reference (`FusionPolicy::Never`).
+//! Property tests for fused execution: pack-time operand combination
+//! against the materialized reference (`FusionPolicy::Never`).
 //!
 //! The contracts under test (documented in `apa-matmul`'s `exec` module):
 //!
@@ -8,12 +7,8 @@
 //!   term lists must equal combine-into-scratch followed by plain `gemm`,
 //!   bit for bit, because the combined packers mirror `combine`'s
 //!   arity-specialized FMA chains.
-//! * **Epilogue fusion is ULP-bounded, not bitwise.** Accumulating
-//!   `w_t·M_t` into `C` from the gemm epilogue reorders the final sum; the
-//!   result stays within `(n_w + 1)·ε·Σ_t |w_t·M_t|` per element.
-//! * **Plans with no epilogue fusion run bitwise identical under `Auto`
-//!   and `Never`** — for them pack fusion is the only difference and it is
-//!   exact, so `Never` doubles as a bitwise regression sentinel.
+//! * **`Auto` is `Never`, bit for bit, on every rule.** Pack fusion is the
+//!   only fusion, so `Never` doubles as a bitwise regression sentinel.
 
 use apa_core::catalog;
 use apa_gemm::{combine_par, gemm, gemm_combined, Mat, MatRef, Par};
@@ -110,9 +105,9 @@ proptest! {
         assert_bitwise_f32(&c_fused, &c_ref, "pack fusion")?;
     }
 
-    /// Epilogue fusion (classical rule: every block fuses under `Auto`)
-    /// stays within the documented closeness bound of the materialized
-    /// combine path, across strategies, thread counts and ragged shapes.
+    /// `Auto` on the classical rule stays within the f64 rounding bound of
+    /// the materialized combine path, across strategies, thread counts and
+    /// ragged shapes (the catalog property below pins it bitwise).
     #[test]
     fn epilogue_fusion_within_ulp_bound_of_materialized(
         m in 2usize..48, k in 2usize..48, n in 2usize..48,
@@ -130,10 +125,10 @@ proptest! {
             .threads(threads);
         let fused = base.clone().fusion(FusionPolicy::Auto).multiply(a.as_ref(), b.as_ref());
         let mat = base.fusion(FusionPolicy::Never).multiply(a.as_ref(), b.as_ref());
-        // (n_w + 1)·ε per fused element; 1e-13 is orders above that for
-        // n_w ≤ 4 in f64 while still catching any real reordering bug.
+        // (n_w + 1)·ε per element; 1e-13 is orders above that for n_w ≤ 4
+        // in f64 while still catching any real reordering bug.
         let err = fused.rel_frobenius_error(&mat);
-        prop_assert!(err < 1e-13, "epilogue fusion drifted: {} ({strategy:?}, {threads}t)", err);
+        prop_assert!(err < 1e-13, "classical Auto drifted from Never: {} ({strategy:?}, {threads}t)", err);
     }
 
     /// A transposed operand is a view the packers (fused combinations),
@@ -177,10 +172,8 @@ proptest! {
         assert_bitwise_f32(&got, &want, "transposed views vs plain operands")?;
     }
 
-    /// Strassen's output map has no all-fanout-1 block, so nothing
-    /// epilogue-fuses and `Auto` differs from `Never` only by the (exact)
-    /// pack fusion: the two policies must agree bitwise — cached,
-    /// uncached, any strategy, any shape.
+    /// Strassen under `Auto` and `Never` agrees bitwise — cached,
+    /// uncached, any strategy, any shape, either peel mode.
     #[test]
     fn auto_is_bitwise_never_when_no_epilogue_fuses(
         m in 1usize..40, k in 1usize..40, n in 1usize..40,
@@ -202,5 +195,48 @@ proptest! {
         let auto = base.clone().fusion(FusionPolicy::Auto).multiply(a.as_ref(), b.as_ref());
         let never = base.fusion(FusionPolicy::Never).multiply(a.as_ref(), b.as_ref());
         assert_bitwise_f64(&auto, &never, "Auto vs Never (strassen)")?;
+    }
+
+    /// `Auto` and `Never` agree bitwise on every catalog rule, one or two
+    /// steps (one for the rank-1000 Bini cube), under every strategy at
+    /// 1–4 threads, on plain or transposed operand views, on shapes that
+    /// divide the rule or leave a rim for the Dynamic peel or the Pad
+    /// mode. Auto's workspace is warmed first, so the checked call runs
+    /// cached.
+    #[test]
+    fn auto_is_bitwise_never_across_catalog(
+        mult in 0usize..3, m_rim in 0usize..3, k_rim in 0usize..3, n_rim in 0usize..3,
+        two_steps in 0u32..2, strategy in 0usize..4, threads in 1usize..5,
+        flags in 0u32..8, seed in 0u64..1000
+    ) {
+        let flag = |bit: u32| flags & (1 << bit) != 0;
+        let (a_t, b_t, pad) = (flag(0), flag(1), flag(2));
+        let strategy = [Strategy::Seq, Strategy::Dfs, Strategy::Bfs, Strategy::Hybrid][strategy];
+        let peel = if pad { PeelMode::Pad } else { PeelMode::Dynamic };
+        for alg in catalog::all() {
+            let steps = if two_steps == 1 && alg.rank() <= 100 { 2 } else { 1 };
+            let d = alg.dims;
+            let dim = |base: usize, rim: usize| (base.pow(steps) * mult + rim).max(1);
+            let (m, k, n) = (dim(d.m, m_rim), dim(d.k, k_rim), dim(d.n, n_rim));
+            let a = rand_mat(m, k, seed, |x| x);
+            let b = rand_mat(k, n, seed + 11, |x| x);
+            let (a_st, b_st) = (a.as_ref().t().to_owned(), b.as_ref().t().to_owned());
+            let av = if a_t { a_st.as_ref().t() } else { a.as_ref() };
+            let bv = if b_t { b_st.as_ref().t() } else { b.as_ref() };
+            let base = ApaMatmul::new(alg.clone())
+                .steps(steps)
+                .strategy(strategy)
+                .threads(threads)
+                .peel_mode(peel);
+            let auto = base.clone().fusion(FusionPolicy::Auto);
+            let _ = auto.multiply(av, bv);
+            let got = auto.multiply(av, bv);
+            let want = base.fusion(FusionPolicy::Never).multiply(av, bv);
+            let what = format!(
+                "{} steps={steps} {m}×{k}×{n} {strategy:?}/{threads}t {peel:?} a_t={a_t} b_t={b_t}",
+                alg.name
+            );
+            assert_bitwise_f64(&got, &want, &what)?;
+        }
     }
 }

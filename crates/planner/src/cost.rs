@@ -171,17 +171,7 @@ impl MachineModel {
             let flops = Self::gemm_flops(plan, m, k, n, steps);
             let util = Self::utilization(strategy, plan.rank, threads);
             let compute = flops / (self.rate(dtype) * self.parallel_speedup(threads) * util);
-            let bytes = modeled_bytes_moved(
-                plan,
-                m,
-                k,
-                n,
-                steps,
-                strategy,
-                threads,
-                fusion,
-                dtype.elem_size(),
-            );
+            let bytes = modeled_bytes_moved(plan, m, k, n, steps, fusion, dtype.elem_size());
             total += compute + bytes as f64 / self.bytes_per_sec;
         }
         total

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark runner.
 #
-#   1. criterion micro-benchmarks: the `fusion` group (pack+epilogue
+#   1. criterion micro-benchmarks: the `fusion` group (pack-time
 #      fusion vs materialized on ParaDnn widths)
 #   2. the `kernelbench` harness (ISSUE 6 acceptance evidence): per-tier
 #      gemm leaf GFLOPS + fused ParaDnn sweep under runtime dispatch,
