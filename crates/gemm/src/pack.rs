@@ -429,13 +429,15 @@ unsafe fn pack_b_sweep_fma<T: Scalar>(
 
 /// Source rows a transposed-B pass takes at once (see [`pack_bt_sweep`]).
 const BT_ROWS: usize = 8;
-/// `p` depth of one copying transposed-B pass: every group of a sliver
-/// covers the same `BT_COPY_DEPTH` sliver rows before the sweep moves
-/// down, so each row's cache lines fill completely while L1-hot.
-const BT_COPY_DEPTH: usize = 64;
-/// `p` depth of one combining pass: the stack stage its rows are formed
-/// in holds `BT_ROWS × BT_DEPTH` elements (a typical KC: the row chains
-/// then run one long segment per source row).
+/// `p` depth of one transposed-B pass that stores straight into the
+/// sliver (the copy sweep, and [`csimd::pack_bt_combined_f32`]): every
+/// group of a sliver covers the same `BT_CHUNK_DEPTH` sliver rows before
+/// the sweep moves down, so each row's cache lines fill completely while
+/// L1-hot.
+const BT_CHUNK_DEPTH: usize = 64;
+/// `p` depth of one staged combining pass: the stack stage its rows are
+/// formed in holds `BT_ROWS × BT_DEPTH` elements (a typical KC: the row
+/// chains then run one long segment per source row).
 const BT_DEPTH: usize = 384;
 
 /// The B packer for a list with transposed sources. A transposed list
@@ -486,9 +488,11 @@ fn pack_b_transposed<T: Scalar>(
 /// not one strided column per source row. A unit list copies straight
 /// from the source rows; a combination first forms its rows `BT_DEPTH`
 /// deep with the row sweeps' chains ([`combined_segment`]) into a stack
-/// stage. Checksums, when asked for, are summed from the same rows
-/// (`sum[p] += S[j, p]`, f64, vertical across `p`), so they too come
-/// from the packed values without a second pass.
+/// stage (f64 lists and the portable dispatch; f32 combinations under
+/// the FMA dispatch transpose in registers instead, see
+/// [`pack_bt_sweep_fma`]). Checksums, when asked for, are summed from the
+/// same rows (`sum[p] += S[j, p]`, f64, vertical across `p`, in source-row
+/// order), so they too come from the packed values without a second pass.
 #[inline(always)]
 fn pack_bt_sweep<T: Scalar>(
     src: &[(T, MatRef<'_, T>)],
@@ -501,7 +505,7 @@ fn pack_bt_sweep<T: Scalar>(
     let unit = unit_source(src);
     let mut stage = [[T::ZERO; BT_DEPTH]; BT_ROWS];
     let step = if unit.is_some() {
-        BT_COPY_DEPTH
+        BT_CHUNK_DEPTH
     } else {
         BT_DEPTH
     };
@@ -600,6 +604,12 @@ fn scatter_rows<T: Scalar>(
     }
 }
 
+/// [`pack_bt_sweep`] under `avx2,fma` codegen. An f32 combination of at
+/// most [`MAX_PACK_TERMS`] terms, into slivers a whole number of vectors
+/// wide, takes [`csimd::pack_bt_combined_f32`], which forms 8×8 blocks with the
+/// row sweeps' vector chains and transposes them in registers — the same
+/// panel and the same sums, without the stack stage or the scalar scatter.
+///
 /// # Safety
 /// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
 #[cfg(target_arch = "x86_64")]
@@ -612,7 +622,43 @@ unsafe fn pack_bt_sweep_fma<T: Scalar>(
     kc: usize,
     sums: Option<PackSums<'_>>,
 ) {
+    let combined = unit_source(src).is_none() && src.len() <= MAX_PACK_TERMS;
+    if combined && nr.is_multiple_of(8) {
+        if let Some((src, fbuf)) = retyped::<T, f32>(src, buf) {
+            // SAFETY: this scope has avx2+fma; `nr % 8 == 0`; `buf` is the
+            // panel `pack_b_terms` sized with `sums` of length `kc`, and the
+            // sources are the plain `nc × kc` views `pack_b_transposed` made.
+            match sums {
+                Some(sums) => {
+                    csimd::pack_bt_combined_f32::<true>(src, fbuf, nr, nc, kc, Some(sums))
+                }
+                None => csimd::pack_bt_combined_f32::<false>(src, fbuf, nr, nc, kc, None),
+            }
+            return;
+        }
+    }
     pack_bt_sweep(src, buf, nr, nc, kc, sums)
+}
+
+/// `terms` and `buf` as `U`'s when `T` is `U`, for handing a generic
+/// sweep's operands to a [`csimd`] body of one concrete scalar type.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::type_complexity)]
+fn retyped<'a, 'b, 'm, T: Scalar, U: Scalar>(
+    terms: &'a [(T, MatRef<'m, T>)],
+    buf: &'b mut [T],
+) -> Option<(&'a [(U, MatRef<'m, U>)], &'b mut [U])> {
+    use core::any::TypeId;
+    if TypeId::of::<T>() != TypeId::of::<U>() {
+        return None;
+    }
+    // SAFETY: `T` and `U` are the same type, so both casts are identities.
+    unsafe {
+        Some((
+            &*(terms as *const [(T, MatRef<'m, T>)] as *const [(U, MatRef<'m, U>)]),
+            std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut U, buf.len()),
+        ))
+    }
 }
 
 /// The combining row sweep of the B packer. Checksums, when asked for,
@@ -670,30 +716,33 @@ unsafe fn pack_b_combined_sweep_fma<T: Scalar>(
     kc: usize,
     sums: Option<PackSums<'_>>,
 ) {
-    use core::any::TypeId;
     // The bodies store whole vectors into one sliver: `nr` must be a
     // multiple of the vector width (an A sliver packed through this sweep
     // has the kernel's `mr`, which need not be).
     let staged = terms.len() <= MAX_PACK_TERMS;
-    if staged && nr.is_multiple_of(8) && TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: T is f32 (same layout).
-        let terms = &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f32, MatRef<'_, f32>)]);
-        let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f32, buf.len());
-        match sums {
-            Some(sums) => csimd::pack_b_combined_f32::<true>(terms, fbuf, nr, nc, kc, Some(sums)),
-            None => csimd::pack_b_combined_f32::<false>(terms, fbuf, nr, nc, kc, None),
+    if staged && nr.is_multiple_of(8) {
+        if let Some((terms, fbuf)) = retyped::<T, f32>(terms, buf) {
+            match sums {
+                Some(sums) => {
+                    csimd::pack_b_combined_f32::<true>(terms, fbuf, nr, nc, kc, Some(sums))
+                }
+                None => csimd::pack_b_combined_f32::<false>(terms, fbuf, nr, nc, kc, None),
+            }
+            return;
         }
-    } else if staged && nr.is_multiple_of(4) && TypeId::of::<T>() == TypeId::of::<f64>() {
-        // SAFETY: T is f64 (same layout).
-        let terms = &*(terms as *const [(T, MatRef<'_, T>)] as *const [(f64, MatRef<'_, f64>)]);
-        let fbuf = std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut f64, buf.len());
-        match sums {
-            Some(sums) => csimd::pack_b_combined_f64::<true>(terms, fbuf, nr, nc, kc, Some(sums)),
-            None => csimd::pack_b_combined_f64::<false>(terms, fbuf, nr, nc, kc, None),
-        }
-    } else {
-        pack_b_combined_sweep(terms, buf, nr, nc, kc, sums)
     }
+    if staged && nr.is_multiple_of(4) {
+        if let Some((terms, fbuf)) = retyped::<T, f64>(terms, buf) {
+            match sums {
+                Some(sums) => {
+                    csimd::pack_b_combined_f64::<true>(terms, fbuf, nr, nc, kc, Some(sums))
+                }
+                None => csimd::pack_b_combined_f64::<false>(terms, fbuf, nr, nc, kc, None),
+            }
+            return;
+        }
+    }
+    pack_b_combined_sweep(terms, buf, nr, nc, kc, sums)
 }
 
 /// Hand-written AVX2+FMA bodies of [`pack_b_terms`] for combined lists.
@@ -702,10 +751,17 @@ unsafe fn pack_b_combined_sweep_fma<T: Scalar>(
 /// packed panel stays bitwise equal across dispatch paths and with or
 /// without checksums; the f64 checksum lanes (`SUMS`) ride for free under
 /// the sweep's memory traffic.
+///
+/// Only the `pack_*` entry points carry `#[target_feature]`; every helper
+/// is `#[inline(always)]` so it compiles inside them — an out-of-line
+/// helper costs a call per vector, around which every ymm register (the
+/// f64 checksum accumulators included) is spilled. `scripts/tier1.sh`
+/// fails a build whose binary defines any other `csimd` function.
 #[cfg(target_arch = "x86_64")]
 mod csimd {
-    use super::{plain_row, PackSums, MAX_PACK_TERMS};
+    use super::{plain_row, PackSums, BT_CHUNK_DEPTH, MAX_PACK_TERMS};
     use crate::matrix::MatRef;
+    use crate::scalar::Scalar;
     use core::arch::x86_64::*;
 
     /// Overwrite-combine chain `Σ_{e in o..o+n} co[e]·row_e[j..j+8]` for
@@ -713,9 +769,9 @@ mod csimd {
     /// chain shape of `combined_segment_small`.
     ///
     /// # Safety
-    /// Caller verified avx2+fma; every `rp[e]` (`e < o + n`) must be
-    /// readable for `j + 8` elements.
-    #[target_feature(enable = "avx2,fma")]
+    /// Only called from `avx2,fma` bodies; every `rp[e]` (`e < o + n`)
+    /// must be readable for `j + 8` elements.
+    #[inline(always)]
     unsafe fn chain8_f32(
         co: &[f32; MAX_PACK_TERMS],
         rp: &[*const f32; MAX_PACK_TERMS],
@@ -749,7 +805,7 @@ mod csimd {
     ///
     /// # Safety
     /// As [`chain8_f32`], for all `t` terms.
-    #[target_feature(enable = "avx2,fma")]
+    #[inline(always)]
     unsafe fn combine8_f32(
         co: &[f32; MAX_PACK_TERMS],
         rp: &[*const f32; MAX_PACK_TERMS],
@@ -771,38 +827,61 @@ mod csimd {
     }
 
     /// Scalar one-column combine with the identical mul_add chains, for
-    /// the `nc % 8` tail.
+    /// the tails the vector bodies leave (`nc % 8` f32 / `nc % 4` f64
+    /// columns, the transposed sweep's depth tail and ragged group).
     ///
     /// # Safety
-    /// Every `rp[e]` must be readable at offset `j`.
-    unsafe fn combine1_f32(
-        co: &[f32; MAX_PACK_TERMS],
-        rp: &[*const f32; MAX_PACK_TERMS],
+    /// Every `rp[e]` (`e < t`) must be readable at offset `j`.
+    #[inline(always)]
+    unsafe fn combine1<T: Scalar>(
+        co: &[T; MAX_PACK_TERMS],
+        rp: &[*const T; MAX_PACK_TERMS],
         t: usize,
         j: usize,
-    ) -> f32 {
-        let x = |e: usize| *rp[e].add(j);
-        let chain = |o: usize, n: usize| match n {
-            1 => co[o] * x(o),
-            2 => co[o].mul_add(x(o), co[o + 1] * x(o + 1)),
-            3 => co[o].mul_add(x(o), co[o + 1].mul_add(x(o + 1), co[o + 2] * x(o + 2))),
-            _ => co[o].mul_add(
-                x(o),
-                co[o + 1].mul_add(x(o + 1), co[o + 2].mul_add(x(o + 2), co[o + 3] * x(o + 3))),
-            ),
-        };
-        let mut v = chain(0, t.min(4));
+    ) -> T {
+        let mut v = chain1(co, rp, 0, t.min(4), j);
         let mut o = 4;
         while o < t {
             let n = (t - o).min(4);
             if n == 1 {
-                v = co[o].mul_add(x(o), v);
+                v = co[o].mul_add(*rp[o].add(j), v);
             } else {
-                v += chain(o, n);
+                v += chain1(co, rp, o, n, j);
             }
             o += 4;
         }
         v
+    }
+
+    /// The ≤ 4-term overwrite chain of [`combine1`].
+    ///
+    /// # Safety
+    /// As [`combine1`], for `e < o + n`.
+    #[inline(always)]
+    unsafe fn chain1<T: Scalar>(
+        co: &[T; MAX_PACK_TERMS],
+        rp: &[*const T; MAX_PACK_TERMS],
+        o: usize,
+        n: usize,
+        j: usize,
+    ) -> T {
+        let x0 = *rp[o].add(j);
+        if n == 1 {
+            return co[o] * x0;
+        }
+        let x1 = *rp[o + 1].add(j);
+        if n == 2 {
+            return co[o].mul_add(x0, co[o + 1] * x1);
+        }
+        let x2 = *rp[o + 2].add(j);
+        if n == 3 {
+            return co[o].mul_add(x0, co[o + 1].mul_add(x1, co[o + 2] * x2));
+        }
+        let x3 = *rp[o + 3].add(j);
+        co[o].mul_add(
+            x0,
+            co[o + 1].mul_add(x1, co[o + 2].mul_add(x2, co[o + 3] * x3)),
+        )
     }
 
     /// # Safety
@@ -862,7 +941,7 @@ mod csimd {
                 ra += l;
             }
             while j < nc {
-                let v = combine1_f32(&co, &rp, t, j);
+                let v = combine1(&co, &rp, t, j);
                 let sl = j / nr;
                 buf[sl * kc * nr + p * nr + (j - sl * nr)] = v;
                 let vd = v as f64;
@@ -882,11 +961,158 @@ mod csimd {
         }
     }
 
+    /// The 8×8 transpose of `r` in registers: lane `q` of result `k` is
+    /// lane `k` of `r[q]`. Pure data movement, so every value keeps its
+    /// bits.
+    #[inline(always)]
+    unsafe fn transpose8_f32(r: &[__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        // Lanes k and k + 4 of rows 0–3 (u0..u3) and of rows 4–7 (u4..u7).
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
+    }
+
+    /// `sum[k] += r[q][k]` and `mag[k] += |r[q][k]|` in f64 for
+    /// `k < 8`, rows `q` in order — per `k` the scalar loop's sequence of
+    /// adds. The f32 → f64 widening is exact.
+    #[inline(always)]
+    unsafe fn add_rows8(r: &[__m256; 8], sum: &mut [f64], mag: &mut [f64]) {
+        let (sum, mag) = (&mut sum[..8], &mut mag[..8]);
+        let sign = _mm256_set1_ps(-0.0);
+        let mut s0 = _mm256_loadu_pd(sum.as_ptr());
+        let mut s1 = _mm256_loadu_pd(sum.as_ptr().add(4));
+        let mut m0 = _mm256_loadu_pd(mag.as_ptr());
+        let mut m1 = _mm256_loadu_pd(mag.as_ptr().add(4));
+        for &v in r {
+            let av = _mm256_andnot_ps(sign, v);
+            s0 = _mm256_add_pd(s0, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+            s1 = _mm256_add_pd(s1, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+            m0 = _mm256_add_pd(m0, _mm256_cvtps_pd(_mm256_castps256_ps128(av)));
+            m1 = _mm256_add_pd(m1, _mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)));
+        }
+        _mm256_storeu_pd(sum.as_mut_ptr(), s0);
+        _mm256_storeu_pd(sum.as_mut_ptr().add(4), s1);
+        _mm256_storeu_pd(mag.as_mut_ptr(), m0);
+        _mm256_storeu_pd(mag.as_mut_ptr().add(4), m1);
+    }
+
+    /// The transposed-B body for f32 combinations: `src` are the plain
+    /// `nc × kc` sources a transposed list transposes, and panel element
+    /// `(p, j)` is `Σ c·S[j, p]`. Each group of 8 source rows is formed
+    /// 8 deep with [`combine8_f32`] (the row sweeps' chains), transposed
+    /// in registers and stored 8 wide straight into the sliver,
+    /// [`BT_CHUNK_DEPTH`] rows at a time across the sliver's groups. The
+    /// depth tail and a ragged last group take [`combine1`] per
+    /// element. With `SUMS`, each formed row vector is added into
+    /// `sum[p..p + 8]` / `mag[p..p + 8]` in f64, rows in source order —
+    /// for every `p` the column order of [`super::pack_bt_sweep`].
+    ///
+    /// # Safety
+    /// CPU must support avx2+fma; `nr` must be a multiple of 8; every
+    /// source must be a plain `nc × kc` view; with `SUMS`, `sums` must be
+    /// present with `sum`/`mag` of length `kc`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn pack_bt_combined_f32<const SUMS: bool>(
+        src: &[(f32, MatRef<'_, f32>)],
+        buf: &mut [f32],
+        nr: usize,
+        nc: usize,
+        kc: usize,
+        mut sums: Option<PackSums<'_>>,
+    ) {
+        debug_assert_eq!(nr % 8, 0);
+        debug_assert_eq!(SUMS, sums.is_some());
+        assert!(buf.len() >= nc.div_ceil(nr) * kc * nr, "panel too short");
+        let t = src.len();
+        let mut co = [0.0f32; MAX_PACK_TERMS];
+        for (e, (c, _)) in src.iter().enumerate() {
+            co[e] = *c;
+        }
+        let mut rp = [[core::ptr::null::<f32>(); MAX_PACK_TERMS]; 8];
+        for s in 0..nc.div_ceil(nr) {
+            let base = s * kc * nr;
+            let j0 = s * nr;
+            let cols = nr.min(nc - j0);
+            for p0 in (0..kc).step_by(BT_CHUNK_DEPTH) {
+                let end = kc.min(p0 + BT_CHUNK_DEPTH);
+                for g in (0..cols).step_by(8) {
+                    let w = 8.min(cols - g);
+                    for (q, rq) in rp[..w].iter_mut().enumerate() {
+                        for (e, (_, m)) in src.iter().enumerate() {
+                            rq[e] = plain_row(m, j0 + g + q).as_ptr();
+                        }
+                    }
+                    // Element (p, g + q) of the sliver is at `dst + p·nr + q`.
+                    let dst = buf.as_mut_ptr().add(base + g);
+                    let mut p = p0;
+                    while w == 8 && p + 8 <= end {
+                        let r = [
+                            combine8_f32(&co, &rp[0], t, p),
+                            combine8_f32(&co, &rp[1], t, p),
+                            combine8_f32(&co, &rp[2], t, p),
+                            combine8_f32(&co, &rp[3], t, p),
+                            combine8_f32(&co, &rp[4], t, p),
+                            combine8_f32(&co, &rp[5], t, p),
+                            combine8_f32(&co, &rp[6], t, p),
+                            combine8_f32(&co, &rp[7], t, p),
+                        ];
+                        for (k, v) in transpose8_f32(&r).into_iter().enumerate() {
+                            _mm256_storeu_ps(dst.add((p + k) * nr), v);
+                        }
+                        if let (true, Some((sum, mag))) = (SUMS, &mut sums) {
+                            add_rows8(&r, &mut sum[p..p + 8], &mut mag[p..p + 8]);
+                        }
+                        p += 8;
+                    }
+                    for p in p..end {
+                        for (q, rq) in rp[..w].iter().enumerate() {
+                            let v = combine1(&co, rq, t, p);
+                            *dst.add(p * nr + q) = v;
+                            if let (true, Some((sum, mag))) = (SUMS, &mut sums) {
+                                let vd = v as f64;
+                                sum[p] += vd;
+                                mag[p] += vd.abs();
+                            }
+                        }
+                    }
+                }
+            }
+            if cols < nr {
+                for p in 0..kc {
+                    buf[base + p * nr + cols..base + p * nr + nr].fill(0.0);
+                }
+            }
+        }
+    }
+
     /// f64 overwrite-combine chain (4 lanes), mirroring [`chain8_f32`].
     ///
     /// # Safety
     /// As [`chain8_f32`], reading `j + 4` elements.
-    #[target_feature(enable = "avx2,fma")]
+    #[inline(always)]
     unsafe fn chain4_f64(
         co: &[f64; MAX_PACK_TERMS],
         rp: &[*const f64; MAX_PACK_TERMS],
@@ -917,7 +1143,7 @@ mod csimd {
 
     /// # Safety
     /// As [`chain4_f64`], for all `t` terms.
-    #[target_feature(enable = "avx2,fma")]
+    #[inline(always)]
     unsafe fn combine4_f64(
         co: &[f64; MAX_PACK_TERMS],
         rp: &[*const f64; MAX_PACK_TERMS],
@@ -932,40 +1158,6 @@ mod csimd {
                 v = _mm256_fmadd_pd(_mm256_set1_pd(co[o]), _mm256_loadu_pd(rp[o].add(j)), v);
             } else {
                 v = _mm256_add_pd(v, chain4_f64(co, rp, o, n, j));
-            }
-            o += 4;
-        }
-        v
-    }
-
-    /// Scalar one-column f64 combine for the `nc % 4` tail.
-    ///
-    /// # Safety
-    /// Every `rp[e]` must be readable at offset `j`.
-    unsafe fn combine1_f64(
-        co: &[f64; MAX_PACK_TERMS],
-        rp: &[*const f64; MAX_PACK_TERMS],
-        t: usize,
-        j: usize,
-    ) -> f64 {
-        let x = |e: usize| *rp[e].add(j);
-        let chain = |o: usize, n: usize| match n {
-            1 => co[o] * x(o),
-            2 => co[o].mul_add(x(o), co[o + 1] * x(o + 1)),
-            3 => co[o].mul_add(x(o), co[o + 1].mul_add(x(o + 1), co[o + 2] * x(o + 2))),
-            _ => co[o].mul_add(
-                x(o),
-                co[o + 1].mul_add(x(o + 1), co[o + 2].mul_add(x(o + 2), co[o + 3] * x(o + 3))),
-            ),
-        };
-        let mut v = chain(0, t.min(4));
-        let mut o = 4;
-        while o < t {
-            let n = (t - o).min(4);
-            if n == 1 {
-                v = co[o].mul_add(x(o), v);
-            } else {
-                v += chain(o, n);
             }
             o += 4;
         }
@@ -1022,7 +1214,7 @@ mod csimd {
                 ra += l;
             }
             while j < nc {
-                let v = combine1_f64(&co, &rp, t, j);
+                let v = combine1(&co, &rp, t, j);
                 let sl = j / nr;
                 buf[sl * kc * nr + p * nr + (j - sl * nr)] = v;
                 rs += v;
@@ -1378,6 +1570,39 @@ mod tests {
         })
     }
 
+    /// `m` inside a frame of junk (one row above, one column left, `1 + pad`
+    /// right): `framed(m, pad).as_ref().subview(1, 1, ..)` is `m` as a
+    /// block of a wider matrix, row stride above width — as a block of Wᵀ
+    /// is. A sweep that reads past its view's width picks up the junk.
+    fn framed<T: Scalar>(m: &Mat<T>, pad: usize) -> Mat<T> {
+        Mat::from_fn(m.rows() + 1, m.cols() + 2 + pad, |i, j| {
+            if i >= 1 && (1..=m.cols()).contains(&j) {
+                m.at(i - 1, j - 1)
+            } else {
+                T::from_f64(1e30)
+            }
+        })
+    }
+
+    /// Source `s` of a test list: a block of a wider matrix for even `s`,
+    /// a whole matrix for odd `s`.
+    fn source_view<T: Scalar>(store: &Mat<T>, s: usize, rows: usize, cols: usize) -> MatRef<'_, T> {
+        if s.is_multiple_of(2) {
+            store.as_ref().subview(1, 1, rows, cols)
+        } else {
+            store.as_ref()
+        }
+    }
+
+    /// `m` stored for [`source_view`].
+    fn store_for<T: Scalar>(m: Mat<T>, s: usize) -> Mat<T> {
+        if s.is_multiple_of(2) {
+            framed(&m, s % 3)
+        } else {
+            m
+        }
+    }
+
     /// Bit-for-bit equal, except that any NaN matches any NaN (a copy keeps
     /// a payload that `1·x` may quiet).
     fn assert_same_bits<T: Scalar>(got: &[T], want: &[T], ctx: &str) {
@@ -1392,25 +1617,34 @@ mod tests {
     }
 
     /// Pack `Σ coeffs[t]·src_t` through the term-list packers (B with and
-    /// without checksums) and compare with materialize-then-pack. For the
-    /// unit list `[1.0]` the reference forms `1·x` with `combine`'s
-    /// multiply arm while the packers take their copy sweeps, which pins
-    /// the `[(1, src)]` selection. Every list is packed three ways: plain
-    /// sources, transposed views of stored transposes, and the two
-    /// alternating (the mixed-orientation sweep).
-    fn check_combined_bitwise<T: Scalar>(rows: usize, cols: usize, coeffs: &[f64], special: bool) {
+    /// without checksums, into `nr`-wide slivers) and compare with
+    /// materialize-then-pack. For the unit list `[1.0]` the reference forms
+    /// `1·x` with `combine`'s multiply arm while the packers take their
+    /// copy sweeps, which pins the `[(1, src)]` selection. Every list is
+    /// packed three ways: plain sources, transposed views of stored
+    /// transposes, and the two alternating (the mixed-orientation sweep);
+    /// even-numbered sources are blocks of wider matrices either way.
+    fn check_combined_bitwise<T: Scalar>(
+        rows: usize,
+        cols: usize,
+        nr: usize,
+        coeffs: &[f64],
+        special: bool,
+    ) {
         use crate::add::combine;
         let srcs: Vec<Mat<T>> = (0..coeffs.len())
-            .map(|s| combo_mat(rows, cols, s, special))
+            .map(|s| store_for(combo_mat(rows, cols, s, special), s))
             .collect();
-        let stored_t: Vec<Mat<T>> = srcs.iter().map(|m| m.as_ref().t().to_owned()).collect();
+        let stored_t: Vec<Mat<T>> = (0..coeffs.len())
+            .map(|s| store_for(source_view(&srcs[s], s, rows, cols).t().to_owned(), s))
+            .collect();
         let terms_with = |transposed: &dyn Fn(usize) -> bool| -> Vec<(T, MatRef<'_, T>)> {
             (0..coeffs.len())
                 .map(|t| {
                     let src = if transposed(t) {
-                        stored_t[t].as_ref().t()
+                        source_view(&stored_t[t], t, cols, rows).t()
                     } else {
-                        srcs[t].as_ref()
+                        source_view(&srcs[t], t, rows, cols)
                     };
                     (T::from_f64(coeffs[t]), src)
                 })
@@ -1422,40 +1656,63 @@ mod tests {
         combine(s.as_mut(), false, &terms);
         let (mut want_a, mut want_b) = (Vec::new(), Vec::new());
         pack_a(s.as_ref(), &mut want_a, T::MR);
-        pack_b(s.as_ref(), &mut want_b, T::NR);
+        pack_b(s.as_ref(), &mut want_b, nr);
         // The packers only ever grow a buffer, so `got` goes in longer than
         // any panel and all NaN: an element a sweep skipped (a pad it should
         // have zeroed) shows against the freshly zero-filled `want`.
-        let stale = || vec![T::from_f64(f64::NAN); 4 * (rows + T::MR) * (cols + T::NR)];
+        let stale = || vec![T::from_f64(f64::NAN); 4 * (rows + T::MR) * (cols + nr)];
         for (layout, terms) in [
             ("plain", terms.clone()),
             ("transposed", terms_with(&|_| true)),
             ("mixed", terms_with(&|t| t % 2 == 0)),
         ] {
-            let ctx = format!("coeffs {coeffs:?} ({rows}x{cols}) special={special} {layout}");
+            let ctx =
+                format!("coeffs {coeffs:?} ({rows}x{cols}, nr {nr}) special={special} {layout}");
             let mut got = stale();
             pack_a_combined(&terms, &mut got, T::MR);
             assert_same_bits(&got, &want_a, &format!("pack_a {ctx}"));
             let mut got = stale();
-            pack_b_combined(&terms, &mut got, T::NR);
+            pack_b_combined(&terms, &mut got, nr);
             assert_same_bits(&got, &want_b, &format!("pack_b {ctx}"));
             let (mut got, mut sum, mut mag) = (stale(), Vec::new(), Vec::new());
-            let len = pack_b_terms(&terms, &mut got, T::NR, Some((&mut sum, &mut mag)));
+            let len = pack_b_terms(&terms, &mut got, nr, Some((&mut sum, &mut mag)));
             assert_same_bits(&got[..len], &want_b, &format!("pack_b+sums {ctx}"));
         }
     }
 
+    /// `(kc, nc, nr)` cases past the small shapes: depths across the
+    /// transposed sweep's 64-deep chunk (63, 64, 65, 130), and widths of
+    /// whole 8-row groups with a ragged last sliver (40 = 16+16+8,
+    /// 77 = 32+32+8+5, 39 = 16+16+7) or without one (16, 64), at the AVX2
+    /// and AVX-512 f32 sliver widths.
+    const DEEP_CASES: [(usize, usize, usize); 8] = [
+        (63, 77, 16),
+        (64, 40, 16),
+        (65, 16, 16),
+        (130, 39, 16),
+        (63, 40, 32),
+        (64, 64, 32),
+        (65, 77, 32),
+        (130, 19, 32),
+    ];
+
     #[test]
     fn combined_pack_bitwise_matches_materialized() {
-        for &(rows, cols) in &[(8, 8), (9, 5), (17, 19), (3, 33)] {
-            for special in [false, true] {
-                for arity in 1..=7 {
-                    let coeffs: Vec<f64> = (0..arity).map(|t| 0.5 * t as f64 - 0.7).collect();
-                    check_combined_bitwise::<f32>(rows, cols, &coeffs, special);
-                    check_combined_bitwise::<f64>(rows, cols, &coeffs, special);
+        let small = [(8, 8), (9, 5), (17, 19), (3, 33)];
+        for special in [false, true] {
+            for arity in 0..=7 {
+                // Arity 0 stands for the unit list.
+                let coeffs: Vec<f64> = match arity {
+                    0 => vec![1.0],
+                    _ => (0..arity).map(|t| 0.5 * t as f64 - 0.7).collect(),
+                };
+                for &(rows, cols) in &small {
+                    check_combined_bitwise::<f32>(rows, cols, f32::NR, &coeffs, special);
+                    check_combined_bitwise::<f64>(rows, cols, f64::NR, &coeffs, special);
                 }
-                check_combined_bitwise::<f32>(rows, cols, &[1.0], special);
-                check_combined_bitwise::<f64>(rows, cols, &[1.0], special);
+                for &(kc, nc, nr) in &DEEP_CASES {
+                    check_combined_bitwise::<f32>(kc, nc, nr, &coeffs, special);
+                }
             }
         }
     }
@@ -1472,14 +1729,19 @@ mod tests {
     ) {
         let srcs: Vec<Mat<T>> = (0..arity)
             .map(|s| {
+                // Forty binades of magnitude: f64 sums of these round
+                // differently in another order, so the bitwise assertion
+                // below pins the transposed sweep's summation order.
                 let v = |i: usize, j: usize| {
-                    T::from_f64((((i * 31 + j * 7 + s * 13) as f64).sin() - 0.3) * 2.0)
+                    let scale = 2f64.powi(((i * 5 + j * 3 + s) % 41) as i32 - 20);
+                    T::from_f64((((i * 31 + j * 7 + s * 13) as f64).sin() - 0.3) * 2.0 * scale)
                 };
-                if transposed {
+                let m = if transposed {
                     Mat::from_fn(nc, kc, |j, i| v(i, j))
                 } else {
                     Mat::from_fn(kc, nc, v)
-                }
+                };
+                store_for(m, s)
             })
             .collect();
         let terms: Vec<(T, _)> = srcs
@@ -1487,9 +1749,9 @@ mod tests {
             .enumerate()
             .map(|(t, m)| {
                 let view = if transposed {
-                    m.as_ref().t()
+                    source_view(m, t, nc, kc).t()
                 } else {
-                    m.as_ref()
+                    source_view(m, t, kc, nc)
                 };
                 (T::from_f64(0.5 * t as f64 - 0.7), view)
             })
@@ -1527,11 +1789,14 @@ mod tests {
     #[test]
     fn combined_pack_with_sums_matches_plain_pack() {
         for arity in 1..=7 {
-            for &(kc, nc) in &[(3, 33), (5, 8), (7, 19), (4, 64), (2, 3), (70, 41)] {
-                for transposed in [false, true] {
+            for transposed in [false, true] {
+                for &(kc, nc) in &[(3, 33), (5, 8), (7, 19), (4, 64), (2, 3), (70, 41)] {
                     check_combined_sums::<f32>(kc, nc, arity, f32::NR, transposed);
                     check_combined_sums::<f64>(kc, nc, arity, f64::NR, transposed);
                     check_combined_sums::<f32>(kc, nc, arity, 16, transposed);
+                }
+                for &(kc, nc, nr) in &DEEP_CASES {
+                    check_combined_sums::<f32>(kc, nc, arity, nr, transposed);
                 }
             }
         }

@@ -69,10 +69,10 @@ pub fn map_inplace(x: &mut Mat<f32>, f: impl Fn(f32) -> f32) {
 pub fn relu_backward_inplace(grad: &mut Mat<f32>, z: &Mat<f32>) {
     assert_eq!(grad.rows(), z.rows());
     assert_eq!(grad.cols(), z.cols());
+    // A select, not a branch: the sign of `z` is data, and a mispredicted
+    // branch per element cost more than the whole pass.
     for (g, &z) in grad.as_mut_slice().iter_mut().zip(z.as_slice()) {
-        if z <= 0.0 {
-            *g = 0.0;
-        }
+        *g = if z <= 0.0 { 0.0 } else { *g };
     }
 }
 
@@ -160,5 +160,29 @@ mod tests {
         relu_backward_inplace(&mut by_z, &z);
         relu_backward_inplace(&mut by_a, &a);
         assert_eq!(by_z, by_a);
+        // Every (z, grad) pair over signed zeros, ±∞ and NaN (a payload
+        // included) keeps the bits the branchy mask leaves.
+        let specials = [
+            -1.0,
+            -0.0,
+            0.0,
+            0.5,
+            f32::NAN,
+            f32::from_bits(0xffc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let n = specials.len();
+        let z = Mat::from_fn(n, n, |i, _| specials[i]);
+        let mut g = Mat::from_fn(n, n, |_, j| specials[j]);
+        let mut want = g.clone();
+        for (w, &z) in want.as_mut_slice().iter_mut().zip(z.as_slice()) {
+            if z <= 0.0 {
+                *w = 0.0;
+            }
+        }
+        relu_backward_inplace(&mut g, &z);
+        let bits = |m: &Mat<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g), bits(&want));
     }
 }

@@ -7,7 +7,10 @@
 #   2. the benchmark (`benchmark/`, a package of its own) built against
 #      this library, its unit tests, and `ledger --selftest` — a changed
 #      signature among the public names listed at the end of
-#      benchmark/README.md fails here instead of in the pipeline
+#      benchmark/README.md fails here instead of in the pipeline; and the
+#      release ledger must define no `apa_gemm::pack::csimd` function
+#      but the `pack_*` entry points (an out-of-line helper costs the
+#      pack sweep a call per vector, see `csimd` in crates/gemm/src/pack.rs)
 #   3. every crate's suite (`cargo test -q` covers the whole workspace:
 #      gemm's one driver, dispatch matrix and 2D parallel suites, the
 #      engine, the planner's compiler/store suites, nn, serve, core,
@@ -50,6 +53,13 @@ cargo build --release
 
 echo "== tier1: benchmark builds, tests and self-checks against this library =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+syms=$(nm -C benchmark/target/release/ledger)
+stray=$(grep -F 'apa_gemm::pack::csimd::' <<<"$syms" | grep -vF 'apa_gemm::pack::csimd::pack_' || true)
+if [ -n "$stray" ]; then
+    echo "tier1: pack csimd helpers compiled out of line in the release ledger:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
 (cd benchmark && cargo test --offline -q)
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --selftest --seed 7
 
