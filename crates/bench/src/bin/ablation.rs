@@ -13,7 +13,7 @@
 
 use apa_bench::{banner, print_table, time_min, Args};
 use apa_core::catalog;
-use apa_gemm::{combine, combine_axpy, Mat};
+use apa_gemm::{combine, Mat};
 use apa_matmul::{measure_error, ApaMatmul, PeelMode, Strategy};
 
 fn probe(n: usize, seed: u64) -> Mat<f32> {
@@ -24,6 +24,17 @@ fn probe(n: usize, seed: u64) -> Mat<f32> {
             .wrapping_add(1442695040888963407);
         (((state >> 32) as u32 as f64 / (1u64 << 31) as f64) - 1.0) as f32
     })
+}
+
+/// The baseline write-once replaces: `dst = Σ cᵢ·srcᵢ` as a chain of
+/// AXPYs, one read-modify-write sweep over `dst` per term.
+fn chained_axpy(dst: &mut Mat<f32>, terms: &[(f32, &Mat<f32>)]) {
+    dst.fill(0.0);
+    for &(c, src) in terms {
+        for (o, &x) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
+            *o += c * x;
+        }
+    }
 }
 
 fn main() {
@@ -42,9 +53,10 @@ fn main() {
     {
         let srcs: Vec<Mat<f32>> = (0..4).map(|s| probe(n, s as u64 + 10)).collect();
         let terms: Vec<(f32, _)> = srcs.iter().map(|m| (0.5f32, m.as_ref())).collect();
+        let axpy_terms: Vec<(f32, _)> = srcs.iter().map(|m| (0.5f32, m)).collect();
         let mut dst = Mat::<f32>::zeros(n, n);
         let t_wo = time_min(|| combine(dst.as_mut(), false, &terms), reps);
-        let t_ax = time_min(|| combine_axpy(dst.as_mut(), false, &terms), reps);
+        let t_ax = time_min(|| chained_axpy(&mut dst, &axpy_terms), reps);
         println!("1) linear combinations (4 operands, {n}x{n}):");
         print_table(
             &["variant", "seconds", "vs write-once"],

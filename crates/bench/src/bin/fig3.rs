@@ -1,24 +1,34 @@
 //! Figure 3 — standalone square matmul performance: effective GFLOPS
 //! (2n³/time) of every APA algorithm vs the classical gemm baseline.
 //!
+//! Each rule is timed against `gemm` interleaved: rep by rep, the two run
+//! back to back on the same inputs (the first alternating), and a cell
+//! reports the rule's median effective GFLOPS with the median of its
+//! per-rep time ratios to `gemm`. A host whose clock drifts between speed
+//! states moves both halves of a pair together, so the ratio holds where
+//! a classical row timed once and then compared against every rule would
+//! flip sign between runs. The classical row is the median of every
+//! `gemm` rep at that n.
+//!
 //! The paper runs this at 1 thread (Fig. 3a), 6 threads / one socket
 //! (Fig. 3b) and 12 threads / two sockets (Fig. 3c). On this container the
 //! >1-thread settings are oversubscribed onto fewer physical cores — the
 //! > harness still exercises the hybrid schedule end to end, but wall-clock
 //! > speedups are only meaningful at `--threads 1` unless you have the cores.
 //!
-//! Usage: `cargo run --release -p apa-bench --bin fig3 [--threads p] [--full] [--max N] [--reps k]`
+//! Usage: `cargo run --release -p apa-bench --bin fig3 -- [--threads p] [--full] [--max N] [--reps k]`
 //!   default dims: 512 1024 1536 2048; --full adds 3072 4096 6144 8192.
 
-use apa_bench::{banner, effective_gflops, print_csv, print_table, time_min, Args};
+use apa_bench::{banner, effective_gflops, print_csv, print_table, Args};
 use apa_core::catalog;
 use apa_gemm::{gemm, Mat, Par};
 use apa_matmul::{ApaMatmul, Strategy};
+use std::time::Instant;
 
 fn main() {
     let args = Args::parse();
     let threads = args.get("threads", 1usize);
-    let reps = args.get("reps", 2usize);
+    let reps = args.get("reps", 3usize).max(1);
     let mut dims = vec![512usize, 1024, 1536, 2048];
     if args.flag("full") {
         dims.extend([3072, 4096, 6144, 8192]);
@@ -30,7 +40,10 @@ fn main() {
         &format!("Figure 3: effective GFLOPS vs dimension, {threads} thread(s)"),
         &[
             "effective GFLOPS counts 2n^3 classical flops for every algorithm (paper §3.3)",
-            &format!("dims: {dims:?}; hybrid strategy; min of {reps} reps"),
+            &format!(
+                "dims: {dims:?}; hybrid strategy; median of {reps} reps interleaved with gemm"
+            ),
+            "cell: effective GFLOPS (median per-rep time ratio to gemm; < 1.00x beats gemm)",
             if threads > 1 {
                 "NOTE: threads may be oversubscribed on this machine (DESIGN.md §7)"
             } else {
@@ -62,23 +75,9 @@ fn main() {
         }
     }
 
-    // Classical baseline row.
-    let mut baseline = vec!["classical(gemm)".to_string()];
-    let mut baseline_times = Vec::new();
-    for &n in &dims {
-        let a = Mat::<f32>::from_fn(n, n, |i, j| ((i * 7 + j) % 13) as f32 * 0.077 - 0.5);
-        let b = Mat::<f32>::from_fn(n, n, |i, j| ((i + j * 3) % 11) as f32 * 0.09 - 0.45);
-        let mut c = Mat::<f32>::zeros(n, n);
-        let t = time_min(
-            || gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), par),
-            reps,
-        );
-        baseline_times.push(t);
-        baseline.push(format!("{:.1}", effective_gflops(n, t)));
-        eprintln!("  classical n={n}: {t:.3}s");
-    }
-    let mut rows = vec![baseline];
-
+    // One rule at a time, so only its workspaces are alive.
+    let mut gemm_times = vec![Vec::new(); dims.len()];
+    let mut rows = Vec::new();
     for alg in &algs {
         let mm = ApaMatmul::new(alg.clone())
             .strategy(Strategy::Hybrid)
@@ -88,16 +87,45 @@ fn main() {
             let a = Mat::<f32>::from_fn(n, n, |i, j| ((i * 7 + j) % 13) as f32 * 0.077 - 0.5);
             let b = Mat::<f32>::from_fn(n, n, |i, j| ((i + j * 3) % 11) as f32 * 0.09 - 0.45);
             let mut c = Mat::<f32>::zeros(n, n);
-            let t = time_min(
-                || mm.multiply_into(a.as_ref(), b.as_ref(), c.as_mut()),
-                reps,
-            );
-            let speedup = (baseline_times[di] / t - 1.0) * 100.0;
-            row.push(format!("{:.1} ({speedup:+.0}%)", effective_gflops(n, t)));
+            let time_gemm = |c: &mut Mat<f32>| {
+                let t0 = Instant::now();
+                gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut(), par);
+                t0.elapsed().as_secs_f64()
+            };
+            let time_rule = |c: &mut Mat<f32>| {
+                let t0 = Instant::now();
+                mm.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+                t0.elapsed().as_secs_f64()
+            };
+            time_gemm(&mut c);
+            time_rule(&mut c);
+            let (mut rule_times, mut ratios) = (Vec::new(), Vec::new());
+            for rep in 0..reps {
+                let (tg, tr) = if rep % 2 == 0 {
+                    let tg = time_gemm(&mut c);
+                    (tg, time_rule(&mut c))
+                } else {
+                    let tr = time_rule(&mut c);
+                    (time_gemm(&mut c), tr)
+                };
+                gemm_times[di].push(tg);
+                rule_times.push(tr);
+                ratios.push(tr / tg);
+            }
+            row.push(format!(
+                "{:.1} ({:.2}x)",
+                effective_gflops(n, median(rule_times)),
+                median(ratios)
+            ));
         }
         eprintln!("  measured {}", alg.name);
         rows.push(row);
     }
+    let mut baseline = vec!["classical(gemm)".to_string()];
+    for (times, &n) in gemm_times.into_iter().zip(&dims) {
+        baseline.push(format!("{:.1}", effective_gflops(n, median(times))));
+    }
+    rows.insert(0, baseline);
 
     print_table(&header_refs, &rows);
     println!();
@@ -107,4 +135,15 @@ fn main() {
     println!("<4,4,4>-class fastest sequentially (paper: +28% at n=8192, ours capped by");
     println!("rank 49 vs Smirnov's 46); at 12 threads only rules whose sub-multiplication");
     println!("count divides the thread count avoid the remainder penalty (paper: <4,2,2>).");
+}
+
+/// Median of a non-empty sample.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
 }

@@ -1,7 +1,8 @@
 //! # apa-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md §4 for the experiment index) plus criterion micro-benchmarks.
+//! DESIGN.md §4 for the experiment index), the ablations and the `apa`
+//! CLI. Performance is measured by the benchmark ledger (`benchmark/`).
 //! This library holds the shared plumbing: a tiny flag parser, robust
 //! timing, and result-table printing.
 

@@ -289,49 +289,6 @@ pub fn combine_par<T: Scalar>(
 /// [`combine_par`]. Wider combinations fall back to a per-stripe Vec.
 pub const MAX_INLINE_COMBINE: usize = 32;
 
-/// Naive chained-AXPY version of [`combine`] — re-reads/re-writes `dst`
-/// once per term. Kept as the baseline for the write-once ablation bench;
-/// plain (non-transposed) sources only.
-pub fn combine_axpy<T: Scalar>(
-    mut dst: MatMut<'_, T>,
-    accumulate: bool,
-    terms: &[(T, MatRef<'_, T>)],
-) {
-    if !accumulate {
-        dst.fill(T::ZERO);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernel::hardware_fma_enabled() {
-        // SAFETY: avx2+fma presence was verified at runtime.
-        unsafe { combine_axpy_sweep_fma(&mut dst, terms) };
-        return;
-    }
-    combine_axpy_sweep(&mut dst, terms);
-}
-
-#[inline(always)]
-fn combine_axpy_sweep<T: Scalar>(dst: &mut MatMut<'_, T>, terms: &[(T, MatRef<'_, T>)]) {
-    for (c, src) in terms {
-        assert_eq!(src.rows(), dst.rows());
-        assert_eq!(src.cols(), dst.cols());
-        assert!(!src.is_transposed(), "combine_axpy takes plain sources");
-        for i in 0..dst.rows() {
-            let row = dst.row_mut(i);
-            for (o, &x) in row.iter_mut().zip(src.row(i)) {
-                *o = c.mul_add(x, *o);
-            }
-        }
-    }
-}
-
-/// # Safety
-/// CPU must support avx2+fma (see [`crate::kernel::hardware_fma_enabled`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn combine_axpy_sweep_fma<T: Scalar>(dst: &mut MatMut<'_, T>, terms: &[(T, MatRef<'_, T>)]) {
-    combine_axpy_sweep(dst, terms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,18 +414,6 @@ mod tests {
             combine_par(par.as_mut(), false, &terms, Par::Threads(threads));
             assert_eq!(par, seq, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn axpy_baseline_matches_write_once() {
-        let n = 9;
-        let srcs = mats(n, 3);
-        let terms: Vec<(f64, _)> = srcs.iter().map(|m| (0.25, m.as_ref())).collect();
-        let mut a = Mat::<f64>::from_fn(n, n, |i, _| i as f64);
-        let mut b = a.clone();
-        combine(a.as_mut(), true, &terms);
-        combine_axpy(b.as_mut(), true, &terms);
-        assert!(a.rel_frobenius_error(&b) < 1e-14);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod scalar;
 pub mod transpose;
 
 pub use abft::{AbftConfig, AbftCounts, AbftSession, AbftStats, DEFAULT_SLACK};
-pub use add::{combine, combine_axpy, combine_par, MAX_INLINE_COMBINE};
+pub use add::{combine, combine_par, MAX_INLINE_COMBINE};
 pub use blocked::{
     gemm_combined_st, gemm_combined_st_with_spec, gemm_st, gemm_st_with_spec, matmul,
     reserve_scratch, BlockSizes, Scratch,

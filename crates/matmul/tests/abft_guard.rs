@@ -52,10 +52,17 @@ fn abft_tier_is_bitwise_transparent_on_fault_free_apa_runs() {
         abft: AbftMode::Off,
         ..SentinelConfig::default()
     });
-    // Divisible and ragged (peeled) shapes.
-    for (s, &(m, k, n)) in [(30usize, 20usize, 22usize), (31, 21, 23), (12, 8, 10)]
-        .iter()
-        .enumerate()
+    // Divisible and ragged (peeled) shapes, and a batch-64 training step
+    // (64 = 3·21 + 1: the M tail padded through the last block row, the
+    // leaves' S/T combined in the pack under the default `Auto`).
+    for (s, &(m, k, n)) in [
+        (30usize, 20usize, 22usize),
+        (31, 21, 23),
+        (12, 8, 10),
+        (64, 256, 256),
+    ]
+    .iter()
+    .enumerate()
     {
         let a = probe_mat(m, k, 2 * s as u64 + 1);
         let b = probe_mat(k, n, 2 * s as u64 + 2);
@@ -180,26 +187,34 @@ mod injected {
     #[test]
     fn exponent_flip_is_repaired_in_place_with_no_demotion() {
         let _g = lock();
-        let shape = (30, 20, 22);
         let sent = SentinelConfig::default();
-        for target in [FlipTarget::PackA, FlipTarget::PackB, FlipTarget::Output] {
+        // A small divisible shape and a batch-64 training step.
+        for (shape, target) in [(30, 20, 22), (64, 256, 256)]
+            .into_iter()
+            .flat_map(|shape| {
+                [FlipTarget::PackA, FlipTarget::PackB, FlipTarget::Output].map(|t| (shape, t))
+            })
+        {
             let fired_before = apa_gemm::abft::sdc::injected();
             let (guard, outs) = drill(sent, target, 7, 30, 1, 3, shape);
             assert_eq!(
                 apa_gemm::abft::sdc::injected(),
                 fired_before + 1,
-                "{target:?}: flip did not fire"
+                "{shape:?} {target:?}: flip did not fire"
             );
             let clean = clean_reference(sent, 3, shape);
             for (i, (c, r)) in outs.iter().zip(&clean).enumerate() {
-                assert_bitwise_eq(c, r, &format!("{target:?} call {i}"));
+                assert_bitwise_eq(c, r, &format!("{shape:?} {target:?} call {i}"));
             }
             let h = guard.health();
-            assert!(h.abft_detected >= 1, "{target:?}: {h:?}");
-            assert!(h.abft_repaired >= 1, "{target:?}: {h:?}");
-            assert_eq!(h.abft_escalations, 0, "{target:?}: {h:?}");
-            assert_eq!(h.demotions, 0, "repair must not demote: {target:?}: {h:?}");
-            assert_eq!(h.probe_failures, 0, "{target:?}: {h:?}");
+            assert!(h.abft_detected >= 1, "{shape:?} {target:?}: {h:?}");
+            assert!(h.abft_repaired >= 1, "{shape:?} {target:?}: {h:?}");
+            assert_eq!(h.abft_escalations, 0, "{shape:?} {target:?}: {h:?}");
+            assert_eq!(
+                h.demotions, 0,
+                "repair must not demote: {shape:?} {target:?}: {h:?}"
+            );
+            assert_eq!(h.probe_failures, 0, "{shape:?} {target:?}: {h:?}");
             assert_eq!(guard.current_rung(shape.0, shape.1, shape.2), Some(0));
         }
     }

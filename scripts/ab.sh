@@ -6,6 +6,11 @@
 # `ledger compare` on the two record sets and, per end-to-end metric, in
 # how many pairs the change read better, equal or worse.
 #
+# A run that exits non-zero does not stop the A/B: its pair, seed, side
+# and exit code go to failed.txt next to the records, the other runs go
+# on, and the script exits 1 at the end. A pair is compared only when
+# both of its runs wrote a record; a lone record is moved to unpaired/.
+#
 #   scripts/ab.sh <parent-rev> <workload> [pairs=10] [seconds=26]
 #
 # The parent's committed files are exported with `git archive` (so no
@@ -49,6 +54,8 @@ declare -A ledger=(
 
 out="$root/runs/$workload-$(date +%Y%m%dT%H%M%S)"
 mkdir -p "$out/parent" "$out/change"
+: >"$out/failed.txt"
+declare -A failed=([parent]=0 [change]=0)
 for i in $(seq "$pairs"); do
     seed=$((1000 + i))
     order="parent change"
@@ -57,17 +64,44 @@ for i in $(seq "$pairs"); do
     fi
     for side in $order; do
         echo "ab: pair $i/$pairs, seed $seed, $side" >&2
+        status=0
         "${ledger[$side]}" --workload "$workload" --seed "$seed" --seconds "$seconds" \
-            --trace 0 --out "$out/$side/$i.json" >/dev/null
+            --trace 0 --out "$out/$side/$i.json" >/dev/null || status=$?
+        if [ "$status" -ne 0 ]; then
+            echo "pair $i seed $seed side $side exit $status" >>"$out/failed.txt"
+            echo "ab: pair $i, seed $seed, $side exited $status" >&2
+            failed[$side]=$((failed[$side] + 1))
+        fi
     done
 done
 
-"${ledger[change]}" compare "$out/parent" "$out/change"
+# Only pairs where both sides wrote a record are compared.
+paired=()
+for i in $(seq "$pairs"); do
+    if [ -f "$out/parent/$i.json" ] && [ -f "$out/change/$i.json" ]; then
+        paired+=("$i")
+        continue
+    fi
+    for side in parent change; do
+        if [ -f "$out/$side/$i.json" ]; then
+            mkdir -p "$out/unpaired"
+            mv "$out/$side/$i.json" "$out/unpaired/$side-$i.json"
+        fi
+    done
+done
 
-echo "ab: $workload, $pairs pairs, records in $out"
+compare_status=0
+if [ "${#paired[@]}" -gt 0 ]; then
+    "${ledger[change]}" compare "$out/parent" "$out/change" || compare_status=$?
+else
+    echo "ab: no pair has a record on both sides; nothing to compare" >&2
+fi
+
+echo "ab: $workload, ${#paired[@]} of $pairs pairs compared, records in $out"
+echo "ab: failed runs: parent ${failed[parent]}, change ${failed[change]} (see $out/failed.txt)"
 jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json |
     while read -r metric better; do
-        counts=$(for i in $(seq "$pairs"); do
+        counts=$(for i in "${paired[@]}"; do
             a=$(jq -r ".metrics.$metric.value // empty" "$out/parent/$i.json")
             b=$(jq -r ".metrics.$metric.value // empty" "$out/change/$i.json")
             if [ -n "$a" ] && [ -n "$b" ]; then
@@ -79,3 +113,8 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json |
             END { printf "better %d, equal %d, worse %d of %d", w, e, l, NR }')
         printf '%s\t%s\tchange %s pairs\n' "$workload" "$metric" "$counts"
     done
+
+if [ $((failed[parent] + failed[change])) -gt 0 ]; then
+    exit 1
+fi
+exit "$compare_status"

@@ -39,7 +39,9 @@
 #      cold-store vs warm-store determinism gate) under APA_THREADS=2
 #      APA_NO_PIN=1
 #   8. rustfmt check
-#   9. clippy with warnings promoted to errors
+#   9. clippy with warnings promoted to errors: the whole workspace
+#      (apa-bench's figure binaries and `apa` CLI included), then each of
+#      the four crates with a `fault-inject` feature with it on
 #
 # No line is a strict subset of another line in the same environment.
 #
@@ -110,8 +112,5 @@ cargo clippy -p apa-nn --all-targets --features fault-inject -- -D warnings
 
 echo "== tier1: cargo clippy -p apa-serve --features fault-inject (deny warnings) =="
 cargo clippy -p apa-serve --all-targets --features fault-inject -- -D warnings
-
-echo "== tier1: cargo clippy -p apa-bench --features fault-inject (deny warnings) =="
-cargo clippy -p apa-bench --all-targets --features fault-inject -- -D warnings
 
 echo "== tier1: OK =="

@@ -54,7 +54,7 @@ pub mod prelude {
 /// selected, the gemm cache-blocking parameters in effect for both
 /// element types, and the planner's cache counters. The single line to
 /// print at startup when asking "what is this machine actually running?"
-/// — surfaced by `examples/quickstart.rs` and the servebench harness.
+/// — surfaced by `examples/quickstart.rs`.
 pub fn diagnostics() -> String {
     format!(
         "{}\n{}\n{}\n{}",
